@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .forms import (
     Form,
     IncompatibleKind,
     PolarKind,
+    canonical_form,
     classical_cardinality,
     form_is_nondegenerate,
     nucleus_point,
@@ -30,12 +30,23 @@ from .pg import (
     ProjSpace,
     SpaceTooLarge,
     bits_to_indices,
+    flats_of_codim,
     hyperplane_flat,
     hyperplanes_containing,
     rref,
+    space_for,
     subgeometry,
 )
-from .spectra import classify, find_line_nucleus, profile, spectrum
+from .spectra import (
+    InvariantViolated,
+    SpectrumProfile,
+    classify,
+    find_line_nucleus,
+    profile,
+    section_type,
+    sections_admissible,
+    spectrum,
+)
 
 
 class PointOnQuadric(ValueError):
@@ -227,64 +238,52 @@ def _enumerate_hermitian_zero_sets(
     return seen
 
 
-def _map_chunks(items: list, worker, threads: int) -> list:
-    if threads <= 1 or len(items) < 32:
-        return [worker(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(worker, items))
+def _classical_profile(s: PointSet, kind: PolarKind) -> SpectrumProfile:
+    """Profile of the kind, after checking that s is a classical-size quasi-polar set."""
+    cls = classify(s, kind)
+    if not cls.quasi_polar or not cls.classical_size:
+        raise ValueError("census needs a classical-size quasi-polar set")
+    return profile(kind)
 
 
 def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
     """Switch every non-singular section of Q(4,2) and count nucleus survival.
 
     Runs over all non-singular hyperplanes of each type and checks that the
-    per-hyperplane counts agree before reporting them.
+    per-hyperplane counts agree before reporting them.  ``threads`` is
+    accepted for compatibility and ignored.
     """
     t0 = time.perf_counter()
     space = s.space
     if (space.m, space.q) != (4, 2):
         raise ValueError("census is defined for PG(4,2)")
-    kind = PolarKind("parabolic", 4, 2)
-    cls = classify(s, kind)
-    if not cls.quasi_polar or not cls.classical_size:
-        raise ValueError("census needs a classical-size quasi-polar set")
-    prof = profile(kind)
+    prof = _classical_profile(s, PolarKind("parabolic", 4, 2))
+    sizes = set(prof.sizes)
     ell, cone_size, hyp = prof.sizes
     per = spectrum(s).per_hyperplane
-    groups = {
-        "hyperbolic": ("hyperbolic", [h for h, v in enumerate(per) if v == hyp]),
-        "elliptic": ("elliptic", [h for h, v in enumerate(per) if v == ell]),
-    }
     breakdown: dict[str, int] = {}
     witnesses: dict[str, list[list[int]]] = {}
     checked: dict[str, int] = {}
     total = 0
-    for label, (family, hyps) in groups.items():
+    for label, size in (("hyperbolic", hyp), ("elliptic", ell)):
+        hyps = [h for h, v in enumerate(per) if v == size]
         per_hyp: list[tuple[int, int]] = []
         for h in hyps:
             geom = subgeometry(space, hyperplane_flat(space, h))
-            cands = enumerate_quadrics(geom.sub, PolarKind(family, 3, 2))
-
-            def outcome(cand: PointSet, _h=h, _geom=geom) -> bool:
-                bits = (s.bits & ~space.incidence[_h]) | _geom.mask_to_ambient(
-                    cand.bits
-                )
-                res = PointSet(space, bits)
-                assert set(spectrum(res).histogram) <= set(prof.sizes)
-                return find_line_nucleus(res) is None
-
-            flags = _map_chunks(cands, outcome, threads)
-            per_hyp.append((sum(flags), len(flags)))
+            cands = enumerate_quadrics(geom.sub, PolarKind(label, 3, 2))
+            base_bits = s.bits & ~space.incidence[h]
+            no_nucleus = []
+            for cand in cands:
+                bits = base_bits | geom.mask_to_ambient(cand.bits)
+                if not sections_admissible(space, bits, sizes):
+                    raise InvariantViolated(f"a {label} switch at {h} is not quasi-polar")
+                if find_line_nucleus(PointSet(space, bits)) is None:
+                    no_nucleus.append(bits)
+            per_hyp.append((len(no_nucleus), len(cands)))
             if h == hyps[0]:
-                wl: list[list[int]] = []
-                for cand, no_nuc in zip(cands, flags):
-                    if no_nuc and len(wl) < 10:
-                        bits = (s.bits & ~space.incidence[h]) | geom.mask_to_ambient(
-                            cand.bits
-                        )
-                        wl.append(bits_to_indices(bits))
-                witnesses[f"{label}_no_nucleus"] = wl
-        assert len(set(per_hyp)) == 1, f"hyperplane dependence in {label} census"
+                witnesses[f"{label}_no_nucleus"] = [bits_to_indices(b) for b in no_nucleus[:10]]
+        if len(set(per_hyp)) != 1:
+            raise InvariantViolated(f"hyperplane dependence in {label} census")
         no_nuc, n_cand = per_hyp[0]
         breakdown[f"{label}_no_nucleus"] = no_nuc
         breakdown[f"{label}_with_nucleus"] = n_cand - no_nuc
@@ -307,17 +306,14 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
 
     Survivors are matched, set for set, against the constructive shape
     families (cones and truncated cones through the section vertex and the
-    nucleus-like point); any mismatch raises.
+    nucleus-like point); any mismatch raises.  ``threads`` is accepted for
+    compatibility and ignored.
     """
     t0 = time.perf_counter()
     space = s.space
     if (space.m, space.q) != (4, 2):
         raise ValueError("census is defined for PG(4,2)")
-    kind = PolarKind("parabolic", 4, 2)
-    cls = classify(s, kind)
-    if not cls.quasi_polar or not cls.classical_size:
-        raise ValueError("census needs a classical-size quasi-polar set")
-    prof = profile(kind)
+    prof = _classical_profile(s, PolarKind("parabolic", 4, 2))
     sizes = set(prof.sizes)
     per = spectrum(s).per_hyperplane
     pi = next(h for h, v in enumerate(per) if v == prof.singular_size)
@@ -325,35 +321,27 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
 
     vertex, _mu, _base = _cone_decomposition(s, pi)
     nucleus = find_line_nucleus(s)
-    assert nucleus is not None
+    if nucleus is None:
+        raise InvariantViolated("a classical-size Q(4,2) set has no line nucleus")
 
     hmask = space.incidence[pi]
-    pi_pts = bits_to_indices(hmask)
-    inc = space.incidence
     base_bits = s.bits & ~hmask
-
-    survivors: list[int] = []
-    combos = list(itertools.combinations(pi_pts, 7))
-
-    def is_quasi(combo: tuple[int, ...]) -> int:
+    combos = list(itertools.combinations(bits_to_indices(hmask), 7))
+    survivors = []
+    for combo in combos:
         t_bits = 0
         for i in combo:
             t_bits |= 1 << i
-        bits = base_bits | t_bits
-        for h in range(space.n_points):
-            if (bits & inc[h]).bit_count() not in sizes:
-                return -1
-        return t_bits
-
-    results = _map_chunks(combos, is_quasi, threads)
-    survivors = [t for t in results if t >= 0]
+        if sections_admissible(space, base_bits | t_bits, sizes):
+            survivors.append(t_bits)
 
     families = _q42_shape_families(s, pi, vertex, nucleus)
     labels = list(families)
     union: set[int] = set()
     for key in labels:
         union |= families[key]
-    assert set(survivors) == union, "survivors do not match the shape families"
+    if set(survivors) != union:
+        raise InvariantViolated("survivors do not match the shape families")
 
     # a set can admit several shape descriptions; the breakdown uses the
     # first matching label so the counts sum to the survivor count
@@ -491,17 +479,14 @@ def nonsingular_switch_census(
     inside the hyperplane, switch, and count the quasi-polar survivors.  The
     identity is always a survivor; any other survivor would contradict the
     singular-hyperplane characterization and is recorded as a witness.
+    ``threads`` is accepted for compatibility and ignored.
     """
     t0 = time.perf_counter()
     space = s.space
-    cls = classify(s, kind)
-    if not cls.quasi_polar or not cls.classical_size:
-        raise ValueError("census needs a classical-size quasi-polar set")
-    prof = profile(kind)
+    prof = _classical_profile(s, kind)
     sizes = set(prof.sizes)
     per = spectrum(s).per_hyperplane
     inc = space.incidence
-    n = space.n_points
 
     breakdown: dict[str, int] = {}
     witnesses: dict[str, list[list[int]]] = {}
@@ -516,17 +501,13 @@ def nonsingular_switch_census(
         hmask = inc[pi]
         base_bits = s.bits & ~hmask
         ident = s.bits & hmask
-
-        def is_survivor(cand: PointSet) -> int:
-            bits = base_bits | geom.mask_to_ambient(cand.bits)
-            for h in range(n):
-                if (bits & inc[h]).bit_count() not in sizes:
-                    return -1
-            return bits & hmask
-
-        results = _map_chunks(cands, is_survivor, threads)
-        survivors = [t for t in results if t >= 0]
-        assert ident in survivors, "identity section must survive"
+        survivors = []
+        for cand in cands:
+            t_bits = geom.mask_to_ambient(cand.bits)
+            if sections_admissible(space, base_bits | t_bits, sizes):
+                survivors.append(t_bits)
+        if ident not in survivors:
+            raise InvariantViolated("the identity section did not survive")
         others = sorted(t for t in survivors if t != ident)
         breakdown[f"{fam}_identity"] = 1
         breakdown[f"{fam}_other_survivor"] = len(others)
@@ -553,21 +534,11 @@ def nonsingular_switch_census(
 def classical_distribution(form: Form, flat: Flat) -> dict:
     """Type distribution of the hyperplanes through a codimension-2 flat."""
     space = form.space
-    prof = profile(form.kind)
     zeros = point_set(form)
     labels: dict[str, int] = {}
     for h in hyperplanes_containing(space, flat):
         v = (zeros.bits & space.incidence[h]).bit_count()
-        if v == prof.singular_size:
-            lab = "singular"
-        elif form.kind.family == "parabolic" and v == prof.sizes[0]:
-            lab = "elliptic"
-        elif form.kind.family == "parabolic" and v == prof.sizes[2]:
-            lab = "hyperbolic"
-        elif v in prof.sizes:
-            lab = "nonsingular"
-        else:
-            lab = "other"
+        lab = section_type(form.kind, v) or "other"
         labels[lab] = labels.get(lab, 0) + 1
     return {
         "flat_section": (zeros.bits & flat.mask()).bit_count(),
@@ -590,3 +561,69 @@ def two_secant_count(form: Form, p: int) -> int:
         if (line & zeros.bits).bit_count() == 2:
             count += 1
     return count
+
+
+def quadrics_census(kind: PolarKind) -> CensusResult:
+    """Count the classical sets of the kind; the first ten are the witnesses."""
+    t0 = time.perf_counter()
+    sets = enumerate_quadrics(space_for(kind.m, kind.q), kind)
+    return CensusResult(
+        name="quadrics",
+        m=kind.m,
+        q=kind.q,
+        total_candidates=len(sets),
+        breakdown={kind.family: len(sets)},
+        witnesses={kind.family: [t.indices() for t in sets[:10]]},
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
+    )
+
+
+def classical_dist_census(kind: PolarKind) -> CensusResult:
+    """Tally the hyperplane type distributions of all codimension-2 flats."""
+    t0 = time.perf_counter()
+    space = space_for(kind.m, kind.q)
+    form = canonical_form(kind, space)
+    agg: dict[str, int] = {}
+    flats = flats_of_codim(space, 2)
+    for flat in flats:
+        d = classical_distribution(form, flat)
+        label = f"sec={d['flat_section']};" + ";".join(
+            f"{k}={v}" for k, v in d["hyperplanes"].items()
+        )
+        agg[label] = agg.get(label, 0) + 1
+    return CensusResult(
+        name="classical-dist",
+        m=kind.m,
+        q=kind.q,
+        total_candidates=len(flats),
+        breakdown=dict(sorted(agg.items())),
+        witnesses={},
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
+    )
+
+
+def two_secant_census(kind: PolarKind) -> CensusResult:
+    """Tally the 2-secant counts of the off points other than the nucleus."""
+    t0 = time.perf_counter()
+    space = space_for(kind.m, kind.q)
+    form = canonical_form(kind, space)
+    zeros = point_set(form)
+    nuc = nucleus_point(form)
+    agg: dict[str, int] = {}
+    total = 0
+    for p in range(space.n_points):
+        if zeros.contains(p) or p == nuc:
+            continue
+        key = f"two_secants={two_secant_count(form, p)}"
+        agg[key] = agg.get(key, 0) + 1
+        total += 1
+    return CensusResult(
+        name="two-secants",
+        m=kind.m,
+        q=kind.q,
+        total_candidates=total,
+        breakdown=dict(sorted(agg.items())),
+        witnesses={},
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
+        extra={"expected": kind.q ** (2 * (kind.m // 2) - 1) // 2},
+    )

@@ -8,38 +8,34 @@ surgery records carry coordinate rows (hyperplanes as their dual vector,
 other flats as a row basis).
 
 Exit codes: 0 success, 1 verification failed, 2 usage or domain error,
-3 file or format error.
+3 file or format error, 4 an internal invariant failed (a bug in qps, not a
+bad input).  The global ``--threads N`` flag is accepted for compatibility
+and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import census as census_lib
-from .forms import (
-    PolarKind,
-    canonical_form,
-    nucleus_point,
-    point_set,
-)
+from .forms import PolarKind, canonical_form, point_set
 from .gf import SUPPORTED_ORDERS
 from .pg import (
     Flat,
     PointSet,
     ProjSpace,
-    flats_of_codim,
     normalize_point,
     null_space,
     space_for,
 )
 from .spectra import (
+    InvariantViolated,
     cardinality_roots,
     classify,
     nucleus_conditions,
-    profile,
+    section_type,
     spectrum,
 )
 from . import surgery as surgery_lib
@@ -161,19 +157,9 @@ def _verdict(cls) -> str:
 
 
 def _hyperplane_types(kind: PolarKind, hist: dict[int, int]) -> dict[str, int]:
-    prof = profile(kind)
     out: dict[str, int] = {}
     for size, cnt in sorted(hist.items()):
-        if size == prof.singular_size:
-            lab = "singular"
-        elif kind.family == "parabolic" and size == prof.sizes[0]:
-            lab = "elliptic"
-        elif kind.family == "parabolic" and size == prof.sizes[2]:
-            lab = "hyperbolic"
-        elif size in prof.sizes:
-            lab = "nonsingular"
-        else:
-            lab = f"size_{size}"
+        lab = section_type(kind, size) or f"size_{size}"
         out[lab] = out.get(lab, 0) + cnt
     return out
 
@@ -186,16 +172,12 @@ def _print(rep: dict, human: list[str], as_json: bool) -> None:
             print(line)
 
 
-def _kind_for(family: str, m: int, q: int) -> PolarKind:
-    return PolarKind(family, m, q)
-
-
-def _cmd_construct(args, threads: int) -> int:
-    kind = _kind_for(args.kind, args.m, args.q)
+def _cmd_construct(args) -> int:
+    kind = PolarKind(args.kind, args.m, args.q)
     space = space_for(args.m, args.q)
     s = point_set(canonical_form(kind, space))
     save_point_set(args.out, s)
-    cls = classify(s, kind, threads=threads)
+    cls = classify(s, kind)
     rep = _report("construct", space)
     rep["size"] = s.size
     rep["spectrum"] = _spectrum_entries(cls.histogram)
@@ -210,15 +192,15 @@ def _cmd_construct(args, threads: int) -> int:
     return 0
 
 
-def _cmd_spectrum(args, threads: int) -> int:
+def _cmd_spectrum(args) -> int:
     s = load_point_set(args.infile)
     space = s.space
     rep = _report("spectrum", space)
     rep["size"] = s.size
     code = 0
     if args.kind:
-        kind = _kind_for(args.kind, space.m, space.q)
-        cls = classify(s, kind, threads=threads)
+        kind = PolarKind(args.kind, space.m, space.q)
+        cls = classify(s, kind)
         rep["spectrum"] = _spectrum_entries(cls.histogram)
         rep["verdict"] = _verdict(cls)
         rep["hyperplane_types"] = _hyperplane_types(kind, cls.histogram)
@@ -226,7 +208,7 @@ def _cmd_spectrum(args, threads: int) -> int:
             code = 1
         hist = cls.histogram
     else:
-        hist = spectrum(s, threads=threads).histogram
+        hist = spectrum(s).histogram
         rep["spectrum"] = _spectrum_entries(hist)
     human = [
         f"{s.size} points in PG({space.m},{space.q})",
@@ -238,7 +220,7 @@ def _cmd_spectrum(args, threads: int) -> int:
     return code
 
 
-def _cmd_verify(args, threads: int) -> int:
+def _cmd_verify(args) -> int:
     s = load_point_set(args.infile)
     space = s.space
     rpt = nucleus_conditions(s)
@@ -260,12 +242,12 @@ def _cmd_verify(args, threads: int) -> int:
     return 0
 
 
-def _surgery_dispatch(args, s: PointSet, threads: int):
+def _surgery_dispatch(args, s: PointSet):
     """Run the chosen operation; returns (result, record, kind to verify)."""
     space = s.space
     op = args.op
     if op == "pivot":
-        kind = _kind_for(args.kind, space.m, space.q)
+        kind = PolarKind(args.kind, space.m, space.q)
         base = load_point_set(args.base)
         if base.space is not space:
             raise ValueError("base file lives in a different space")
@@ -275,9 +257,9 @@ def _surgery_dispatch(args, s: PointSet, threads: int):
     if op == "cone-swap":
         pi = _parse_vec(args.hyperplane, space)
         res, rec = surgery_lib.cone_swap(s, pi)
-        return res, rec, _kind_for("parabolic", space.m, space.q)
+        return res, rec, PolarKind("parabolic", space.m, space.q)
     if op == "repeated-pivot":
-        kind = _kind_for(args.kind, space.m, space.q)
+        kind = PolarKind(args.kind, space.m, space.q)
         p = _parse_vec(args.p, space)
         r = _parse_vec(args.r, space)
         choices: dict[int, PointSet] = {}
@@ -294,14 +276,14 @@ def _surgery_dispatch(args, s: PointSet, threads: int):
         return res, rec, kind
     if op == "affine-switch":
         res, rec = surgery_lib.affine_switch(s)
-        return res, rec, _kind_for("elliptic", space.m, space.q)
+        return res, rec, PolarKind("elliptic", space.m, space.q)
     if op == "q2-switch":
         pi = _parse_vec(args.hyperplane, space)
         sec = load_point_set(args.section)
         if sec.space is not space:
             raise ValueError("section file lives in a different space")
         res, rec = surgery_lib.nonsingular_switch_q2(s, pi, sec)
-        return res, rec, _kind_for("parabolic", space.m, space.q)
+        return res, rec, PolarKind("parabolic", space.m, space.q)
     if op == "q3-switch":
         first, _, second = args.sub.partition(";")
         if not second:
@@ -313,25 +295,25 @@ def _surgery_dispatch(args, s: PointSet, threads: int):
         basis = null_space(space.f, [space.points[xi], space.points[h2]])
         pi_sub = Flat(space, basis)
         res, rec = surgery_lib.internal_switch_q3(s, xi, pi_sub)
-        return res, rec, _kind_for("parabolic", space.m, space.q)
+        return res, rec, PolarKind("parabolic", space.m, space.q)
     if op == "oval-swap":
         tangent = _parse_vec(args.tangent, space)
         res, rec = surgery_lib.oval_nucleus_swap(s, tangent)
-        return res, rec, _kind_for("parabolic", space.m, space.q)
+        return res, rec, PolarKind("parabolic", space.m, space.q)
     if op == "shifted-nucleus":
         pi = _parse_vec(args.hyperplane, space)
         res, rec = surgery_lib.shifted_nucleus_pivot(s, pi)
-        return res, rec, _kind_for("parabolic", space.m, space.q)
+        return res, rec, PolarKind("parabolic", space.m, space.q)
     raise ValueError(f"unknown operation {op}")
 
 
-def _cmd_surgery(args, threads: int) -> int:
+def _cmd_surgery(args) -> int:
     s = load_point_set(args.infile)
     space = s.space
-    res, rec, kind = _surgery_dispatch(args, s, threads)
+    res, rec, kind = _surgery_dispatch(args, s)
     if args.out:
         save_point_set(args.out, res)
-    cls = classify(res, kind, threads=threads)
+    cls = classify(res, kind)
     rep = _report("surgery", space)
     rep["size"] = res.size
     rep["spectrum"] = _spectrum_entries(cls.histogram)
@@ -349,117 +331,36 @@ def _cmd_surgery(args, threads: int) -> int:
     return 0 if cls.quasi_polar else 1
 
 
-def _census_result(args, threads: int) -> census_lib.CensusResult:
+def _census_result(args) -> census_lib.CensusResult:
     name = args.name
     if name == "nucleus-pivot":
-        s = _census_input(args, 4, 2)
-        return census_lib.nucleus_pivot_census(s, threads=threads)
+        return census_lib.nucleus_pivot_census(_census_input(args, PolarKind("parabolic", 4, 2)))
     if name == "singular-switch":
-        s = _census_input(args, 4, 2)
-        return census_lib.singular_switch_census(s, threads=threads)
+        return census_lib.singular_switch_census(_census_input(args, PolarKind("parabolic", 4, 2)))
+    kind = PolarKind(args.kind, args.m, args.q)
     if name == "nonsingular-switch":
-        kind = _kind_for(args.kind, args.m, args.q)
-        if args.infile:
-            s = load_point_set(args.infile)
-            if (s.space.m, s.space.q) != (args.m, args.q):
-                raise ValueError(f"census needs a point set in PG({args.m},{args.q})")
-        else:
-            s = point_set(canonical_form(kind, space_for(args.m, args.q)))
-        return census_lib.nonsingular_switch_census(s, kind, threads=threads)
+        return census_lib.nonsingular_switch_census(_census_input(args, kind), kind)
     if name == "quadrics":
-        kind = _kind_for(args.kind, args.m, args.q)
-        space = space_for(args.m, args.q)
-        import time as _time
-
-        t0 = _time.perf_counter()
-        sets = census_lib.enumerate_quadrics(space, kind)
-        return census_lib.CensusResult(
-            name="quadrics",
-            m=args.m,
-            q=args.q,
-            total_candidates=len(sets),
-            breakdown={args.kind: len(sets)},
-            witnesses={args.kind: [t.indices() for t in sets[:10]]},
-            runtime_ms=int((_time.perf_counter() - t0) * 1000),
-        )
+        return census_lib.quadrics_census(kind)
     if name == "classical-dist":
-        return _classical_dist_census(args)
+        return census_lib.classical_dist_census(kind)
     if name == "two-secants":
-        return _two_secant_census(args)
+        return census_lib.two_secant_census(kind)
     raise ValueError(f"unknown census {name}")
 
 
-def _census_input(args, m: int, q: int) -> PointSet:
+def _census_input(args, kind: PolarKind) -> PointSet:
+    """The --in point set, which must live in the kind's space, else the canonical set."""
     if args.infile:
         s = load_point_set(args.infile)
-        if (s.space.m, s.space.q) != (m, q):
-            raise ValueError(f"census needs a point set in PG({m},{q})")
+        if (s.space.m, s.space.q) != (kind.m, kind.q):
+            raise ValueError(f"census needs a point set in PG({kind.m},{kind.q})")
         return s
-    kind = _kind_for("parabolic", m, q)
-    return point_set(canonical_form(kind, space_for(m, q)))
+    return point_set(canonical_form(kind, space_for(kind.m, kind.q)))
 
 
-def _classical_dist_census(args) -> census_lib.CensusResult:
-    import time as _time
-
-    t0 = _time.perf_counter()
-    kind = _kind_for(args.kind, args.m, args.q)
-    space = space_for(args.m, args.q)
-    form = canonical_form(kind, space)
-    agg: dict[str, int] = {}
-    total = 0
-    for flat in flats_of_codim(space, 2):
-        d = census_lib.classical_distribution(form, flat)
-        label = f"sec={d['flat_section']};" + ";".join(
-            f"{k}={v}" for k, v in d["hyperplanes"].items()
-        )
-        agg[label] = agg.get(label, 0) + 1
-        total += 1
-    return census_lib.CensusResult(
-        name="classical-dist",
-        m=args.m,
-        q=args.q,
-        total_candidates=total,
-        breakdown=dict(sorted(agg.items())),
-        witnesses={},
-        runtime_ms=int((_time.perf_counter() - t0) * 1000),
-    )
-
-
-def _two_secant_census(args) -> census_lib.CensusResult:
-    import time as _time
-
-    t0 = _time.perf_counter()
-    kind = _kind_for(args.kind, args.m, args.q)
-    space = space_for(args.m, args.q)
-    form = canonical_form(kind, space)
-    zeros = point_set(form)
-    nuc = nucleus_point(form)
-    agg: dict[str, int] = {}
-    total = 0
-    for p in range(space.n_points):
-        if zeros.contains(p) or p == nuc:
-            continue
-        v = census_lib.two_secant_count(form, p)
-        key = f"two_secants={v}"
-        agg[key] = agg.get(key, 0) + 1
-        total += 1
-    n = kind.m // 2
-    expected = args.q ** (2 * n - 1) // 2
-    return census_lib.CensusResult(
-        name="two-secants",
-        m=args.m,
-        q=args.q,
-        total_candidates=total,
-        breakdown=dict(sorted(agg.items())),
-        witnesses={},
-        runtime_ms=int((_time.perf_counter() - t0) * 1000),
-        extra={"expected": expected},
-    )
-
-
-def _cmd_census(args, threads: int) -> int:
-    result = _census_result(args, threads)
+def _cmd_census(args) -> int:
+    result = _census_result(args)
     rep = _report("census", space_for(result.m, result.q))
     body = result.to_dict()
     body.pop("runtime_ms", None)
@@ -477,8 +378,8 @@ def _cmd_census(args, threads: int) -> int:
     return 0
 
 
-def _cmd_roots(args, threads: int) -> int:
-    kind = _kind_for(args.kind, args.m, args.q)
+def _cmd_roots(args) -> int:
+    kind = PolarKind(args.kind, args.m, args.q)
     rr = cardinality_roots(kind)
     rep = _report("roots", space_for(args.m, args.q))
     rep["roots"] = {
@@ -505,8 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("QPS_THREADS", "1")),
-        help="worker threads for spectra and censuses (default 1)",
+        default=1,
+        help="accepted for compatibility; has no effect",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -623,7 +524,7 @@ def run(argv: list[str] | None = None) -> int:
         "roots": _cmd_roots,
     }
     try:
-        return handlers[args.command](args, max(1, args.threads))
+        return handlers[args.command](args)
     except _FORMAT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -633,6 +534,9 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolated as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -16,7 +16,6 @@ Canonical shapes (coordinates x_0 .. x_m):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .gf import FieldTable, build_field
@@ -27,8 +26,8 @@ from .pg import (
     bits_to_indices,
     normalize_vec,
     null_space,
-    rref,
     scale,
+    span_points,
     vadd,
 )
 
@@ -256,24 +255,14 @@ def radical_basis(form: Form) -> tuple[tuple[int, ...], ...]:
 
 
 def form_is_nondegenerate(form: Form) -> bool:
-    f = form.space.f
     rad = radical_basis(form)
     if not rad:
         return True
     if form.kind.family == "hermitian":
         return False
-    # degenerate iff some nonzero radical vector is a zero of f
-    k = len(rad)
-    for lead in range(k - 1, -1, -1):
-        for tail in itertools.product(range(f.q), repeat=k - 1 - lead):
-            coef = (0,) * lead + (1,) + tail
-            vec = (0,) * (form.space.m + 1)
-            for c, b in zip(coef, rad):
-                if c:
-                    vec = vadd(f, vec, scale(f, c, b))
-            if form.eval_vec(vec) == 0:
-                return False
-    return True
+    # degenerate iff some radical point is a zero of f
+    pts = form.space.points
+    return all(form.eval_vec(pts[i]) != 0 for i in span_points(form.space, rad))
 
 
 def point_set(form: Form) -> PointSet:
@@ -293,25 +282,16 @@ def perp(form: Form, p: int) -> int:
     space = form.space
     f = space.f
     x = space.points[p]
-    if form.kind.family == "hermitian":
-        A = form.matrix
-        cx = [f.conj[v] for v in x]
-        w = []
-        for j in range(space.m + 1):
-            t = 0
-            for i in range(space.m + 1):
-                if cx[i] and A[i][j]:
-                    t = f.add[t][f.mul[cx[i]][A[i][j]]]
-            w.append(t)
-    else:
-        B = form.bilinear()
-        w = []
-        for j in range(space.m + 1):
-            t = 0
-            for i in range(space.m + 1):
-                if x[i] and B[i][j]:
-                    t = f.add[t][f.mul[x[i]][B[i][j]]]
-            w.append(t)
+    # w = x^T B, with conj(x) in place of x for a Hermitian form
+    B = form.bilinear()
+    y = [f.conj[v] for v in x] if form.kind.family == "hermitian" else x
+    w = []
+    for j in range(space.m + 1):
+        t = 0
+        for i in range(space.m + 1):
+            if y[i] and B[i][j]:
+                t = f.add[t][f.mul[y[i]][B[i][j]]]
+        w.append(t)
     if all(v == 0 for v in w):
         if (
             form.kind.family == "parabolic"
@@ -345,14 +325,12 @@ def cone(vertex: Flat, base: PointSet) -> PointSet:
     if vmask & base.bits:
         raise VertexMeetsBase("vertex flat meets the base")
     f = space.f
-    k = len(vertex.basis)
-    subvectors = []
-    for coef in itertools.product(range(f.q), repeat=k):
-        vec = (0,) * (space.m + 1)
-        for c, b in zip(coef, vertex.basis):
-            if c:
-                vec = vadd(f, vec, scale(f, c, b))
-        subvectors.append(vec)
+    # every vector of the vertex subspace: zero and the multiples of its points
+    subvectors = [(0,) * (space.m + 1)] + [
+        scale(f, c, space.points[i])
+        for i in span_points(space, vertex.basis)
+        for c in range(1, f.q)
+    ]
     bits = vmask
     for b in bits_to_indices(base.bits):
         bvec = space.points[b]
@@ -361,22 +339,23 @@ def cone(vertex: Flat, base: PointSet) -> PointSet:
     return PointSet(space, bits)
 
 
+def is_cone_vertex(bits: int, v: int, lines) -> bool:
+    """True when each of the given lines through v meets bits, off v, in
+    either no point or all of its points."""
+    rest = ~(1 << v)
+    for line in lines:
+        t = line & bits & rest
+        if t and t != line & rest:
+            return False
+    return True
+
+
 def cone_vertices(s: PointSet) -> list[int]:
     """Points V such that every line through V meets s in 0 or q points off V."""
     space = s.space
-    out = []
-    for v in range(space.n_points):
-        vbit = 1 << v
-        rest = ~vbit
-        ok = True
-        for line in space.lines_through(v):
-            t = line & s.bits & rest
-            if t and t != line & rest:
-                ok = False
-                break
-        if ok:
-            out.append(v)
-    return out
+    return [
+        v for v in range(space.n_points) if is_cone_vertex(s.bits, v, space.lines_through(v))
+    ]
 
 
 def point_class(form: Form, p: int) -> str:

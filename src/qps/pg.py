@@ -11,6 +11,7 @@ the set.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .gf import FieldTable, build_field
@@ -163,7 +164,6 @@ class ProjSpace:
     def lines_through(self, p: int) -> tuple[int, ...]:
         """Bitmasks of the (n-1)/q lines through point p."""
         if p not in self._lines_through:
-            f = self.f
             seen = 1 << p
             out = []
             for r in range(self.n_points):
@@ -221,6 +221,25 @@ def incident(space: ProjSpace, h: int, p: int) -> bool:
     return dot(space.f, space.points[h], space.points[p]) == 0
 
 
+def span_points(space: ProjSpace, basis) -> Iterator[int]:
+    """Point indices of span(basis), in canonical coefficient order.
+
+    The i-th point yielded is the one with coefficient vector i of
+    PG(len(basis) - 1, q) in its canonical point order, so for a flat this
+    is the order of ``SubGeometry.to_ambient``.
+    """
+    f = space.f
+    k = len(basis)
+    zero = (0,) * (space.m + 1)
+    for lead in range(k - 1, -1, -1):
+        for tail in itertools.product(range(f.q), repeat=k - 1 - lead):
+            vec = zero
+            for c, b in zip((0,) * lead + (1,) + tail, basis):
+                if c:
+                    vec = vadd(f, vec, scale(f, c, b))
+            yield space.point_index[normalize_vec(f, vec)]
+
+
 @dataclass(frozen=True)
 class Flat:
     """Projective flat given by an RREF basis of its underlying subspace."""
@@ -237,17 +256,9 @@ class Flat:
         cached = self.space._flat_masks.get(key)
         if cached is not None:
             return cached
-        f = self.space.f
-        k = len(self.basis)
         mask = 0
-        for lead in range(k - 1, -1, -1):
-            for tail in itertools.product(range(f.q), repeat=k - 1 - lead):
-                coef = (0,) * lead + (1,) + tail
-                vec = (0,) * (self.space.m + 1)
-                for c, b in zip(coef, self.basis):
-                    if c:
-                        vec = vadd(f, vec, scale(f, c, b))
-                mask |= 1 << self.space.point_index[normalize_vec(f, vec)]
+        for i in span_points(self.space, self.basis):
+            mask |= 1 << i
         self.space._flat_masks[key] = mask
         return mask
 
@@ -278,21 +289,7 @@ def hyperplane_flat(space: ProjSpace, h: int) -> Flat:
 def hyperplanes_containing(space: ProjSpace, flat: Flat) -> list[int]:
     """Indices of hyperplanes through the flat, ascending."""
     dual_basis = null_space(space.f, list(flat.basis))
-    if not dual_basis:
-        return []
-    f = space.f
-    out = []
-    k = len(dual_basis)
-    for lead in range(k - 1, -1, -1):
-        for tail in itertools.product(range(f.q), repeat=k - 1 - lead):
-            coef = (0,) * lead + (1,) + tail
-            vec = (0,) * (space.m + 1)
-            for c, b in zip(coef, dual_basis):
-                if c:
-                    vec = vadd(f, vec, scale(f, c, b))
-            out.append(space.point_index[normalize_vec(f, vec)])
-    out.sort()
-    return out
+    return sorted(span_points(space, dual_basis)) if dual_basis else []
 
 
 def flats_of_codim(space: ProjSpace, c: int) -> tuple[Flat, ...]:
@@ -400,18 +397,10 @@ def subgeometry(space: ProjSpace, flat: Flat) -> SubGeometry:
     k = flat.dim
     if k < 1:
         raise ValueError("subgeometry needs projective dimension >= 1")
-    sub = build_space(k, space.f)
-    f = space.f
-    to_amb = []
-    for coef in sub.points:
-        vec = (0,) * (space.m + 1)
-        for c, b in zip(coef, flat.basis):
-            if c:
-                vec = vadd(f, vec, scale(f, c, b))
-        to_amb.append(space.point_index[normalize_vec(f, vec)])
+    to_amb = list(span_points(space, flat.basis))
     geom = SubGeometry(
         flat=flat,
-        sub=sub,
+        sub=build_space(k, space.f),
         to_ambient=tuple(to_amb),
         from_ambient={a: s for s, a in enumerate(to_amb)},
     )

@@ -9,7 +9,7 @@ three-size parabolic kind does not force cardinality.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,6 +32,10 @@ class NotQuasiPolar(ValueError):
 
 class NotEvenDimension(ValueError):
     """Nucleus conditions are defined in even ambient dimension only."""
+
+
+class InvariantViolated(RuntimeError):
+    """An internal consistency check failed: a bug, not a bad input."""
 
 
 @dataclass(frozen=True)
@@ -100,18 +104,21 @@ def _classical_counts(kind: PolarKind, sizes: tuple[int, ...]) -> dict[int, int]
     us = [Fraction(u) for u in sizes]
     if len(us) == 1:
         counts = [H]
-        assert us[0] * counts[0] == rhs[1]
+        if us[0] * counts[0] != rhs[1]:
+            raise InvariantViolated(f"{kind}: section count fails the point count")
     elif len(us) == 2:
         u, v = us
         a = (rhs[1] - v * H) / (u - v)
         b = H - a
         counts = [a, b]
-        assert u * (u - 1) * a + v * (v - 1) * b == rhs[2]
+        if u * (u - 1) * a + v * (v - 1) * b != rhs[2]:
+            raise InvariantViolated(f"{kind}: section counts fail the pair count")
     else:
         counts = _solve3(us, rhs)
     out = {}
     for u, c in zip(sizes, counts):
-        assert c.denominator == 1 and c >= 0
+        if c.denominator != 1 or c < 0:
+            raise InvariantViolated(f"{kind}: section count {c} for size {u}")
         out[u] = int(c)
     return out
 
@@ -139,26 +146,22 @@ class Spectrum:
     per_hyperplane: tuple[int, ...]
 
 
-def spectrum(s: PointSet, threads: int = 1) -> Spectrum:
+def spectrum(s: PointSet) -> Spectrum:
     """Section size of s for every hyperplane, plus the size histogram."""
-    inc = s.space.incidence
     bits = s.bits
-    n = len(inc)
-    if threads <= 1 or n < 64:
-        per = [(bits & inc[h]).bit_count() for h in range(n)]
-    else:
-        step = (n + threads - 1) // threads
-
-        def chunk(lo: int) -> list[int]:
-            return [(bits & inc[h]).bit_count() for h in range(lo, min(lo + step, n))]
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(chunk, range(0, n, step)))
-        per = [x for part in parts for x in part]
+    per = [(bits & hmask).bit_count() for hmask in s.space.incidence]
     hist: dict[int, int] = {}
     for v in per:
         hist[v] = hist.get(v, 0) + 1
     return Spectrum(histogram=dict(sorted(hist.items())), per_hyperplane=tuple(per))
+
+
+def sections_admissible(space: ProjSpace, bits: int, sizes) -> bool:
+    """True when every hyperplane meets bits in one of sizes; stops at the first miss."""
+    for hmask in space.incidence:
+        if (bits & hmask).bit_count() not in sizes:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -171,13 +174,13 @@ class Classification:
     exceptional: str | None
 
 
-def classify(s: PointSet, kind: PolarKind, threads: int = 1) -> Classification:
+def classify(s: PointSet, kind: PolarKind) -> Classification:
     """Spectrum-based verdict: is s quasi-polar for the kind?"""
     space = s.space
     if space.m != kind.m or space.q != kind.q:
         raise IncompatibleKind("kind does not match the ambient space")
     prof = profile(kind)
-    spec = spectrum(s, threads=threads)
+    spec = spectrum(s)
     quasi = set(spec.histogram) <= set(prof.sizes)
     size = s.size
     exceptional = None
@@ -239,9 +242,11 @@ def cardinality_roots(kind: PolarKind) -> RootsReport:
     t2 = Fraction(n_points_pg(m - 2, q))
     S = Fraction(prof.cardinality)
     # t2*S^2 - (t2 + t1*(u+v-1))*S + u*v*H = 0
-    assert t2 * S * S - (t2 + t1 * (u + v - 1)) * S + u * v * H == 0
+    if t2 * S * S - (t2 + t1 * (u + v - 1)) * S + u * v * H != 0:
+        raise InvariantViolated(f"{kind}: classical cardinality is not a root")
     other = u * v * H / t2 / S
-    assert S + other == 1 + t1 * (u + v - 1) / t2
+    if S + other != 1 + t1 * (u + v - 1) / t2:
+        raise InvariantViolated(f"{kind}: roots do not sum to the linear coefficient")
     tag = None
     if other.denominator == 1:
         if kind.family == "elliptic" and m == 3 and other == q + 1:
@@ -259,20 +264,39 @@ def cardinality_roots(kind: PolarKind) -> RootsReport:
     )
 
 
+def line_nuclei(s: PointSet) -> Iterator[int]:
+    """Points off s through which every line is a 1-secant of s, ascending."""
+    space = s.space
+    bits = s.bits
+    for p in range(space.n_points):
+        if bits >> p & 1:
+            continue
+        for line in space.lines_through(p):
+            if (line & bits).bit_count() != 1:
+                break
+        else:
+            yield p
+
+
 def find_line_nucleus(s: PointSet) -> int | None:
     """First point off s through which every line is a 1-secant of s."""
-    space = s.space
-    for p in range(space.n_points):
-        if s.bits >> p & 1:
-            continue
-        ok = True
-        for line in space.lines_through(p):
-            if (line & s.bits).bit_count() != 1:
-                ok = False
-                break
-        if ok:
-            return p
-    return None
+    return next(line_nuclei(s), None)
+
+
+def section_type(kind: PolarKind, size: int) -> str | None:
+    """Type of a hyperplane section of the given size; None when not admissible.
+
+    "singular" for the cone size, "elliptic" or "hyperbolic" for the other
+    parabolic sizes, "nonsingular" for the other size of a two-size kind.
+    """
+    prof = profile(kind)
+    if size == prof.singular_size:
+        return "singular"
+    if size not in prof.sizes:
+        return None
+    if kind.family == "parabolic":
+        return "elliptic" if size == prof.sizes[0] else "hyperbolic"
+    return "nonsingular"
 
 
 @dataclass(frozen=True)
@@ -353,16 +377,8 @@ def nucleus_conditions(s: PointSet) -> ConditionReport:
     b_mask &= off
 
     c_mask = 0
-    for p in range(space.n_points):
-        if s.bits >> p & 1:
-            continue
-        ok = True
-        for line in space.lines_through(p):
-            if (line & s.bits).bit_count() != 1:
-                ok = False
-                break
-        if ok:
-            c_mask |= 1 << p
+    for p in line_nuclei(s):
+        c_mask |= 1 << p
 
     singular = [h for h, v in enumerate(per) if v == cone_size]
     d_mask = space.all_mask if singular else 0

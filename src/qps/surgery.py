@@ -15,21 +15,28 @@ from .forms import (
     PolarKind,
     card_pm,
     cone,
+    is_cone_vertex,
 )
 from .pg import (
     Flat,
     PointSet,
     ProjSpace,
+    SubGeometry,
     bits_to_indices,
+    dot,
     flat_from_mask,
     flat_from_points,
     hyperplane_flat,
     hyperplanes_containing,
     line_through,
+    normalize_vec,
     null_space,
+    rref,
+    scale,
     subgeometry,
+    vadd,
 )
-from .spectra import classify, find_line_nucleus, profile
+from .spectra import classify, find_line_nucleus, profile, section_type
 
 
 class RemovedNotInSet(ValueError):
@@ -150,6 +157,12 @@ def _point_flat(space: ProjSpace, p: int) -> Flat:
     return flat_from_points(space, [p])
 
 
+def _sub_hyperplane(geom: SubGeometry, h_sub: int) -> Flat:
+    """Hyperplane h_sub of a subgeometry, as a flat of the ambient space."""
+    pts = [geom.to_ambient[i] for i in bits_to_indices(geom.sub.incidence[h_sub])]
+    return flat_from_points(geom.flat.space, pts)
+
+
 def switch(
     s: PointSet, pi: int, removed: PointSet, added: PointSet
 ) -> tuple[PointSet, SurgeryRecord]:
@@ -179,17 +192,9 @@ def _cone_decomposition(
     sec_sub = geom.mask_from_ambient(section.bits)
     for v_sub in range(geom.sub.n_points):
         v = geom.to_ambient[v_sub]
-        if not section.contains(v):
-            continue
-        vbit = 1 << v_sub
-        rest = ~vbit
-        ok = True
-        for line in geom.sub.lines_through(v_sub):
-            t = line & sec_sub & rest
-            if t and t != line & rest:
-                ok = False
-                break
-        if not ok:
+        if not section.contains(v) or not is_cone_vertex(
+            sec_sub, v_sub, geom.sub.lines_through(v_sub)
+        ):
             continue
         for h_sub in range(geom.sub.n_points):
             hmask = geom.sub.incidence[h_sub]
@@ -198,10 +203,7 @@ def _cone_decomposition(
             base_bits = geom.mask_to_ambient(hmask & sec_sub)
             base = PointSet(space, base_bits)
             if cone(_point_flat(space, v), base).bits == section.bits:
-                mu_amb = flat_from_points(
-                    space, [geom.to_ambient[i] for i in bits_to_indices(hmask)]
-                )
-                return v, mu_amb, base
+                return v, _sub_hyperplane(geom, h_sub), base
             break
     raise NoConeDecomposition("section is not a cone over a hyperplane base")
 
@@ -240,9 +242,7 @@ def _find_carrier(
             continue
         if base_sub & ~hmask:
             continue
-        return flat_from_points(
-            space, [geom.to_ambient[i] for i in bits_to_indices(hmask)]
-        )
+        return _sub_hyperplane(geom, h_sub)
     raise BaseWrongType("no carrier hyperplane avoids the vertex")
 
 
@@ -274,6 +274,31 @@ def pivot(
     return result, rec
 
 
+def _nucleus_in_singular_section(
+    s: PointSet, pi: int
+) -> tuple[PolarKind, PointSet, int]:
+    """Parabolic kind, section and line nucleus for the two nucleus surgeries.
+
+    Requires q even, even ambient dimension >= 4, a singular-size section at
+    pi and a line nucleus of s inside pi.
+    """
+    space = s.space
+    if space.f.p != 2:
+        raise NotEvenQ("operation requires even field order")
+    if space.m % 2 != 0 or space.m < 4:
+        raise IncompatibleKind("operation needs even ambient dimension >= 4")
+    kind = PolarKind("parabolic", space.m, space.q)
+    section = PointSet(space, s.bits & space.incidence[pi])
+    if section.size != profile(kind).singular_size:
+        raise NotSingular("hyperplane section does not have the singular size")
+    nucleus = find_line_nucleus(s)
+    if nucleus is None:
+        raise ValueError("set has no nucleus-like point")
+    if not space.incidence[pi] >> nucleus & 1:
+        raise ValueError("nucleus does not lie in the hyperplane")
+    return kind, section, nucleus
+
+
 def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
     """Swap a sub-cone through the section vertex for one through the nucleus.
 
@@ -283,21 +308,8 @@ def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
     not a cone over a quasi-polar base.
     """
     space = s.space
-    if space.f.p != 2:
-        raise NotEvenQ("cone swap requires even field order")
-    if space.m % 2 != 0 or space.m < 4:
-        raise IncompatibleKind("cone swap needs even ambient dimension >= 4")
-    kind = PolarKind("parabolic", space.m, space.q)
-    prof = profile(kind)
-    section = PointSet(space, s.bits & space.incidence[pi])
-    if section.size != prof.singular_size:
-        raise NotSingular("hyperplane section does not have the singular size")
-    nucleus = find_line_nucleus(s)
-    if nucleus is None:
-        raise ValueError("set has no nucleus-like point")
+    _kind, section, nucleus = _nucleus_in_singular_section(s, pi)
     vertex, mu, base = _cone_decomposition(s, pi)
-    if not (space.incidence[pi] >> nucleus & 1):
-        raise ValueError("nucleus does not lie in the hyperplane")
 
     geom_mu = subgeometry(space, mu)
     base_sub = PointSet(geom_mu.sub, geom_mu.mask_from_ambient(base.bits))
@@ -346,16 +358,7 @@ def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
     raise NoDisjointFlat("no nucleus-cone flat avoids the truncated cone")
 
 
-def _indices_to_bits(indices) -> int:
-    bits = 0
-    for i in indices:
-        bits |= 1 << i
-    return bits
-
-
 def _span_basis(space: ProjSpace, flat: Flat, extra_point: int):
-    from .pg import rref
-
     return rref(space.f, list(flat.basis) + [space.points[extra_point]])
 
 
@@ -374,21 +377,19 @@ def _greedy_generator(s: PointSet, target_dim: int) -> Flat:
         raise ValueError("empty set has no generator")
     cur = flat_from_points(space, [idx[0]])
     while cur.dim < target_dim:
-        extended = False
-        for x in idx:
-            if cur.contains_point(x):
-                continue
-            cand = flat_from_points(
-                space, bits_to_indices(cur.mask()) + [x]
-            )
-            if cand.mask() & ~s.bits:
-                continue
-            cur = cand
-            extended = True
-            break
-        if not extended:
+        cur = _extend_inside(s, cur.mask(), cur.mask())
+        if cur is None:
             raise ValueError("no generator of the required dimension inside the set")
     return cur
+
+
+def _extend_inside(s: PointSet, flat_mask: int, avoid: int) -> Flat | None:
+    """Span of the flat and the first point of s off avoid whose span lies in s."""
+    for x in bits_to_indices(s.bits & ~avoid):
+        cand = flat_from_points(s.space, bits_to_indices(flat_mask) + [x])
+        if not cand.mask() & ~s.bits:
+            return cand
+    return None
 
 
 def repeated_pivot(
@@ -431,10 +432,7 @@ def repeated_pivot(
             for h in range(geom.sub.n_points)
             if not geom.sub.incidence[h] >> r_sub & 1
         )
-        sigma_amb = flat_from_points(
-            space,
-            [geom.to_ambient[i] for i in bits_to_indices(geom.sub.incidence[sigma_sub])],
-        )
+        sigma_amb = _sub_hyperplane(geom, sigma_sub)
         base = PointSet(space, sigma_amb.mask() & section.bits)
         if cone(_point_flat(space, R), base).bits != section.bits:
             raise NoConeDecomposition(f"tangent section at {R} is not a cone")
@@ -479,17 +477,9 @@ def _tangent_hyperplane(
             continue
         if not space.incidence[h] >> p & 1:
             continue
-        sec = s.bits & space.incidence[h]
-        rest = ~(1 << p)
-        ok = True
-        for line in space.lines_through(p):
-            if line & ~space.incidence[h]:
-                continue
-            t = line & sec & rest
-            if t and t != line & rest:
-                ok = False
-                break
-        if ok:
+        hmask = space.incidence[h]
+        lines = (line for line in space.lines_through(p) if not line & ~hmask)
+        if is_cone_vertex(s.bits & hmask, p, lines):
             return h
     raise NoConeDecomposition(f"no tangent hyperplane found at point {p}")
 
@@ -508,15 +498,7 @@ def affine_switch(s: PointSet) -> tuple[PointSet, SurgeryRecord]:
     geom = subgeometry(space, g1)
     nu_mask_amb = geom.mask_to_ambient(geom.sub.incidence[0])
     nu_flat = flat_from_points(space, bits_to_indices(nu_mask_amb))
-    g2 = None
-    for x in s.indices():
-        if g1.contains_point(x):
-            continue
-        cand = flat_from_points(space, bits_to_indices(nu_mask_amb) + [x])
-        if cand.mask() & ~s.bits:
-            continue
-        g2 = cand
-        break
+    g2 = _extend_inside(s, nu_mask_amb, g1.mask())
     if g2 is None:
         raise ValueError("no second generator through the wall")
     removed_bits = g1.mask() ^ g2.mask()
@@ -551,17 +533,11 @@ def nonsingular_switch_q2(
         raise NotQ2("operation requires field order 2")
     if space.m % 2 != 0:
         raise IncompatibleKind("ambient dimension must be even")
-    kind = PolarKind("parabolic", space.m, 2)
-    prof = profile(kind)
-    ell, cone_size, hyp = prof.sizes
     section = PointSet(space, s.bits & space.incidence[pi])
-    if section.size == cone_size:
+    family = section_type(PolarKind("parabolic", space.m, 2), section.size)
+    if family == "singular":
         raise SingularHyperplane("hyperplane is singular for the set")
-    if section.size == ell:
-        family = "elliptic"
-    elif section.size == hyp:
-        family = "hyperbolic"
-    else:
+    if family is None:
         raise SingularHyperplane("section size matches no admissible size")
     if new_section.bits & ~space.incidence[pi]:
         raise SectionWrongType("replacement section must lie in the hyperplane")
@@ -599,15 +575,10 @@ def internal_switch_q3(
     if space.m % 2 != 0:
         raise IncompatibleKind("ambient dimension must be even")
     kind = PolarKind("parabolic", space.m, 3)
-    prof = profile(kind)
-    ell, cone_size, hyp = prof.sizes
     xi_mask = space.incidence[xi]
     section = PointSet(space, s.bits & xi_mask)
-    if section.size == ell:
-        family = "elliptic"
-    elif section.size == hyp:
-        family = "hyperbolic"
-    else:
+    family = section_type(kind, section.size)
+    if family not in ("elliptic", "hyperbolic"):
         raise BadHyperplanes("xi must be non-singular for the set")
     if pi_sub.dim != space.m - 2 or pi_sub.mask() & ~xi_mask:
         raise BadHyperplanes("pi_sub must be a hyperplane of xi")
@@ -678,20 +649,7 @@ def oval_nucleus_swap(s: PointSet, tangent: int) -> tuple[PointSet, SurgeryRecor
 def shifted_nucleus_pivot(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
     """Pivot onto a collineation image of the base that moves the base nucleus."""
     space = s.space
-    if space.f.p != 2:
-        raise NotEvenQ("operation requires even field order")
-    if space.m % 2 != 0 or space.m < 4:
-        raise IncompatibleKind("operation needs even ambient dimension >= 4")
-    kind = PolarKind("parabolic", space.m, space.q)
-    prof = profile(kind)
-    section = PointSet(space, s.bits & space.incidence[pi])
-    if section.size != prof.singular_size:
-        raise NotSingular("hyperplane section does not have the singular size")
-    nucleus = find_line_nucleus(s)
-    if nucleus is None:
-        raise ValueError("set has no nucleus-like point")
-    if not space.incidence[pi] >> nucleus & 1:
-        raise ValueError("nucleus does not lie in the hyperplane")
+    kind, section, nucleus = _nucleus_in_singular_section(s, pi)
     vertex, _mu0, _base0 = _cone_decomposition(s, pi)
 
     geom = subgeometry(space, hyperplane_flat(space, pi))
@@ -702,10 +660,7 @@ def shifted_nucleus_pivot(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord
         for h in range(geom.sub.n_points)
         if geom.sub.incidence[h] >> n_sub & 1 and not geom.sub.incidence[h] >> v_sub & 1
     )
-    mu_amb = flat_from_points(
-        space,
-        [geom.to_ambient[i] for i in bits_to_indices(geom.sub.incidence[mu_sub_idx])],
-    )
+    mu_amb = _sub_hyperplane(geom, mu_sub_idx)
     base = PointSet(space, mu_amb.mask() & section.bits)
     if cone(_point_flat(space, vertex), base).bits != section.bits:
         raise NoConeDecomposition("section is not a cone over the chosen base")
@@ -736,8 +691,6 @@ def _shift_by_elation(base: PointSet, moved_point: int) -> PointSet:
     """Image of base under x -> x + phi(x) c, phi(moved_point) != 0, phi(c) = 0."""
     space = base.space
     f = space.f
-    from .pg import normalize_vec, scale, vadd
-
     phi = next(
         h for h in range(space.n_points) if not space.incidence[h] >> moved_point & 1
     )
@@ -747,9 +700,7 @@ def _shift_by_elation(base: PointSet, moved_point: int) -> PointSet:
     bits = 0
     for i in base.indices():
         x = space.points[i]
-        t = 0
-        for a, b in zip(phi_vec, x):
-            t = f.add[t][f.mul[a][b]]
+        t = dot(f, phi_vec, x)
         y = vadd(f, x, scale(f, t, c_vec)) if t else x
         bits |= 1 << space.point_index[normalize_vec(f, y)]
     return PointSet(space, bits)

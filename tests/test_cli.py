@@ -293,6 +293,61 @@ def test_spectrum_threads_identical(tmp_path, capsys):
     assert r1 == r2
 
 
+def test_threads_env_is_ignored(capsys, monkeypatch):
+    argv = ["roots", "--kind", "elliptic", "--m", "3", "--q", "2", "--json"]
+    monkeypatch.delenv("QPS_THREADS", raising=False)
+    code = run(argv)
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("QPS_THREADS", "abc")
+    assert run(argv) == code == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_threads_flag_must_be_an_integer(capsys):
+    assert run(["--threads", "abc", "roots", "--kind", "elliptic", "--m", "3", "--q", "2"]) == 2
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Invariant violations
+# ---------------------------------------------------------------------------
+
+_DROP_FAMILY = """
+from qps import census
+families = census._q42_shape_families
+census._q42_shape_families = lambda *a: {
+    k: v for k, v in families(*a).items() if k != "cone_vertex"
+}
+"""
+
+
+def test_invariant_violation_raises_and_exits_four(capsys, monkeypatch):
+    from qps import census
+    from qps.spectra import InvariantViolated
+
+    families = census._q42_shape_families
+    monkeypatch.setattr(
+        census,
+        "_q42_shape_families",
+        lambda *a: {k: v for k, v in families(*a).items() if k != "cone_vertex"},
+    )
+    assert not issubclass(InvariantViolated, ValueError)
+    with pytest.raises(InvariantViolated, match="shape families"):
+        census.singular_switch_census(canonical("parabolic", 4, 2))
+    assert run(["census", "singular-switch", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_invariant_violation_survives_optimize_flag():
+    code = _DROP_FAMILY + "import sys\nfrom qps.cli import run\nsys.exit(run(['census', 'singular-switch']))\n"
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Installed entry point
 # ---------------------------------------------------------------------------

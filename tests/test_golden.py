@@ -1,0 +1,163 @@
+"""Byte-for-byte CLI output checks against stored golden files.
+
+Each case runs one `qps` command in-process and compares its stdout, and the
+file it writes with `--out`, with `tests/data/golden/<case>.json` and
+`<case>.qps`.  The golden files pin the `--json` bodies of the `test_15`
+commands, of `construct` and of all eight surgeries on fixed inputs, so a
+refactor that changes any scan order or tie-break shows up here.
+
+Regenerate the files only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from qps.cli import run, save_point_set
+from qps.pg import point_set_from_indices, space_for
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# canonical inputs, written by `qps construct`
+CANONICAL = {
+    "q42": ("parabolic", 4, 2),
+    "q43": ("parabolic", 4, 3),
+    "q44": ("parabolic", 4, 4),
+    "h32": ("hyperbolic", 3, 2),
+    "c24": ("parabolic", 2, 4),
+}
+
+# replacement pieces for the surgeries that take a point set file
+POINT_FILES = {
+    "pivot_base": (4, 2, [(0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]),
+    "repeated_base": (4, 2, [(0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0)]),
+    "q2_section": (
+        4,
+        2,
+        [(0, 0, 1, 1, 1), (0, 1, 0, 0, 0), (0, 1, 1, 0, 0), (1, 0, 0, 0, 1), (1, 0, 0, 1, 0)],
+    ),
+}
+
+CASES = {
+    # the test_15 commands
+    "census_nucleus_pivot": ["census", "nucleus-pivot", "--json"],
+    "census_singular_switch": ["census", "singular-switch", "--json"],
+    "census_nonsingular_switch_h33": [
+        "census", "nonsingular-switch", "--kind", "hyperbolic", "--m", "3", "--q", "3", "--json",
+    ],
+    "census_quadrics_e32": ["census", "quadrics", "--kind", "elliptic", "--m", "3", "--q", "2", "--json"],
+    "census_classical_dist_h34": [
+        "census", "classical-dist", "--kind", "hermitian", "--m", "3", "--q", "4", "--json",
+    ],
+    "census_two_secants": ["census", "two-secants", "--json"],
+    "spectrum_q42": ["spectrum", "--in", "{q42}", "--kind", "parabolic", "--json"],
+    "verify_q42": ["verify", "conditions", "--in", "{q42}", "--json"],
+    "roots_h33": ["roots", "--kind", "hyperbolic", "--m", "3", "--q", "3", "--json"],
+    # construct
+    "construct_q42": [
+        "construct", "canonical", "--kind", "parabolic", "--m", "4", "--q", "2", "--out", "{out}", "--json",
+    ],
+    "construct_h34": [
+        "construct", "canonical", "--kind", "hermitian", "--m", "3", "--q", "4", "--out", "{out}", "--json",
+    ],
+    # the eight surgeries
+    "surgery_pivot_q42": [
+        "surgery", "pivot", "--in", "{q42}", "--kind", "parabolic", "--hyperplane", "0,0,0,0,1",
+        "--base", "{pivot_base}", "--out", "{out}", "--json",
+    ],
+    "surgery_cone_swap_q42": [
+        "surgery", "cone-swap", "--in", "{q42}", "--hyperplane", "0,0,0,0,1", "--out", "{out}", "--json",
+    ],
+    "surgery_cone_swap_q44": [
+        "surgery", "cone-swap", "--in", "{q44}", "--hyperplane", "0,0,0,0,1", "--out", "{out}", "--json",
+    ],
+    "surgery_repeated_pivot_q42": [
+        "surgery", "repeated-pivot", "--in", "{q42}", "--kind", "parabolic", "--p", "0,0,0,0,1",
+        "--r", "0,0,1,0,0", "--at", "0,0,0,0,1:{repeated_base}", "--out", "{out}", "--json",
+    ],
+    "surgery_affine_switch_h32": ["surgery", "affine-switch", "--in", "{h32}", "--out", "{out}", "--json"],
+    "surgery_q2_switch_q42": [
+        "surgery", "q2-switch", "--in", "{q42}", "--hyperplane", "1,0,0,1,1",
+        "--section", "{q2_section}", "--out", "{out}", "--json",
+    ],
+    "surgery_q3_switch_q43_elliptic": [
+        "surgery", "q3-switch", "--in", "{q43}", "--sub", "0,0,0,1,2;0,0,1,0,0", "--out", "{out}", "--json",
+    ],
+    "surgery_q3_switch_q43_hyperbolic": [
+        "surgery", "q3-switch", "--in", "{q43}", "--sub", "0,0,0,1,1;0,0,1,0,0", "--out", "{out}", "--json",
+    ],
+    "surgery_oval_swap_c24": ["surgery", "oval-swap", "--in", "{c24}", "--tangent", "0,0,1", "--out", "{out}", "--json"],
+    "surgery_shifted_nucleus_q42": [
+        "surgery", "shifted-nucleus", "--in", "{q42}", "--hyperplane", "0,0,0,0,1", "--out", "{out}", "--json",
+    ],
+    "surgery_shifted_nucleus_q44": [
+        "surgery", "shifted-nucleus", "--in", "{q44}", "--hyperplane", "0,0,0,0,1", "--out", "{out}", "--json",
+    ],
+}
+
+
+def build_inputs(directory: Path) -> dict[str, str]:
+    """Write the input files of CASES into directory; returns name -> path."""
+    paths = {}
+    for name, (fam, m, q) in CANONICAL.items():
+        path = str(directory / f"{name}.qps")
+        argv = ["construct", "canonical", "--kind", fam, "--m", str(m), "--q", str(q), "--out", path]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if run(argv) != 0:
+                raise RuntimeError(f"construct {name} failed")
+        paths[name] = path
+    for name, (m, q, vecs) in POINT_FILES.items():
+        space = space_for(m, q)
+        path = str(directory / f"{name}.qps")
+        save_point_set(path, point_set_from_indices(space, [space.point_index[v] for v in vecs]))
+        paths[name] = path
+    return paths
+
+
+def run_case(name: str, inputs: dict[str, str], out: Path) -> tuple[int, str, bytes | None]:
+    """Exit code, stdout and the --out file bytes (None without --out)."""
+    argv = [a.format(out=out, **inputs) for a in CASES[name]]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    written = out.read_bytes() if "{out}" in CASES[name] else None
+    return code, buf.getvalue(), written
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return build_inputs(tmp_path_factory.mktemp("golden_inputs"))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_output(name, inputs, tmp_path):
+    code, stdout, written = run_case(name, inputs, tmp_path / "out.qps")
+    assert code == 0
+    assert stdout.encode() == (GOLDEN / f"{name}.json").read_bytes()
+    if written is not None:
+        assert written == (GOLDEN / f"{name}.qps").read_bytes()
+
+
+def _write_golden() -> None:
+    import tempfile
+
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = build_inputs(Path(tmp))
+        for name in CASES:
+            code, stdout, written = run_case(name, paths, Path(tmp) / "out.qps")
+            if code != 0:
+                raise SystemExit(f"{name} exited {code}")
+            (GOLDEN / f"{name}.json").write_bytes(stdout.encode())
+            if written is not None:
+                (GOLDEN / f"{name}.qps").write_bytes(written)
+            print(f"wrote {name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _write_golden()

@@ -22,9 +22,12 @@ from qps.pg import (
     incident,
     line_through,
     normalize_point,
+    normalize_vec,
     point_set_from_indices,
+    rref,
     space_for,
     span_flats,
+    span_points,
     subgeometry,
 )
 
@@ -308,6 +311,55 @@ def test_subgeometry_rejects_points():
     sp = space_for(3, 2)
     with pytest.raises(ValueError):
         subgeometry(sp, flat_from_points(sp, [0]))
+
+
+# ---------------------------------------------------------------------------
+# Points of a span
+# ---------------------------------------------------------------------------
+
+
+def check_span_points(sp, basis):
+    """span_points against a rank test and an explicit coefficient sum.
+
+    p lies in span(B) iff adding p to B does not raise the rank; the i-th
+    point is the combination of B with coefficient vector i of PG(k-1, q).
+    """
+    f = sp.f
+    k = len(basis)
+    got = list(span_points(sp, basis))
+    assert len(got) == len(set(got)) == theta(k - 1, sp.q)
+    in_span = {p for p in range(sp.n_points) if len(rref(f, list(basis) + [sp.points[p]])) == k}
+    assert set(got) == in_span
+    coefs = space_for(k - 1, sp.q).points if k > 1 else [(1,)]
+    for i, coef in zip(got, coefs):
+        vec = [0] * (sp.m + 1)
+        for c, row in zip(coef, basis):
+            vec = [f.add[a][f.mul[c][b]] for a, b in zip(vec, row)]
+        assert i == sp.point_index[normalize_vec(f, tuple(vec))]
+
+
+def test_span_points_rank_oracle_pg33_flats():
+    sp = space_for(3, 3)
+    flats = flats_of_codim(sp, 1) + flats_of_codim(sp, 2)
+    assert len(flats) == 40 + 130
+    for fl in flats:
+        check_span_points(sp, fl.basis)
+        assert fl.mask() == sum(1 << i for i in span_points(sp, fl.basis))
+        if fl.dim >= 1:
+            assert list(subgeometry(sp, fl).to_ambient) == list(span_points(sp, fl.basis))
+
+
+def test_span_points_rank_oracle_pg42_seeded_bases():
+    sp = space_for(4, 2)
+    rng = random.Random(20)
+    checked = 0
+    while checked < 60:
+        k = rng.randint(1, 5)
+        rows = [tuple(rng.randrange(2) for _ in range(5)) for _ in range(k)]
+        if len(rref(sp.f, rows)) != k:
+            continue
+        check_span_points(sp, rows)
+        checked += 1
 
 
 # ---------------------------------------------------------------------------

@@ -123,14 +123,6 @@ def test_spectrum_empty_and_full():
     assert spectrum(PointSet(sp, (1 << 7) - 1)).histogram == {3: 7}
 
 
-def test_spectrum_threads_agree():
-    s = canonical("parabolic", 4, 3)
-    a = spectrum(s, threads=1)
-    b = spectrum(s, threads=4)
-    assert a.histogram == b.histogram
-    assert a.per_hyperplane == b.per_hyperplane
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2**13 - 1))
 def test_spectrum_counting_identities(bits):

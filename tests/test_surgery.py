@@ -1,7 +1,10 @@
 import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qps import surgery
 from qps.forms import (
@@ -12,13 +15,18 @@ from qps.forms import (
     point_class,
     point_set,
 )
+from qps.census import enumerate_quadrics
 from qps.pg import (
     PointSet,
     bits_to_indices,
+    dot,
+    flat_from_mask,
     flat_from_points,
     hyperplane_flat,
     line_through,
+    normalize_vec,
     point_set_from_indices,
+    rref,
     space_for,
     subgeometry,
 )
@@ -481,3 +489,113 @@ def test_record_json_shape():
     assert all(len(row) == 5 for row in d["removed"])
     assert all(isinstance(c, int) for row in d["added"] for c in row)
     assert all(len(row) == 5 for row in d["details"]["mu"])
+
+
+# ---------------------------------------------------------------------------
+# Replay property over seeded projective images
+# ---------------------------------------------------------------------------
+
+
+def projective_image(s, seed):
+    """Image of s under a seeded random invertible matrix."""
+    sp = s.space
+    f = sp.f
+    d = sp.m + 1
+    rng = random.Random(seed)
+    while True:
+        rows = [tuple(rng.randrange(sp.q) for _ in range(d)) for _ in range(d)]
+        if len(rref(f, rows)) == d:
+            break
+    bits = 0
+    for v in s.vectors():
+        bits |= 1 << sp.point_index[normalize_vec(f, tuple(dot(f, row, v) for row in rows))]
+    return PointSet(sp, bits)
+
+
+def sub_sets(sp, h, family):
+    """Classical sets of the family in hyperplane h, as ambient masks."""
+    geom = subgeometry(sp, hyperplane_flat(sp, h))
+    kind = PolarKind(family, sp.m - 1, sp.q)
+    return [geom.mask_to_ambient(c.bits) for c in enumerate_quadrics(geom.sub, kind)]
+
+
+def replay_case(op, s, rng):
+    """(arguments after s, kind the result must satisfy) for one surgery."""
+    sp = s.space
+    sizes = per_hyperplane_sizes(s)
+    kind = PolarKind("parabolic", sp.m, sp.q) if sp.m % 2 == 0 else None
+    if kind is not None:
+        prof = profile(kind)
+        singular = [h for h, v in enumerate(sizes) if v == prof.singular_size]
+        nonsingular = [h for h, v in enumerate(sizes) if v in prof.sizes and v != prof.singular_size]
+    if op in ("cone_swap", "shifted_nucleus_pivot"):
+        return (rng.choice(singular),), kind
+    if op == "pivot":
+        pi = rng.choice(singular)
+        _v, mu, base = surgery._cone_decomposition(s, pi)
+        geom = subgeometry(sp, mu)
+        conics = enumerate_quadrics(geom.sub, PolarKind("parabolic", 2, sp.q))
+        new = rng.choice([c for c in conics if geom.mask_to_ambient(c.bits) != base.bits])
+        return (kind, pi, PointSet(sp, geom.mask_to_ambient(new.bits))), kind
+    if op == "repeated_pivot":
+        p = rng.choice(s.indices())
+        line = rng.choice([ln for ln in sp.lines_through(p) if not ln & ~s.bits])
+        r = rng.choice([x for x in bits_to_indices(line) if x != p])
+        hp = surgery._tangent_hyperplane(s, sizes, prof.singular_size, p)
+        geom = subgeometry(sp, hyperplane_flat(sp, hp))
+        p_sub = geom.from_ambient[p]
+        sigma = rng.choice([h for h in range(geom.sub.n_points) if not geom.sub.incidence[h] >> p_sub & 1])
+        sigma_pts = bits_to_indices(geom.mask_to_ambient(geom.sub.incidence[sigma]))
+        trios = list(itertools.combinations(sigma_pts, 3))
+        rng.shuffle(trios)
+        for trio in trios:
+            choice = {p: point_set_from_indices(sp, trio)}
+            try:
+                repeated_pivot(s, kind, p, r, choice)
+            except (ConstraintViolated, BaseWrongType):
+                continue
+            return (kind, p, r, choice), kind
+        return (kind, p, r), kind
+    if op == "affine_switch":
+        return (), PolarKind("elliptic", sp.m, sp.q)
+    if op == "nonsingular_switch_q2":
+        pi = rng.choice(nonsingular)
+        family = "elliptic" if sizes[pi] == prof.sizes[0] else "hyperbolic"
+        new = rng.choice([b for b in sub_sets(sp, pi, family) if b != s.bits & sp.incidence[pi]])
+        return (pi, PointSet(sp, new)), kind
+    if op == "internal_switch_q3":
+        xi = rng.choice(nonsingular)
+        family = "elliptic" if sizes[xi] == prof.sizes[0] else "hyperbolic"
+        target = profile(PolarKind(family, sp.m - 1, sp.q)).singular_size
+        geom = subgeometry(sp, hyperplane_flat(sp, xi))
+        sec = geom.mask_from_ambient(s.bits & sp.incidence[xi])
+        h = rng.choice([h for h in range(geom.sub.n_points) if (geom.sub.incidence[h] & sec).bit_count() == target])
+        return (xi, flat_from_mask(sp, geom.mask_to_ambient(geom.sub.incidence[h]))), kind
+    assert op == "oval_nucleus_swap"
+    return (rng.choice([h for h, v in enumerate(sizes) if v == 1]),), kind
+
+
+REPLAY_INPUTS = {
+    "pivot": [("parabolic", 4, 2)],
+    "cone_swap": [("parabolic", 4, 2), ("parabolic", 4, 4)],
+    "repeated_pivot": [("parabolic", 4, 2)],
+    "affine_switch": [("hyperbolic", 3, 2), ("hyperbolic", 5, 2)],
+    "nonsingular_switch_q2": [("parabolic", 4, 2)],
+    "internal_switch_q3": [("parabolic", 4, 3)],
+    "oval_nucleus_swap": [("parabolic", 2, 4), ("parabolic", 2, 8)],
+    "shifted_nucleus_pivot": [("parabolic", 4, 2), ("parabolic", 4, 4)],
+}
+
+
+@pytest.mark.parametrize("op", sorted(REPLAY_INPUTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_replay_and_quasi_polar(op, data):
+    fam, m, q = data.draw(st.sampled_from(REPLAY_INPUTS[op]), label="space")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    s = projective_image(canonical(fam, m, q), seed)
+    rng = random.Random(seed)
+    args, verify_kind = replay_case(op, s, rng)
+    result, rec = getattr(surgery, op)(s, *args)
+    assert result.bits == (s.bits & ~rec.removed.bits) | rec.added.bits
+    assert classify(result, verify_kind).quasi_polar
