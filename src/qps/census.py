@@ -1,10 +1,10 @@
-"""Exhaustive censuses: form enumeration, section switching, type distributions.
+"""Exhaustive censuses: classical-set enumeration, section switching, type distributions.
 
-Candidate enumeration is deterministic: forms are scanned in ascending
-coefficient-vector order, distinct point sets kept on first occurrence, and
-results returned sorted by bitmask.  The bulk quadratic enumeration switches
-to a vectorized kernel when the form count times the point count gets large;
-both code paths produce identical output.
+The classical sets of one kind are all projectively equivalent, so
+``enumerate_quadrics`` lists them as the PGL(m+1, q) orbit of the canonical
+set: a breadth-first search over bitmasks under a fixed generating set, each
+generator applied through per-byte point tables.  The closed-form orbit size
+bounds the search before it starts and checks it when it ends.
 """
 
 from __future__ import annotations
@@ -19,20 +19,22 @@ from .forms import (
     IncompatibleKind,
     PolarKind,
     canonical_form,
-    classical_cardinality,
-    form_is_nondegenerate,
     nucleus_point,
     point_set,
 )
+from .gf import FieldTable
 from .pg import (
     Flat,
     PointSet,
     ProjSpace,
     SpaceTooLarge,
     bits_to_indices,
+    dot,
     flats_of_codim,
     hyperplane_flat,
     hyperplanes_containing,
+    normalize_point,
+    point_set_from_indices,
     rref,
     space_for,
     subgeometry,
@@ -57,8 +59,7 @@ class PointIsNucleus(ValueError):
     """Two-secant count is not defined at the nucleus."""
 
 
-FORM_CAP = 1 << 20
-_VECTOR_THRESHOLD = 2_000_000
+ORBIT_CAP = 1 << 20
 
 
 @dataclass
@@ -84,158 +85,99 @@ class CensusResult:
         }
 
 
-def _monomials(d: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(d) for j in range(i, d)]
+def _orbit_size(kind: PolarKind) -> int:
+    """Number of classical sets of the kind: |GL(d, q)| / |similitudes of the form|.
+
+    The similitudes are the linear maps that fix the point set.  The
+    elliptic set of PG(1, q) is empty, so its orbit is the one set.
+    """
+    q, d = kind.q, kind.m + 1
+    n = d // 2
+    if kind.family == "elliptic" and d == 2:
+        return 1
+    if kind.family == "hermitian":
+        r = math.isqrt(q)
+        stab = r ** (d * (d - 1) // 2) * math.prod(r**i - (-1) ** i for i in range(1, d + 1))
+        stab *= r - 1
+    elif d % 2:  # |Sp(2n, q)| times the q - 1 scalars, for q odd and even alike
+        stab = q ** (n * n) * math.prod(q ** (2 * i) - 1 for i in range(1, n + 1)) * (q - 1)
+    else:
+        eps = 1 if kind.family == "hyperbolic" else -1
+        stab = 2 * q ** (n * (n - 1)) * (q**n - eps) * (q - 1)
+        stab *= math.prod(q ** (2 * i) - 1 for i in range(1, n))
+    return math.prod(q**d - q**i for i in range(d)) // stab
 
 
-def _quadratic_matrix(d: int, coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    A = [[0] * d for _ in range(d)]
-    for (i, j), c in zip(_monomials(d), coeffs):
-        A[i][j] = c
-    return tuple(tuple(r) for r in A)
+def _primitive_element(f: FieldTable) -> int:
+    """The least w whose powers run through all of GF(q)*."""
+    for w in range(2, f.q):
+        powers = [w]
+        while powers[-1] != 1:
+            powers.append(f.mul[powers[-1]][w])
+        if len(powers) == f.q - 1:
+            return w
+    raise InvariantViolated(f"GF({f.q}) has no primitive element")
 
 
-def _hermitian_matrix(
-    space: ProjSpace, diag: tuple[int, ...], upper: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
+def _pgl_generators(d: int, f: FieldTable) -> list[list[list[int]]]:
+    """Generators of GL(d, q): the cyclic coordinate shift, the transvection
+    x_0 <- x_0 + x_1 and, for q > 2, diag(w, 1, ..., 1) with w primitive."""
+    shift = [[int(j == (i + 1) % d) for j in range(d)] for i in range(d)]
+    trans = [[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)]
+    if f.q == 2:
+        return [shift, trans]
+    w = _primitive_element(f)
+    diag = [[(w if i == 0 else 1) if i == j else 0 for j in range(d)] for i in range(d)]
+    return [shift, trans, diag]
+
+
+def _byte_tables(space: ProjSpace, g: list[list[int]]) -> list[list[int]]:
+    """tables[k][b] is the image under g of the points 8k + i with bit i of b set."""
     f = space.f
-    d = space.m + 1
-    A = [[0] * d for _ in range(d)]
-    for i in range(d):
-        A[i][i] = diag[i]
-    k = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            A[i][j] = upper[k]
-            A[j][i] = f.conj[upper[k]]
-            k += 1
-    return tuple(tuple(r) for r in A)
+    perm = [
+        normalize_point(space, tuple(dot(f, row, v) for row in g)) for v in space.points
+    ]
+    tables = []
+    for lo in range(0, len(perm), 8):
+        images = [1 << p for p in perm[lo : lo + 8]]
+        table = [0] * 256
+        for b in range(1, 1 << len(images)):
+            low = b & -b
+            table[b] = table[b ^ low] | images[low.bit_length() - 1]
+        tables.append(table)
+    return tables
 
 
 def enumerate_quadrics(space: ProjSpace, kind: PolarKind) -> list[PointSet]:
-    """All distinct classical point sets of the kind, sorted by bitmask."""
+    """All distinct classical point sets of the kind, sorted by bitmask.
+
+    The sets of one kind form a single PGL(m+1, q) orbit, found by a
+    breadth-first search from the canonical set.
+    """
     if space.m != kind.m or space.q != kind.q:
         raise IncompatibleKind("kind does not match the space")
-    q = space.q
-    d = space.m + 1
-    target = classical_cardinality(kind)
-    if kind.is_quadric:
-        total = q ** len(_monomials(d))
-    else:
-        r = math.isqrt(q)
-        total = r**d * q ** (d * (d - 1) // 2)
-    if total > FORM_CAP:
-        raise SpaceTooLarge(f"{total} candidate forms exceed the enumeration cap")
-
-    if kind.is_quadric:
-        seen = _enumerate_quadratic_zero_sets(space, target, total)
-    else:
-        seen = _enumerate_hermitian_zero_sets(space, target)
-
-    out_bits = []
-    for bits, matrix in seen.items():
-        form = Form(kind=kind, space=space, matrix=matrix)
-        if form_is_nondegenerate(form):
-            out_bits.append(bits)
-    out_bits.sort()
-    return [PointSet(space, b) for b in out_bits]
-
-
-def _enumerate_quadratic_zero_sets(
-    space: ProjSpace, target: int, total: int
-) -> dict[int, tuple[tuple[int, ...], ...]]:
-    q = space.q
-    d = space.m + 1
-    mono = _monomials(d)
-    if total * space.n_points > _VECTOR_THRESHOLD:
-        return _enumerate_quadratic_vectorized(space, target, total)
-    f = space.f
-    pv = [
-        [f.mul[x[i]][x[j]] for x in space.points] for (i, j) in mono
-    ]
-    n = space.n_points
-    seen: dict[int, tuple[tuple[int, ...], ...]] = {}
-    add = f.add
-    mul = f.mul
-    for idx in range(total):
-        coeffs = []
-        t = idx
-        for _ in mono:
-            coeffs.append(t % q)
-            t //= q
-        vals = [0] * n
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            row = mul[c]
-            pk = pv[k]
-            for a in range(n):
-                vals[a] = add[vals[a]][row[pk[a]]]
-        bits = 0
-        cnt = 0
-        for a in range(n):
-            if vals[a] == 0:
-                bits |= 1 << a
-                cnt += 1
-        if cnt == target and bits not in seen:
-            seen[bits] = _quadratic_matrix(d, tuple(coeffs))
-    return seen
-
-
-def _enumerate_quadratic_vectorized(
-    space: ProjSpace, target: int, total: int
-) -> dict[int, tuple[tuple[int, ...], ...]]:
-    import numpy as np
-
-    q = space.q
-    f = space.f
-    d = space.m + 1
-    mono = _monomials(d)
-    K = len(mono)
-    ADD = np.array(f.add, dtype=np.uint8)
-    MUL = np.array(f.mul, dtype=np.uint8)
-    pts = np.array(space.points, dtype=np.uint8)
-    pv = np.stack([MUL[pts[:, i], pts[:, j]] for (i, j) in mono])
-    n = space.n_points
-    radix = q ** np.arange(K, dtype=np.int64)
-    seen: dict[int, tuple[tuple[int, ...], ...]] = {}
-    chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        idxs = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        coeffs = (idxs[:, None] // radix[None, :] % q).astype(np.uint8)
-        acc = np.zeros((len(idxs), n), dtype=np.uint8)
-        for k in range(K):
-            acc = ADD[acc, MUL[coeffs[:, k][:, None], pv[k][None, :]]]
-        zero = acc == 0
-        sizes = zero.sum(axis=1)
-        for i in np.nonzero(sizes == target)[0]:
-            packed = np.packbits(zero[i], bitorder="little").tobytes()
-            bits = int.from_bytes(packed, "little")
-            if bits not in seen:
-                seen[bits] = _quadratic_matrix(
-                    d, tuple(int(c) for c in coeffs[i])
-                )
-    return seen
-
-
-def _enumerate_hermitian_zero_sets(
-    space: ProjSpace, target: int
-) -> dict[int, tuple[tuple[int, ...], ...]]:
-    q = space.q
-    f = space.f
-    d = space.m + 1
-    subfield = [x for x in range(q) if f.conj[x] == x]
-    n_upper = d * (d - 1) // 2
-    kind = PolarKind("hermitian", space.m, q)
-    seen: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for diag in itertools.product(subfield, repeat=d):
-        for upper in itertools.product(range(q), repeat=n_upper):
-            matrix = _hermitian_matrix(space, diag, upper)
-            form = Form(kind=kind, space=space, matrix=matrix)
-            bits = point_set(form).bits
-            if bits.bit_count() == target and bits not in seen:
-                seen[bits] = matrix
-    return seen
+    total = _orbit_size(kind)
+    if total > ORBIT_CAP:
+        raise SpaceTooLarge(f"{total} classical sets exceed the enumeration cap")
+    gens = [_byte_tables(space, g) for g in _pgl_generators(space.m + 1, space.f)]
+    nbytes = (space.n_points + 7) // 8
+    start = point_set(canonical_form(kind, space)).bits
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for tables in gens:
+            for bits in frontier:
+                img = 0
+                for table, b in zip(tables, bits.to_bytes(nbytes, "little")):
+                    img |= table[b]
+                if img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    if len(seen) != total:
+        raise InvariantViolated(f"orbit search found {len(seen)} of {total} sets")
+    return [PointSet(space, b) for b in sorted(seen)]
 
 
 def _classical_profile(s: PointSet, kind: PolarKind) -> SpectrumProfile:
@@ -267,10 +209,10 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
     total = 0
     for label, size in (("hyperbolic", hyp), ("elliptic", ell)):
         hyps = [h for h, v in enumerate(per) if v == size]
+        cands = enumerate_quadrics(space_for(3, 2), PolarKind(label, 3, 2))
         per_hyp: list[tuple[int, int]] = []
         for h in hyps:
             geom = subgeometry(space, hyperplane_flat(space, h))
-            cands = enumerate_quadrics(geom.sub, PolarKind(label, 3, 2))
             base_bits = s.bits & ~space.incidence[h]
             no_nucleus = []
             for cand in cands:
@@ -329,9 +271,7 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     combos = list(itertools.combinations(bits_to_indices(hmask), 7))
     survivors = []
     for combo in combos:
-        t_bits = 0
-        for i in combo:
-            t_bits |= 1 << i
+        t_bits = point_set_from_indices(space, combo).bits
         if sections_admissible(space, base_bits | t_bits, sizes):
             survivors.append(t_bits)
 
@@ -449,9 +389,7 @@ def q4_shape_classify(s: PointSet, pi: int, section) -> list[str]:
     if isinstance(section, int):
         t_bits = section
     else:
-        t_bits = 0
-        for i in section:
-            t_bits |= 1 << int(i)
+        t_bits = point_set_from_indices(space, map(int, section)).bits
     hmask = space.incidence[pi]
     if t_bits & ~hmask:
         raise ValueError("section must lie inside the hyperplane")
@@ -556,11 +494,11 @@ def two_secant_count(form: Form, p: int) -> int:
         raise PointOnQuadric(f"point {p} lies on the set")
     if p == nucleus_point(form):
         raise PointIsNucleus("two-secant count is not defined at the nucleus")
-    count = 0
-    for line in space.lines_through(p):
-        if (line & zeros.bits).bit_count() == 2:
-            count += 1
-    return count
+    return _two_secant_lines(space, zeros.bits, p)
+
+
+def _two_secant_lines(space: ProjSpace, zeros: int, p: int) -> int:
+    return sum((line & zeros).bit_count() == 2 for line in space.lines_through(p))
 
 
 def quadrics_census(kind: PolarKind) -> CensusResult:
@@ -614,7 +552,7 @@ def two_secant_census(kind: PolarKind) -> CensusResult:
     for p in range(space.n_points):
         if zeros.contains(p) or p == nuc:
             continue
-        key = f"two_secants={two_secant_count(form, p)}"
+        key = f"two_secants={_two_secant_lines(space, zeros.bits, p)}"
         agg[key] = agg.get(key, 0) + 1
         total += 1
     return CensusResult(

@@ -98,10 +98,6 @@ class PolarKind:
             return (self.m - 1) // 2
         raise IncompatibleKind("rank parameter is only for quadric kinds")
 
-    @property
-    def is_quadric(self) -> bool:
-        return self.family != "hermitian"
-
 
 def n_points_pg(m: int, q: int) -> int:
     if m < 0:

@@ -410,20 +410,15 @@ def repeated_pivot(
         (s.bits & space.incidence[h]).bit_count() for h in range(space.n_points)
     ]
 
-    xi_basis = null_space(
-        space.f,
-        [
-            space.points[_tangent_hyperplane(s, per_sizes, prof.singular_size, p)],
-            space.points[_tangent_hyperplane(s, per_sizes, prof.singular_size, r)],
-        ],
-    )
+    tangents = {x: _tangent_hyperplane(s, per_sizes, prof.singular_size, x) for x in (p, r)}
+    xi_basis = null_space(space.f, [space.points[tangents[p]], space.points[tangents[r]]])
     xi_mask = Flat(space, xi_basis).mask()
 
     result_bits = 0
-    tangents = {}
     for R in line.indices():
-        hR = _tangent_hyperplane(s, per_sizes, prof.singular_size, R)
-        tangents[R] = hR
+        if R not in tangents:
+            tangents[R] = _tangent_hyperplane(s, per_sizes, prof.singular_size, R)
+        hR = tangents[R]
         section = PointSet(space, s.bits & space.incidence[hR])
         geom = subgeometry(space, hyperplane_flat(space, hR))
         r_sub = geom.from_ambient[R]

@@ -1,4 +1,8 @@
 import itertools
+import math
+import subprocess
+import sys
+import time
 from collections import Counter
 
 import pytest
@@ -20,11 +24,12 @@ from qps.forms import (
     IncompatibleKind,
     PolarKind,
     canonical_form,
+    classical_cardinality,
     nucleus_point,
     point_set,
 )
-from qps.pg import PointSet, bits_to_indices, flats_of_codim, space_for
-from qps.spectra import classify, profile, spectrum
+from qps.pg import PointSet, SpaceTooLarge, bits_to_indices, flats_of_codim, space_for
+from qps.spectra import InvariantViolated, classify, profile, spectrum
 from qps.surgery import shifted_nucleus_pivot
 
 
@@ -63,19 +68,166 @@ def test_enumerate_output_is_sorted_and_distinct():
         assert cls.quasi_polar and cls.classical_size
 
 
-def test_enumerate_orbit_sizes_divide_group_order():
-    # every elliptic quadric of PG(3,2) arises; 168 = |PGL(4,2)| / |O-(4,2)|
-    assert 168 * 120 == 20160
-    assert 280 * 72 == 20160
+def _form_scan(space, kind):
+    """Zero sets of every nondegenerate form of the kind with the classical size.
+
+    Walks every coefficient vector (upper-triangular for a quadratic form,
+    Hermitian for a Hermitian one), adding one coefficient's value vector
+    over all points at a time, and keeps a zero set of the classical size
+    once some form giving it is nondegenerate.
+    """
+    f = space.f
+    q = space.q
+    d = space.m + 1
+    pts = space.points
+    size = classical_cardinality(kind)
+    hermitian = kind.family == "hermitian"
+    if hermitian:
+        fixed = [c for c in range(q) if f.conj[c] == c]
+        slots = [(i, i) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
+    else:
+        slots = [(i, j) for i in range(d) for j in range(i, d)]
+
+    def term(i, j, c, x):
+        if not hermitian:
+            return f.mul[c][f.mul[x[i]][x[j]]]
+        if i == j:
+            return f.mul[c][f.mul[f.conj[x[i]]][x[i]]]
+        t = f.mul[c][f.mul[f.conj[x[i]]][x[j]]]
+        return f.add[t][f.conj[t]]
+
+    values = [[[term(i, j, c, x) for x in pts] for c in range(q)] for (i, j) in slots]
+
+    def polar_matrix(coeffs):
+        A = [[0] * d for _ in range(d)]
+        for (i, j), c in zip(slots, coeffs):
+            if hermitian:
+                A[i][j] = c
+                A[j][i] = f.conj[c]
+            elif i == j:
+                A[i][i] = f.add[c][c]
+            else:
+                A[i][j] = A[j][i] = c
+        return A
+
+    def in_radical(B, x):
+        for row in B:
+            s = 0
+            for b, y in zip(row, x):
+                s = f.add[s][f.mul[b][y]]
+            if s:
+                return False
+        return True
+
+    kept = set()
+
+    def walk(k, acc, coeffs):
+        if k == len(slots):
+            zeros = [a for a, v in enumerate(acc) if v == 0]
+            bits = sum(1 << a for a in zeros)
+            if len(zeros) != size or bits in kept:
+                return
+            # a nonzero radical vector of the polar form is a zero of the
+            # form, so nondegeneracy needs only the points of the zero set
+            B = polar_matrix(coeffs)
+            if not any(in_radical(B, pts[a]) for a in zeros):
+                kept.add(bits)
+            return
+        for c in fixed if hermitian and k < d else range(q):
+            row = values[k][c]
+            walk(k + 1, [f.add[a][b] for a, b in zip(acc, row)], coeffs + (c,))
+
+    walk(0, [0] * len(pts), ())
+    return sorted(kept)
 
 
-def test_enumerate_vectorized_path_agrees(monkeypatch):
-    sp = space_for(2, 3)
-    kind = PolarKind("parabolic", 2, 3)
-    plain = [s.bits for s in enumerate_quadrics(sp, kind)]
-    monkeypatch.setattr(census, "_VECTOR_THRESHOLD", 0)
-    fast = [s.bits for s in enumerate_quadrics(sp, kind)]
-    assert plain == fast
+@pytest.mark.parametrize(
+    "fam,m,q",
+    [
+        ("hyperbolic", 1, 2),
+        ("elliptic", 1, 2),
+        ("hyperbolic", 1, 3),
+        ("elliptic", 1, 3),
+        ("parabolic", 2, 2),
+        ("parabolic", 2, 3),
+        ("hyperbolic", 3, 2),
+        ("elliptic", 3, 2),
+        ("hyperbolic", 3, 3),
+        ("elliptic", 3, 3),
+        ("parabolic", 4, 2),
+        ("hermitian", 1, 4),
+        ("hermitian", 2, 4),
+    ],
+)
+def test_enumerate_orbit_matches_form_scan(fam, m, q):
+    sp = space_for(m, q)
+    kind = PolarKind(fam, m, q)
+    assert [s.bits for s in enumerate_quadrics(sp, kind)] == _form_scan(sp, kind)
+
+
+def _gl_order(d, q):
+    return math.prod(q**d - q**i for i in range(d))
+
+
+def _stabiliser_order(fam, d, q):
+    """Order of the similitude group, which is the stabiliser of the set in GL(d, q)."""
+    if fam == "hermitian":
+        r = math.isqrt(q)
+        gu = r ** (d * (d - 1) // 2) * math.prod(r**i - (-1) ** i for i in range(1, d + 1))
+        return gu * (r - 1)  # the multipliers lie in GF(r)
+    n = d // 2
+    if fam == "parabolic":
+        go = (1 if q % 2 == 0 else 2) * q ** (n * n) * math.prod(q ** (2 * i) - 1 for i in range(1, n + 1))
+        return go * ((q - 1) // 2 if q % 2 else q - 1)  # odd d: the multipliers are squares
+    eps = 1 if fam == "hyperbolic" else -1
+    go = 2 * q ** (n * (n - 1)) * (q**n - eps) * math.prod(q ** (2 * i) - 1 for i in range(1, n))
+    return go * (q - 1)
+
+
+@pytest.mark.parametrize(
+    "fam,m,q,count",
+    [
+        ("parabolic", 2, 9, 58_968),
+        ("hermitian", 2, 9, 7_020),
+        ("hermitian", 3, 4, 38_080),
+        ("elliptic", 3, 4, 120_960),
+        ("hyperbolic", 3, 4, 137_088),
+    ],
+)
+def test_enumerate_orbit_sizes_match_group_orders(fam, m, q, count):
+    kind = PolarKind(fam, m, q)
+    assert _gl_order(m + 1, q) // _stabiliser_order(fam, m + 1, q) == count
+    bits = [s.bits for s in enumerate_quadrics(space_for(m, q), kind)]
+    assert len(bits) == count
+    assert bits == sorted(set(bits))
+    assert {b.bit_count() for b in bits} == {classical_cardinality(kind)}
+
+
+def test_enumerate_guard_rejects_large_orbit_fast():
+    # 4,586,868 parabolic quadrics of PG(4,3), over the 2**20-set cap
+    assert _gl_order(5, 3) // _stabiliser_order("parabolic", 5, 3) == 4_586_868
+    with pytest.raises(SpaceTooLarge):
+        enumerate_quadrics(space_for(4, 3), PolarKind("parabolic", 4, 3))
+    argv = ["census", "quadrics", "--kind", "parabolic", "--m", "4", "--q", "3"]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "qps.cli", *argv], capture_output=True, text=True)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("drop", [0, 1, 2])
+def test_enumerate_missing_generator_raises(monkeypatch, drop):
+    # the conics of PG(2,4) are one orbit of the whole group, but not of the
+    # subgroup that any two of the three generators give (without the
+    # diagonal one, only matrices over GF(2) are left)
+    gens = census._pgl_generators
+    monkeypatch.setattr(
+        census, "_pgl_generators", lambda d, f: gens(d, f)[:drop] + gens(d, f)[drop + 1 :]
+    )
+    with pytest.raises(InvariantViolated, match="orbit"):
+        enumerate_quadrics(space_for(2, 4), PolarKind("parabolic", 2, 4))
 
 
 def test_enumerate_rejects_kind_space_mismatch():
