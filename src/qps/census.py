@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 
 from .forms import (
@@ -70,7 +69,6 @@ class CensusResult:
     total_candidates: int
     breakdown: dict[str, int]
     witnesses: dict[str, list[list[int]]]
-    runtime_ms: int
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -80,7 +78,6 @@ class CensusResult:
             "total_candidates": self.total_candidates,
             "breakdown": self.breakdown,
             "witnesses": self.witnesses,
-            "runtime_ms": self.runtime_ms,
             "extra": self.extra,
         }
 
@@ -195,7 +192,6 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
     per-hyperplane counts agree before reporting them.  ``threads`` is
     accepted for compatibility and ignored.
     """
-    t0 = time.perf_counter()
     space = s.space
     if (space.m, space.q) != (4, 2):
         raise ValueError("census is defined for PG(4,2)")
@@ -238,7 +234,6 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
         total_candidates=total,
         breakdown=breakdown,
         witnesses=witnesses,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
         extra={"hyperplanes_checked": checked},
     )
 
@@ -251,7 +246,6 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     nucleus-like point); any mismatch raises.  ``threads`` is accepted for
     compatibility and ignored.
     """
-    t0 = time.perf_counter()
     space = s.space
     if (space.m, space.q) != (4, 2):
         raise ValueError("census is defined for PG(4,2)")
@@ -304,7 +298,6 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
         total_candidates=len(combos),
         breakdown=breakdown,
         witnesses=witnesses,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
         extra={
             "hyperplane": pi,
             "vertex": vertex,
@@ -415,11 +408,13 @@ def nonsingular_switch_census(
     For each non-singular section type of the classical set ``s``, fix the
     lex-least hyperplane with that section, enumerate all sets of that type
     inside the hyperplane, switch, and count the quasi-polar survivors.  The
-    identity is always a survivor; any other survivor would contradict the
-    singular-hyperplane characterization and is recorded as a witness.
-    ``threads`` is accepted for compatibility and ignored.
+    identity always survives.  For q >= 4 it is the only survivor, by the
+    paper's main theorem; over GF(2) and GF(3) other survivors exist and the
+    first ten are witnesses.  On Q(4,2) every same-type set survives (167
+    elliptic and 279 hyperbolic others), which ``q2-switch`` rests on; Q(4,3)
+    gives 10 and 16 others and Q-(5,2) gives 447.  ``threads`` is accepted
+    for compatibility and ignored.
     """
-    t0 = time.perf_counter()
     space = s.space
     prof = _classical_profile(s, kind)
     sizes = set(prof.sizes)
@@ -464,7 +459,6 @@ def nonsingular_switch_census(
         total_candidates=total,
         breakdown=breakdown,
         witnesses=witnesses,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
         extra=extra,
     )
 
@@ -503,7 +497,6 @@ def _two_secant_lines(space: ProjSpace, zeros: int, p: int) -> int:
 
 def quadrics_census(kind: PolarKind) -> CensusResult:
     """Count the classical sets of the kind; the first ten are the witnesses."""
-    t0 = time.perf_counter()
     sets = enumerate_quadrics(space_for(kind.m, kind.q), kind)
     return CensusResult(
         name="quadrics",
@@ -512,13 +505,11 @@ def quadrics_census(kind: PolarKind) -> CensusResult:
         total_candidates=len(sets),
         breakdown={kind.family: len(sets)},
         witnesses={kind.family: [t.indices() for t in sets[:10]]},
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
 
 
 def classical_dist_census(kind: PolarKind) -> CensusResult:
     """Tally the hyperplane type distributions of all codimension-2 flats."""
-    t0 = time.perf_counter()
     space = space_for(kind.m, kind.q)
     form = canonical_form(kind, space)
     agg: dict[str, int] = {}
@@ -536,13 +527,11 @@ def classical_dist_census(kind: PolarKind) -> CensusResult:
         total_candidates=len(flats),
         breakdown=dict(sorted(agg.items())),
         witnesses={},
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
 
 
 def two_secant_census(kind: PolarKind) -> CensusResult:
     """Tally the 2-secant counts of the off points other than the nucleus."""
-    t0 = time.perf_counter()
     space = space_for(kind.m, kind.q)
     form = canonical_form(kind, space)
     zeros = point_set(form)
@@ -562,6 +551,5 @@ def two_secant_census(kind: PolarKind) -> CensusResult:
         total_candidates=total,
         breakdown=dict(sorted(agg.items())),
         witnesses={},
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
         extra={"expected": kind.q ** (2 * (kind.m // 2) - 1) // 2},
     )

@@ -362,14 +362,11 @@ def _census_input(args, kind: PolarKind) -> PointSet:
 def _cmd_census(args) -> int:
     result = _census_result(args)
     rep = _report("census", space_for(result.m, result.q))
-    body = result.to_dict()
-    body.pop("runtime_ms", None)
-    rep["census"] = body
+    rep["census"] = result.to_dict()
     human = [f"census {result.name} over PG({result.m},{result.q})"]
     human.append(f"candidates: {result.total_candidates}")
     for k, v in result.breakdown.items():
         human.append(f"  {k}: {v}")
-    human.append(f"runtime: {result.runtime_ms} ms")
     if args.csv:
         for k, v in result.breakdown.items():
             print(f"{k},{v}")

@@ -6,6 +6,10 @@ index is its position in that list.  Hyperplanes use dual coordinates under
 the same normalization, so hyperplane index h corresponds to the dual vector
 points[h].  Point sets are plain int bitmasks: bit i set means point i is in
 the set.
+
+Hyperplane h is dual point h, so the hyperplanes through a codimension-2 flat
+are, as indices, the points of a line: ``all_lines()`` lists them for every
+such flat at once.
 """
 
 from __future__ import annotations
@@ -299,15 +303,13 @@ def flats_of_codim(space: ProjSpace, c: int) -> tuple[Flat, ...]:
     if c != 2:
         raise ValueError("only codimension 1 and 2 are supported")
     if space._codim2 is None:
-        f = space.f
-        seen: dict[tuple, None] = {}
-        for h1 in range(space.n_points):
-            for h2 in range(h1 + 1, space.n_points):
-                basis = null_space(f, [space.points[h1], space.points[h2]])
-                if basis not in seen:
-                    seen[basis] = None
-        flats = [Flat(space, b) for b in sorted(seen)]
-        space._codim2 = tuple(flats)
+        # each codimension-2 flat is cut out by the hyperplanes of one line
+        pts = space.points
+        bases = []
+        for line in space.all_lines():
+            h1, h2 = bits_to_indices(line)[:2]
+            bases.append(null_space(space.f, [pts[h1], pts[h2]]))
+        space._codim2 = tuple(Flat(space, b) for b in sorted(bases))
     return space._codim2
 
 

@@ -23,7 +23,7 @@ from .forms import (
     n_points_pg,
     _is_square,
 )
-from .pg import PointSet, ProjSpace, flats_of_codim, hyperplanes_containing
+from .pg import PointSet, ProjSpace, point_set_from_indices
 
 
 class NotQuasiPolar(ValueError):
@@ -329,18 +329,6 @@ class ConditionReport:
         }
 
 
-_CODIM2_HYPS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-
-def _codim2_hyperplane_lists(space: ProjSpace) -> tuple[tuple[int, ...], ...]:
-    key = (space.m, space.q)
-    if key not in _CODIM2_HYPS:
-        _CODIM2_HYPS[key] = tuple(
-            tuple(hyperplanes_containing(space, fl)) for fl in flats_of_codim(space, 2)
-        )
-    return _CODIM2_HYPS[key]
-
-
 def nucleus_conditions(s: PointSet) -> ConditionReport:
     """Evaluate the nucleus-style conditions for a set in even ambient dimension.
 
@@ -390,10 +378,9 @@ def nucleus_conditions(s: PointSet) -> ConditionReport:
     t1 = n_points_pg(space.m - 1, q)
     dp_mask = d_mask if len(singular) == t1 else 0
 
-    c_prime = bool(singular) and all(
-        any(per[h] == cone_size for h in hyps)
-        for hyps in _codim2_hyperplane_lists(space)
-    )
+    # hyperplane h is dual point h: the hyperplanes through a codim-2 flat form a line
+    sing_mask = point_set_from_indices(space, singular).bits
+    c_prime = all(line & sing_mask for line in space.all_lines())
 
     candidate = None
     if c_mask:

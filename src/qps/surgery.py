@@ -36,7 +36,7 @@ from .pg import (
     subgeometry,
     vadd,
 )
-from .spectra import classify, find_line_nucleus, profile, section_type
+from .spectra import classify, find_line_nucleus, profile, section_type, spectrum
 
 
 class RemovedNotInSet(ValueError):
@@ -406,9 +406,7 @@ def repeated_pivot(
     if line.bits & ~s.bits:
         raise NotCollinear("the line through p and r must lie inside the set")
     prof = profile(kind)
-    per_sizes = [
-        (s.bits & space.incidence[h]).bit_count() for h in range(space.n_points)
-    ]
+    per_sizes = spectrum(s).per_hyperplane
 
     tangents = {x: _tangent_hyperplane(s, per_sizes, prof.singular_size, x) for x in (p, r)}
     xi_basis = null_space(space.f, [space.points[tangents[p]], space.points[tangents[r]]])
@@ -463,7 +461,7 @@ def repeated_pivot(
 
 
 def _tangent_hyperplane(
-    s: PointSet, per_sizes: list[int], singular_size: int, p: int
+    s: PointSet, per_sizes: tuple[int, ...], singular_size: int, p: int
 ) -> int:
     """The unique singular-size hyperplane whose section is a cone with vertex p."""
     space = s.space

@@ -9,7 +9,6 @@ import pytest
 
 from qps import census
 from qps.census import (
-    CensusResult,
     PointIsNucleus,
     PointOnQuadric,
     classical_distribution,
@@ -28,19 +27,21 @@ from qps.forms import (
     nucleus_point,
     point_set,
 )
-from qps.pg import PointSet, SpaceTooLarge, bits_to_indices, flats_of_codim, space_for
+from qps.pg import (
+    PointSet,
+    SpaceTooLarge,
+    bits_to_indices,
+    flats_of_codim,
+    hyperplane_flat,
+    space_for,
+    subgeometry,
+)
 from qps.spectra import InvariantViolated, classify, profile, spectrum
 from qps.surgery import shifted_nucleus_pivot
 
 
 def canonical(fam, m, q):
     return point_set(canonical_form(PolarKind(fam, m, q), space_for(m, q)))
-
-
-def no_runtime(res: CensusResult) -> dict:
-    d = res.to_dict()
-    d.pop("runtime_ms")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +260,8 @@ def test_nucleus_pivot_census_q42():
 
 def test_nucleus_pivot_census_threads_deterministic():
     s = canonical("parabolic", 4, 2)
-    assert no_runtime(nucleus_pivot_census(s, threads=1)) == no_runtime(
-        nucleus_pivot_census(s, threads=4)
+    assert nucleus_pivot_census(s, threads=1).to_dict() == (
+        nucleus_pivot_census(s, threads=4).to_dict()
     )
 
 
@@ -392,6 +393,53 @@ def test_nonsingular_switch_census_identity_only(fam, m, q, n_cand):
     assert res.extra["candidates"][sub_fam] == n_cand
 
 
+def _dot_incidence(sp):
+    """Hyperplane bitmasks from dot products mod p (prime q only)."""
+    p = sp.q
+    masks = []
+    for h in sp.points:
+        mask = 0
+        for i, x in enumerate(sp.points):
+            if sum(a * b for a, b in zip(h, x)) % p == 0:
+                mask |= 1 << i
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize(
+    "fam,m,q,others",
+    [
+        # over GF(2) and GF(3) the identity is not the only survivor; on
+        # Q(4,2) every same-type set survives, which q2-switch rests on
+        ("parabolic", 4, 2, {"elliptic": 167, "hyperbolic": 279}),
+        ("parabolic", 4, 3, {"elliptic": 10, "hyperbolic": 16}),
+        ("elliptic", 5, 2, {"parabolic": 447}),
+    ],
+)
+def test_nonsingular_switch_census_small_q_survivors(fam, m, q, others):
+    sp = space_for(m, q)
+    s = canonical(fam, m, q)
+    res = nonsingular_switch_census(s, PolarKind(fam, m, q))
+    assert {k: res.breakdown[f"{k}_other_survivor"] for k in others} == others
+    # recount over the same candidates; the admissible sizes are those of s
+    inc = _dot_incidence(sp)
+    sizes = {(s.bits & h).bit_count() for h in inc}
+    for sub_fam, n_other in others.items():
+        pi = res.extra["hyperplanes"][sub_fam]
+        hmask = inc[pi]
+        geom = subgeometry(sp, hyperplane_flat(sp, pi))
+        cands = enumerate_quadrics(geom.sub, PolarKind(sub_fam, m - 1, q))
+        assert len(cands) == res.extra["candidates"][sub_fam]
+        survivors = 0
+        for cand in cands:
+            t_bits = geom.mask_to_ambient(cand.bits)
+            assert not t_bits & ~hmask
+            bits = (s.bits & ~hmask) | t_bits
+            survivors += all((bits & h).bit_count() in sizes for h in inc)
+        assert survivors == n_other + 1
+        assert res.breakdown[f"{sub_fam}_not_quasi_polar"] == len(cands) - survivors
+
+
 def test_nonsingular_switch_census_rejects_non_classical():
     sp = space_for(3, 3)
     with pytest.raises(ValueError):
@@ -502,7 +550,6 @@ def test_census_result_dict_shape(singular_census):
         "total_candidates",
         "breakdown",
         "witnesses",
-        "runtime_ms",
         "extra",
     }
     assert d["space"] == {"m": 4, "q": 2}

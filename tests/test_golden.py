@@ -57,6 +57,11 @@ CASES = {
     "census_two_secants": ["census", "two-secants", "--json"],
     "spectrum_q42": ["spectrum", "--in", "{q42}", "--kind", "parabolic", "--json"],
     "verify_q42": ["verify", "conditions", "--in", "{q42}", "--json"],
+    # condition c' both ways: true on the canonical Q(4,4), false after a cone swap
+    "verify_q44": ["verify", "conditions", "--in", "{q44}", "--json"],
+    "verify_cone_swap_q44": [
+        "verify", "conditions", "--in", str(GOLDEN / "surgery_cone_swap_q44.qps"), "--json",
+    ],
     "roots_h33": ["roots", "--kind", "hyperbolic", "--m", "3", "--q", "3", "--json"],
     # construct
     "construct_q42": [

@@ -197,6 +197,31 @@ def test_flats_of_codim_counts():
     assert len(flats_of_codim(space_for(3, 3), 1)) == 40
 
 
+@pytest.mark.parametrize(
+    "m,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (4, 3)]
+)
+def test_flats_of_codim2_are_hyperplane_pair_meets(m, q):
+    sp = space_for(m, q)
+    f = sp.f
+
+    def dot_zero(u, v):
+        s = 0
+        for a, b in zip(u, v):
+            s = f.add[s][f.mul[a][b]]
+        return s == 0
+
+    zeros = [
+        sum(1 << i for i, x in enumerate(sp.points) if dot_zero(h, x)) for h in sp.points
+    ]
+    meets = {a & b for i, a in enumerate(zeros) for b in zeros[i + 1 :]}
+    flats = flats_of_codim(sp, 2)
+    masks = [fl.mask() for fl in flats]
+    assert len(set(masks)) == len(masks)
+    assert set(masks) == meets
+    assert all(a.basis < b.basis for a, b in zip(flats, flats[1:]))
+    assert {fl.dim for fl in flats} == {m - 2}
+
+
 def test_flats_of_codim_unsupported():
     with pytest.raises(ValueError):
         flats_of_codim(space_for(3, 2), 3)

@@ -312,3 +312,72 @@ def test_nucleus_conditions_q43_no_nucleus_style_flags():
     assert rpt.a and rpt.b_prime
     assert not rpt.c
     assert rpt.singular_count == 40
+
+
+def _pencils(sp):
+    """Each pencil {a*u + b*v} of hyperplanes as a set of dual vectors mod p."""
+    p = sp.q
+
+    def normal(v):
+        inv = pow(next(c for c in v if c), -1, p)
+        return tuple(c * inv % p for c in v)
+
+    pencils = set()
+    duals = sp.points
+    for i, u in enumerate(duals):
+        for v in duals[i + 1 :]:
+            pencils.add(
+                frozenset(
+                    normal(tuple((a * x + b * y) % p for x, y in zip(u, v)))
+                    for a in range(p)
+                    for b in range(p)
+                    if a or b
+                )
+            )
+    return pencils
+
+
+def _c_prime_oracle(sp, pencils, bits):
+    """c' from coordinates: every pencil holds a hyperplane meeting the set in
+    the cone size 1 + q*theta(m - 3, q)."""
+    p = sp.q
+    members = [x for i, x in enumerate(sp.points) if bits >> i & 1]
+    size = {
+        w: sum(sum(a * b for a, b in zip(w, x)) % p == 0 for x in members) for w in sp.points
+    }
+    cone = 1 + p * theta(sp.m - 3, p)
+    return all(any(size[w] == cone for w in pencil) for pencil in pencils)
+
+
+@pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (2, 5), (2, 7), (4, 2), (4, 3)])
+def test_nucleus_conditions_c_prime_matches_pencil_oracle(m, q):
+    # for q odd the classical set fails c' (the tangent hyperplanes form a
+    # dual quadric, which misses some lines), while a hyperplane passes it:
+    # every other hyperplane meets it in a cone-size flat
+    sp = space_for(m, q)
+    rng = random.Random(1000 * m + q)
+    w = sp.points[rng.randrange(sp.n_points)]
+    hyperplane = sum(
+        1 << i for i, x in enumerate(sp.points) if sum(a * b for a, b in zip(w, x)) % q == 0
+    )
+    sets = []
+    for start in (canonical("parabolic", m, q).bits, hyperplane):
+        sets.append(start)
+        for _ in range(6):
+            bits = start
+            for _ in range(rng.randint(1, 3)):
+                bits ^= 1 << rng.randrange(sp.n_points)
+            sets.append(bits)
+    for _ in range(6):
+        sets.append(rng.getrandbits(sp.n_points))
+    if m == 2:
+        # a line plus one point P off it fails c' at the pencil through P only
+        sets += [hyperplane | 1 << i for i in range(sp.n_points) if not hyperplane >> i & 1]
+    pencils = _pencils(sp)
+    assert len(pencils) == theta(m, q) * theta(m - 1, q) // (q + 1)
+    seen = set()
+    for bits in sets:
+        expect = _c_prime_oracle(sp, pencils, bits)
+        assert nucleus_conditions(PointSet(sp, bits)).c_prime == expect, (m, q, bits)
+        seen.add(expect)
+    assert seen == {True, False}
