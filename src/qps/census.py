@@ -29,7 +29,6 @@ from .pg import (
     SpaceTooLarge,
     bits_to_indices,
     dot,
-    flats_of_codim,
     hyperplane_flat,
     hyperplanes_containing,
     normalize_point,
@@ -509,22 +508,32 @@ def quadrics_census(kind: PolarKind) -> CensusResult:
 
 
 def classical_dist_census(kind: PolarKind) -> CensusResult:
-    """Tally the hyperplane type distributions of all codimension-2 flats."""
+    """Tally the hyperplane type distributions of all codimension-2 flats.
+
+    Hyperplane h is dual point h, so the hyperplanes through a codimension-2
+    flat are the points of one line of ``all_lines()``, and any two of them
+    meet in the flat.  Each flat gets the tally ``classical_distribution``
+    gives it.
+    """
     space = space_for(kind.m, kind.q)
-    form = canonical_form(kind, space)
+    zeros = point_set(canonical_form(kind, space)).bits
+    inc = space.incidence
+    types = [section_type(kind, (zeros & hmask).bit_count()) or "other" for hmask in inc]
     agg: dict[str, int] = {}
-    flats = flats_of_codim(space, 2)
-    for flat in flats:
-        d = classical_distribution(form, flat)
-        label = f"sec={d['flat_section']};" + ";".join(
-            f"{k}={v}" for k, v in d["hyperplanes"].items()
-        )
+    lines = space.all_lines()
+    for line in lines:
+        hyps = bits_to_indices(line)
+        labels: dict[str, int] = {}
+        for h in hyps:
+            labels[types[h]] = labels.get(types[h], 0) + 1
+        sec = (zeros & inc[hyps[0]] & inc[hyps[1]]).bit_count()
+        label = f"sec={sec};" + ";".join(f"{k}={v}" for k, v in sorted(labels.items()))
         agg[label] = agg.get(label, 0) + 1
     return CensusResult(
         name="classical-dist",
         m=kind.m,
         q=kind.q,
-        total_candidates=len(flats),
+        total_candidates=len(lines),
         breakdown=dict(sorted(agg.items())),
         witnesses={},
     )

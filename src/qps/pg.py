@@ -7,6 +7,12 @@ the same normalization, so hyperplane index h corresponds to the dual vector
 points[h].  Point sets are plain int bitmasks: bit i set means point i is in
 the set.
 
+The two bulk tables are built without per-pair arithmetic.  Incidence row h
+is the byte string of the values h·x over all points x, in point order, widened
+one coordinate at a time from precomputed tables of v + a·c; its zero bytes
+become the mask's bits.  Each line is built once, from its 2-row RREF basis,
+in one pass that fills both ``all_lines()`` and every ``lines_through(p)``.
+
 Hyperplane h is dual point h, so the hyperplanes through a codimension-2 flat
 are, as indices, the points of a line: ``all_lines()`` lists them for every
 such flat at once.
@@ -138,7 +144,7 @@ class ProjSpace:
         }
         self.all_mask = (1 << n_points) - 1
         self._incidence: tuple[int, ...] | None = None
-        self._lines_through: dict[int, tuple[int, ...]] = {}
+        self._lines_through: tuple[tuple[int, ...], ...] | None = None
         self._all_lines: tuple[int, ...] | None = None
         self._codim2: tuple[Flat, ...] | None = None
         self._flat_masks: dict[tuple, int] = {}
@@ -149,35 +155,79 @@ class ProjSpace:
 
     @property
     def incidence(self) -> tuple[int, ...]:
-        """incidence[h] = bitmask of points on hyperplane h."""
+        """incidence[h] = bitmask of points on hyperplane h, from byte rows of h·x."""
         if self._incidence is None:
             f = self.f
-            pts = self.points
-            masks = []
-            for hvec in pts:
-                mask = 0
-                bit = 1
-                for pvec in pts:
-                    if dot(f, hvec, pvec) == 0:
-                        mask |= bit
-                    bit <<= 1
-                masks.append(mask)
-            self._incidence = tuple(masks)
+            q = self.q
+            # steps[a][v]: the values v + a·c for c in GF(q), in field order
+            steps = [
+                [bytes(f.add[v][f.mul[a][c]] for c in range(q)) for v in range(q)]
+                for a in range(q)
+            ]
+            rows = []
+            for hvec in self.points:
+                blocks = []
+                for lead in range(self.m, -1, -1):
+                    # points (0, ..., 0, 1, tail): start from h[lead], then
+                    # widen by one tail coordinate at a time
+                    vals = bytes((hvec[lead],))
+                    for a in hvec[lead + 1 :]:
+                        vals = b"".join(map(steps[a].__getitem__, vals))
+                    blocks.append(vals)
+                row = b"".join(blocks).translate(_ZERO_TO_ONE)
+                rows.append(int(row[::-1], 2))
+            self._incidence = tuple(rows)
         return self._incidence
 
     def lines_through(self, p: int) -> tuple[int, ...]:
-        """Bitmasks of the (n-1)/q lines through point p."""
-        if p not in self._lines_through:
-            seen = 1 << p
-            out = []
-            for r in range(self.n_points):
-                if seen >> r & 1 or r == p:
-                    continue
-                mask = self._line_mask(p, r)
-                seen |= mask
-                out.append(mask)
-            self._lines_through[p] = tuple(out)
+        """Bitmasks of the (n-1)/q lines through point p.
+
+        Ordered by each line's lowest point other than p.
+        """
+        if self._lines_through is None:
+            self._build_lines()
         return self._lines_through[p]
+
+    def all_lines(self) -> tuple[int, ...]:
+        """Bitmasks of all lines, ordered by (lowest point, second-lowest point)."""
+        if self._all_lines is None:
+            self._build_lines()
+        return self._all_lines
+
+    def _build_lines(self) -> None:
+        """Build each line once, from its 2-row RREF basis, and fill both caches.
+
+        The basis is v with pivot j and u with pivot i < j and u[j] = 0; the
+        line's points are v and u + a·v, all already normalized.  v is the
+        lowest point, as it has more leading zeros, and u the second lowest,
+        as it has 0 where the other points have a ≠ 0.
+        """
+        f = self.f
+        q = self.q
+        m = self.m
+        index = self.point_index
+        found = []
+        for i, j in itertools.combinations(range(m + 1), 2):
+            for vtail in itertools.product(range(q), repeat=m - j):
+                v = (0,) * j + (1,) + vtail
+                low = index[v]
+                multiples = [scale(f, a, v) for a in range(1, q)]
+                for utail in itertools.product(range(q), repeat=m - i - 1):
+                    u = (0,) * i + (1,) + utail[: j - i - 1] + (0,) + utail[j - i - 1 :]
+                    rest = [index[u], *(index[vadd(f, u, w)] for w in multiples)]
+                    mask = sum((1 << r for r in rest), 1 << low)
+                    found.append((low, rest[0], mask, rest))
+        found.sort()
+        # restricted to the lines through p this is also the order by the
+        # lowest point other than p: first the lines whose lowest point is
+        # below p, then those whose lowest point is p
+        through: list[list[int]] = [[] for _ in range(self.n_points)]
+        for low, _, mask, rest in found:
+            through[low].append(mask)
+            for r in rest:
+                through[r].append(mask)
+        self._all_lines = tuple(line[2] for line in found)
+        self._lines_through = tuple(map(tuple, through))
 
     def _line_mask(self, p: int, r: int) -> int:
         f = self.f
@@ -189,17 +239,9 @@ class ProjSpace:
             mask |= 1 << self.point_index[w]
         return mask
 
-    def all_lines(self) -> tuple[int, ...]:
-        if self._all_lines is None:
-            seen: set[int] = set()
-            out = []
-            for p in range(self.n_points):
-                for mask in self.lines_through(p):
-                    if mask not in seen:
-                        seen.add(mask)
-                        out.append(mask)
-            self._all_lines = tuple(out)
-        return self._all_lines
+
+# incidence rows: field value 0 becomes bit 1, any other value bit 0
+_ZERO_TO_ONE = bytes([ord("1")] + [ord("0")] * 255)
 
 
 _SPACES: dict[tuple[int, int], ProjSpace] = {}

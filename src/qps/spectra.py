@@ -174,12 +174,15 @@ class Classification:
     exceptional: str | None
 
 
+def _profile_for(s: PointSet, kind: PolarKind) -> SpectrumProfile:
+    if s.space.m != kind.m or s.space.q != kind.q:
+        raise IncompatibleKind("kind does not match the ambient space")
+    return profile(kind)
+
+
 def classify(s: PointSet, kind: PolarKind) -> Classification:
     """Spectrum-based verdict: is s quasi-polar for the kind?"""
-    space = s.space
-    if space.m != kind.m or space.q != kind.q:
-        raise IncompatibleKind("kind does not match the ambient space")
-    prof = profile(kind)
+    prof = _profile_for(s, kind)
     spec = spectrum(s)
     quasi = set(spec.histogram) <= set(prof.sizes)
     size = s.size
@@ -210,11 +213,10 @@ def _collinear(s: PointSet) -> bool:
 
 def singular_hyperplanes(s: PointSet, kind: PolarKind) -> list[int]:
     """Hyperplanes meeting s in the singular (cone) section size."""
-    cls = classify(s, kind)
-    if not cls.quasi_polar:
-        raise NotQuasiPolar("set is not quasi-polar for the kind")
-    prof = profile(kind)
+    prof = _profile_for(s, kind)
     spec = spectrum(s)
+    if not set(spec.histogram) <= set(prof.sizes):
+        raise NotQuasiPolar("set is not quasi-polar for the kind")
     return [h for h, v in enumerate(spec.per_hyperplane) if v == prof.singular_size]
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from qps import census
+from qps import census, forms, pg
 from qps.census import (
     PointIsNucleus,
     PointOnQuadric,
@@ -499,6 +499,34 @@ def test_classical_distribution_hermitian_lines():
         (3, (("nonsingular", 2), ("singular", 3))): 240,
         (5, (("singular", 5),)): 27,
     }
+
+
+@pytest.mark.parametrize("fam,m,q", [("parabolic", 4, 3), ("elliptic", 5, 2), ("hermitian", 3, 4)])
+def test_classical_dist_census_uses_lines_not_flat_spans(fam, m, q, monkeypatch):
+    """The census tallies what classical_distribution gives each flat, from
+    the lines and the incidence alone: no flat is spanned point by point."""
+    kind = PolarKind(fam, m, q)
+    sp = space_for(m, q)
+    form = canonical_form(kind, sp)
+    expect = Counter()
+    for flat in flats_of_codim(sp, 2):
+        d = classical_distribution(form, flat)
+        expect[f"sec={d['flat_section']};" + ";".join(f"{k}={v}" for k, v in d["hyperplanes"].items())] += 1
+
+    def boom(*args):
+        raise AssertionError("per-flat span in the census")
+
+    for module, name in [
+        (pg, "span_points"),
+        (forms, "span_points"),
+        (pg, "flats_of_codim"),
+        (census, "classical_distribution"),
+        (census, "hyperplanes_containing"),
+    ]:
+        monkeypatch.setattr(module, name, boom)
+    res = census.classical_dist_census(kind)
+    assert res.breakdown == dict(sorted(expect.items()))
+    assert res.total_candidates == sum(expect.values())
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ CANONICAL = {
     "q44": ("parabolic", 4, 4),
     "h32": ("hyperbolic", 3, 2),
     "c24": ("parabolic", 2, 4),
+    "c32": ("parabolic", 2, 32),
 }
 
 # replacement pieces for the surgeries that take a point set file
@@ -54,6 +55,9 @@ CASES = {
     "census_classical_dist_h34": [
         "census", "classical-dist", "--kind", "hermitian", "--m", "3", "--q", "4", "--json",
     ],
+    "census_classical_dist_e53": [
+        "census", "classical-dist", "--kind", "elliptic", "--m", "5", "--q", "3", "--json",
+    ],
     "census_two_secants": ["census", "two-secants", "--json"],
     "spectrum_q42": ["spectrum", "--in", "{q42}", "--kind", "parabolic", "--json"],
     "verify_q42": ["verify", "conditions", "--in", "{q42}", "--json"],
@@ -62,6 +66,8 @@ CASES = {
     "verify_cone_swap_q44": [
         "verify", "conditions", "--in", str(GOLDEN / "surgery_cone_swap_q44.qps"), "--json",
     ],
+    # the largest plane: every line and hyperplane of PG(2,32)
+    "verify_c32": ["verify", "conditions", "--in", "{c32}", "--json"],
     "roots_h33": ["roots", "--kind", "hyperbolic", "--m", "3", "--q", "3", "--json"],
     # construct
     "construct_q42": [

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qps import pg
 from qps.gf import build_field
 from qps.pg import (
     Flat,
+    ProjSpace,
     PointSet,
     SamePoint,
     SpaceTooLarge,
@@ -129,6 +131,34 @@ def test_incidence_matrix_is_symmetric():
                 assert (sp.incidence[h] >> p & 1) == (sp.incidence[p] >> h & 1)
 
 
+@pytest.mark.parametrize(
+    "m,q",
+    [(m, 2) for m in range(1, 6)] + [(m, 3) for m in range(1, 6)] + [(1, 5), (2, 5), (3, 5), (1, 7), (2, 7)],
+)
+def test_incidence_matches_dot_products_mod_p(m, q):
+    sp = space_for(m, q)
+    for h, hvec in enumerate(sp.points):
+        row = sum(
+            1 << p for p, pvec in enumerate(sp.points) if sum(a * b for a, b in zip(hvec, pvec)) % q == 0
+        )
+        assert sp.incidence[h] == row
+
+
+def _sampled_rows(n, count=48):
+    """All rows of a small space; the first, the last and a seeded sample otherwise."""
+    if n <= 400:
+        return range(n)
+    return sorted({0, n - 1, *random.Random(n).sample(range(n), count)})
+
+
+@pytest.mark.parametrize("m,q", [(1, 9), (2, 9), (3, 9), (1, 25), (2, 25), (1, 27), (2, 27), (1, 32), (2, 32)])
+def test_incidence_matches_incident(m, q):
+    sp = space_for(m, q)
+    for h in _sampled_rows(sp.n_points):
+        row = sum(1 << p for p in range(sp.n_points) if incident(sp, h, p))
+        assert sp.incidence[h] == row
+
+
 # ---------------------------------------------------------------------------
 # Lines
 # ---------------------------------------------------------------------------
@@ -184,6 +214,95 @@ def test_lines_through_partition():
                 total += l.bit_count() - 1
             assert cover == (1 << sp.n_points) - 1
             assert total == sp.n_points - 1
+
+
+LINE_SPACES = [
+    (1, 2), (1, 9), (2, 2), (2, 3), (2, 4), (2, 9), (3, 2), (3, 3), (3, 4),
+    (4, 2), (4, 3), (5, 2), (2, 25), (2, 32), (3, 8),
+]
+
+
+def gaussian_binomial_2(m, q):
+    """[m+1 choose 2]_q, the number of lines of PG(m, q)."""
+    return (q ** (m + 1) - 1) * (q**m - 1) // ((q**2 - 1) * (q - 1))
+
+
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
+
+
+@pytest.mark.parametrize("m,q", LINE_SPACES)
+def test_all_lines_are_the_lines(m, q):
+    sp = space_for(m, q)
+    lines = sp.all_lines()
+    assert len(lines) == len(set(lines)) == gaussian_binomial_2(m, q)
+    cover = [0] * sp.n_points
+    for line in lines:
+        pts = bits_to_indices(line)
+        assert len(pts) == q + 1
+        # a line is the line through any two of its points
+        assert line_through(sp, pts[0], pts[-1]).bits == line
+        for p in pts:
+            cover[p] |= line
+    # every pair of distinct points lies on a line, and the pair count
+    # leaves room for no second one
+    assert cover == [sp.all_mask] * sp.n_points
+    assert len(lines) * (q + 1) * q == sp.n_points * (sp.n_points - 1)
+
+
+@pytest.mark.parametrize("m,q", LINE_SPACES)
+def test_lines_through_are_the_lines_through_p(m, q):
+    sp = space_for(m, q)
+    lines = sp.all_lines()
+    for p in range(sp.n_points):
+        assert set(sp.lines_through(p)) == {line for line in lines if line >> p & 1}
+
+
+@pytest.mark.parametrize("m,q", LINE_SPACES)
+def test_line_orders(m, q):
+    sp = space_for(m, q)
+    # all_lines(): by (lowest point, second-lowest point)
+    keys = [(_lowest(line), _lowest(line & (line - 1))) for line in sp.all_lines()]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    # lines_through(p): by the lowest point other than p
+    for p in range(sp.n_points):
+        keys = [_lowest(line & ~(1 << p)) for line in sp.lines_through(p)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("m,q", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_line_orders_match_the_greedy_scan(m, q):
+    """The orders of a per-point scan: lines_through(p) takes, for r
+    ascending, the line pr whenever r is on no earlier line, and all_lines()
+    is lines_through(0), lines_through(1), ... without repeats."""
+    sp = space_for(m, q)
+    expect_all = []
+    for p in range(sp.n_points):
+        seen = 1 << p
+        expect = []
+        for r in range(sp.n_points):
+            if not seen >> r & 1:
+                line = line_through(sp, p, r).bits
+                seen |= line
+                expect.append(line)
+        assert list(sp.lines_through(p)) == expect
+        expect_all += [line for line in expect if line not in expect_all]
+    assert list(sp.all_lines()) == expect_all
+
+
+@pytest.mark.parametrize("m,q", [(2, 32), (4, 3)])
+def test_bulk_tables_use_no_per_pair_arithmetic(m, q, monkeypatch):
+    def boom(*args):
+        raise AssertionError("per-pair arithmetic in a bulk table build")
+
+    expect_inc = space_for(m, q).incidence
+    expect_lines = space_for(m, q).all_lines()
+    monkeypatch.setattr(pg, "dot", boom)
+    monkeypatch.setattr(pg, "normalize_vec", boom)
+    sp = ProjSpace(m, build_field(q))
+    assert sp.incidence == expect_inc
+    assert sp.all_lines() == expect_lines
+    assert sp.lines_through(sp.n_points - 1) == space_for(m, q).lines_through(sp.n_points - 1)
 
 
 # ---------------------------------------------------------------------------

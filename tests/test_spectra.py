@@ -262,6 +262,20 @@ def test_singular_hyperplane_counts():
     assert len(singular_hyperplanes(canonical("hyperbolic", 3, 2), PolarKind("hyperbolic", 3, 2))) == 9
 
 
+def test_singular_hyperplanes_takes_one_spectrum(monkeypatch):
+    from qps import spectra
+
+    calls = []
+    inner = spectra.spectrum
+    monkeypatch.setattr(spectra, "spectrum", lambda s: calls.append(s) or inner(s))
+    kind = PolarKind("parabolic", 4, 3)
+    s = canonical("parabolic", 4, 3)
+    cone = [h for h, v in enumerate(inner(s).per_hyperplane) if v == 13]
+    assert len(cone) == 40
+    assert singular_hyperplanes(s, kind) == cone
+    assert len(calls) == 1
+
+
 def test_singular_hyperplanes_rejects_non_quasi():
     sp = space_for(4, 2)
     junk = point_set_from_indices(sp, range(12))
