@@ -5,6 +5,16 @@ The classical sets of one kind are all projectively equivalent, so
 set: a breadth-first search over bitmasks under a fixed generating set, each
 generator applied through per-byte point tables.  The closed-form orbit size
 bounds the search before it starts and checks it when it ends.
+
+The switch censuses replace the section of s in one hyperplane pi by a
+candidate T and ask whether s stays quasi-polar.  Every other hyperplane H
+meets pi in a hyperplane tau of pi (a plane when pi is a solid), so H meets
+the result in |base ∩ H| + |T ∩ tau| points, base being s off pi.  One pass
+over the hyperplanes per pi gives, for each tau, the values of |T ∩ tau| that
+all its H admit; a candidate is then checked against those plane tables in
+the coordinates of pi as its own PG(m-1, q), and only survivors are mapped
+to ambient point indices.  The line-nucleus test of the nucleus-pivot census
+works from per-pi tables in the same coordinates.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from .pg import (
     PointSet,
     ProjSpace,
     SpaceTooLarge,
+    SubGeometry,
     bits_to_indices,
     dot,
     hyperplane_flat,
@@ -44,7 +55,6 @@ from .spectra import (
     find_line_nucleus,
     profile,
     section_type,
-    sections_admissible,
     spectrum,
 )
 
@@ -184,6 +194,96 @@ def _classical_profile(s: PointSet, kind: PolarKind) -> SpectrumProfile:
     return profile(kind)
 
 
+def _plane_tables(
+    space: ProjSpace, s_bits: int, pi: int, sizes
+) -> tuple[SubGeometry, tuple[int, ...], list[frozenset[int]]]:
+    """Subgeometry of hyperplane pi, its incidence, and allowed[tau] per hyperplane tau of pi.
+
+    allowed[tau] is the intersection, over the hyperplanes H != pi through
+    tau, of {k - |base ∩ H| : k in sizes}, where base is s_bits off pi; tau
+    is indexed as in ``sub.incidence``.
+    """
+    geom = subgeometry(space, hyperplane_flat(space, pi))
+    sub_inc = geom.sub.incidence
+    tau_of = {mask: tau for tau, mask in enumerate(sub_inc)}
+    inc = space.incidence
+    hmask = inc[pi]
+    base = s_bits & ~hmask
+    allowed: list = [None] * len(sub_inc)
+    for h, mask in enumerate(inc):
+        if h == pi:
+            continue
+        a = (base & mask).bit_count()
+        ok = frozenset(k - a for k in sizes if k >= a)
+        tau = tau_of[geom.mask_from_ambient(mask & hmask)]
+        allowed[tau] = ok if allowed[tau] is None else allowed[tau] & ok
+    return geom, sub_inc, allowed
+
+
+def _survivor_test(sizes, sub_inc, allowed):
+    """Predicate on a section T of pi, in subgeometry coordinates: does base ∪ T
+    meet every hyperplane in one of sizes?  pi itself meets it in |T| points."""
+    # the most restrictive planes first, so that most candidates stop early
+    checks = sorted(zip(sub_inc, allowed), key=lambda c: len(c[1]))
+
+    def survives(t: int) -> bool:
+        if t.bit_count() not in sizes:
+            return False
+        for mask, ok in checks:
+            if (t & mask).bit_count() not in ok:
+                return False
+        return True
+
+    return survives
+
+
+def _nucleus_test(space: ProjSpace, s_bits: int, pi: int):
+    """Predicate on a section T of hyperplane pi, in subgeometry coordinates:
+    has base ∪ T a line nucleus?  base is s_bits off pi.
+
+    A point N off the hyperplane and off base sees each point of the
+    hyperplane on one line, so it is a nucleus exactly when no line through
+    it holds two base points and T is required[N], the points whose lines
+    to N miss base.  A point N of the hyperplane is a nucleus exactly when
+    N is not in T, each line through N outside the hyperplane holds one base
+    point, and each line through N inside it meets T once.
+    """
+    geom = subgeometry(space, hyperplane_flat(space, pi))
+    hmask = space.incidence[pi]
+    base = s_bits & ~hmask
+    from_amb = geom.from_ambient
+    required = set()
+    for n in bits_to_indices(space.all_mask & ~hmask & ~base):
+        t = 0
+        for line in space.lines_through(n):
+            k = (line & base).bit_count()
+            if k > 1:
+                break
+            if k == 0:
+                t |= 1 << from_amb[(line & hmask).bit_length() - 1]
+        else:
+            required.add(t)
+    inner = [
+        (1 << n_sub, geom.sub.lines_through(n_sub))
+        for n_sub, n in enumerate(geom.to_ambient)
+        if all(
+            (line & base).bit_count() == 1
+            for line in space.lines_through(n)
+            if line & ~hmask
+        )
+    ]
+
+    def has_nucleus(t: int) -> bool:
+        if t in required:
+            return True
+        for nbit, lines in inner:
+            if not t & nbit and all((t & line).bit_count() == 1 for line in lines):
+                return True
+        return False
+
+    return has_nucleus
+
+
 def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
     """Switch every non-singular section of Q(4,2) and count nucleus survival.
 
@@ -207,18 +307,21 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
         cands = enumerate_quadrics(space_for(3, 2), PolarKind(label, 3, 2))
         per_hyp: list[tuple[int, int]] = []
         for h in hyps:
-            geom = subgeometry(space, hyperplane_flat(space, h))
-            base_bits = s.bits & ~space.incidence[h]
+            geom, sub_inc, allowed = _plane_tables(space, s.bits, h, sizes)
+            survives = _survivor_test(sizes, sub_inc, allowed)
+            has_nucleus = _nucleus_test(space, s.bits, h)
             no_nucleus = []
             for cand in cands:
-                bits = base_bits | geom.mask_to_ambient(cand.bits)
-                if not sections_admissible(space, bits, sizes):
+                if not survives(cand.bits):
                     raise InvariantViolated(f"a {label} switch at {h} is not quasi-polar")
-                if find_line_nucleus(PointSet(space, bits)) is None:
-                    no_nucleus.append(bits)
+                if not has_nucleus(cand.bits):
+                    no_nucleus.append(cand.bits)
             per_hyp.append((len(no_nucleus), len(cands)))
             if h == hyps[0]:
-                witnesses[f"{label}_no_nucleus"] = [bits_to_indices(b) for b in no_nucleus[:10]]
+                base_bits = s.bits & ~space.incidence[h]
+                witnesses[f"{label}_no_nucleus"] = [
+                    bits_to_indices(base_bits | geom.mask_to_ambient(t)) for t in no_nucleus[:10]
+                ]
         if len(set(per_hyp)) != 1:
             raise InvariantViolated(f"hyperplane dependence in {label} census")
         no_nuc, n_cand = per_hyp[0]
@@ -259,14 +362,12 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     if nucleus is None:
         raise InvariantViolated("a classical-size Q(4,2) set has no line nucleus")
 
-    hmask = space.incidence[pi]
-    base_bits = s.bits & ~hmask
-    combos = list(itertools.combinations(bits_to_indices(hmask), 7))
-    survivors = []
-    for combo in combos:
-        t_bits = point_set_from_indices(space, combo).bits
-        if sections_admissible(space, base_bits | t_bits, sizes):
-            survivors.append(t_bits)
+    geom, sub_inc, allowed = _plane_tables(space, s.bits, pi, sizes)
+    survives = _survivor_test(sizes, sub_inc, allowed)
+    combos = itertools.combinations(range(geom.sub.n_points), 7)
+    sevens = (sum(1 << i for i in combo) for combo in combos)
+    survivors = [geom.mask_to_ambient(t) for t in sevens if survives(t)]
+    n_combos = math.comb(geom.sub.n_points, 7)
 
     families = _q42_shape_families(s, pi, vertex, nucleus)
     labels = list(families)
@@ -278,7 +379,7 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
 
     # a set can admit several shape descriptions; the breakdown uses the
     # first matching label so the counts sum to the survivor count
-    breakdown = {"not_quasi_polar": len(combos) - len(survivors)}
+    breakdown = {"not_quasi_polar": n_combos - len(survivors)}
     witnesses: dict[str, list[list[int]]] = {}
     multi = 0
     grouped: dict[str, list[int]] = {key: [] for key in labels}
@@ -294,7 +395,7 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
         name="singular-switch",
         m=4,
         q=2,
-        total_candidates=len(combos),
+        total_candidates=n_combos,
         breakdown=breakdown,
         witnesses=witnesses,
         extra={
@@ -428,16 +529,11 @@ def nonsingular_switch_census(
         sub_kind = PolarKind(fam, kind.m - 1, kind.q)
         target = profile(sub_kind).cardinality
         pi = next(h for h, v in enumerate(per) if v == target)
-        geom = subgeometry(space, hyperplane_flat(space, pi))
+        geom, sub_inc, allowed = _plane_tables(space, s.bits, pi, sizes)
         cands = enumerate_quadrics(geom.sub, sub_kind)
-        hmask = inc[pi]
-        base_bits = s.bits & ~hmask
-        ident = s.bits & hmask
-        survivors = []
-        for cand in cands:
-            t_bits = geom.mask_to_ambient(cand.bits)
-            if sections_admissible(space, base_bits | t_bits, sizes):
-                survivors.append(t_bits)
+        survives = _survivor_test(sizes, sub_inc, allowed)
+        ident = s.bits & inc[pi]
+        survivors = [geom.mask_to_ambient(c.bits) for c in cands if survives(c.bits)]
         if ident not in survivors:
             raise InvariantViolated("the identity section did not survive")
         others = sorted(t for t in survivors if t != ident)

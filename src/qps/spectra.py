@@ -23,7 +23,7 @@ from .forms import (
     n_points_pg,
     _is_square,
 )
-from .pg import PointSet, ProjSpace, point_set_from_indices
+from .pg import PointSet, point_set_from_indices
 
 
 class NotQuasiPolar(ValueError):
@@ -154,14 +154,6 @@ def spectrum(s: PointSet) -> Spectrum:
     for v in per:
         hist[v] = hist.get(v, 0) + 1
     return Spectrum(histogram=dict(sorted(hist.items())), per_hyperplane=tuple(per))
-
-
-def sections_admissible(space: ProjSpace, bits: int, sizes) -> bool:
-    """True when every hyperplane meets bits in one of sizes; stops at the first miss."""
-    for hmask in space.incidence:
-        if (bits & hmask).bit_count() not in sizes:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

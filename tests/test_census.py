@@ -36,7 +36,14 @@ from qps.pg import (
     space_for,
     subgeometry,
 )
-from qps.spectra import InvariantViolated, classify, profile, spectrum
+from qps.spectra import (
+    InvariantViolated,
+    classify,
+    find_line_nucleus,
+    line_nuclei,
+    profile,
+    spectrum,
+)
 from qps.surgery import shifted_nucleus_pivot
 
 
@@ -373,12 +380,20 @@ def test_q4_shape_classify_rejects_non_survivor(singular_census):
 # ---------------------------------------------------------------------------
 
 
+# H(3,4) sets: |GL(4,4)| / |stabiliser|.  The stabiliser is GU(4,2), of
+# order 2^6 (2+1)(4-1)(8+1)(16-1), times the scalars, and every scalar of
+# GF(4) is already unitary (r - 1 = 1)
+H34_SETS = math.prod(4**4 - 4**i for i in range(4)) // (2**6 * 3 * 3 * 9 * 15)
+
+
 @pytest.mark.parametrize(
     "fam,m,q,n_cand",
     [
         ("hyperbolic", 3, 3, 234),
         ("elliptic", 3, 3, 234),
         ("hermitian", 3, 4, 280),
+        # the Hermitian q >= 4 case of the paper's main theorem
+        ("hermitian", 4, 4, H34_SETS),
     ],
 )
 def test_nonsingular_switch_census_identity_only(fam, m, q, n_cand):
@@ -444,6 +459,135 @@ def test_nonsingular_switch_census_rejects_non_classical():
     sp = space_for(3, 3)
     with pytest.raises(ValueError):
         nonsingular_switch_census(PointSet(sp, 0), PolarKind("hyperbolic", 3, 3))
+
+
+# ---------------------------------------------------------------------------
+# Plane-table survivor kernel and subgeometry nucleus test
+# ---------------------------------------------------------------------------
+
+
+def _incident_incidence(sp):
+    """Hyperplane bitmasks from per-pair ``pg.incident`` (any q)."""
+    return [
+        sum(1 << p for p in range(sp.n_points) if pg.incident(sp, h, p))
+        for h in range(sp.n_points)
+    ]
+
+
+def _recount_survivors(sp, s, pi, sections, sizes):
+    """The sections T (subgeometry masks) for which (s off pi) ∪ T meets
+    every hyperplane in one of sizes, by a full recount."""
+    inc = _dot_incidence(sp) if sp.q == sp.f.p else _incident_incidence(sp)
+    base = s.bits & ~inc[pi]
+    geom = subgeometry(sp, hyperplane_flat(sp, pi))
+    out = set()
+    for t in sections:
+        bits = base | geom.mask_to_ambient(t)
+        if all((bits & h).bit_count() in sizes for h in inc):
+            out.add(t)
+    return out
+
+
+def _kernel_survivors(sp, s, pi, sections, sizes):
+    _geom, sub_inc, allowed = census._plane_tables(sp, s.bits, pi, sizes)
+    survives = census._survivor_test(sizes, sub_inc, allowed)
+    return {t for t in sections if survives(t)}
+
+
+@pytest.mark.parametrize(
+    "fam,m,q",
+    [
+        ("parabolic", 4, 2),
+        ("parabolic", 4, 3),
+        ("elliptic", 5, 2),
+        ("hyperbolic", 3, 3),
+        ("elliptic", 3, 3),
+        ("hermitian", 3, 4),
+    ],
+)
+def test_plane_table_survivors_match_full_recount(fam, m, q):
+    sp = space_for(m, q)
+    s = canonical(fam, m, q)
+    sizes = set(profile(PolarKind(fam, m, q)).sizes)
+    per = spectrum(s).per_hyperplane
+    for sub_fam in census._SECTION_FAMILIES[fam]:
+        sub_kind = PolarKind(sub_fam, m - 1, q)
+        pi = per.index(classical_cardinality(sub_kind))
+        geom = subgeometry(sp, hyperplane_flat(sp, pi))
+        cands = [c.bits for c in enumerate_quadrics(geom.sub, sub_kind)]
+        got = _kernel_survivors(sp, s, pi, cands, sizes)
+        assert got == _recount_survivors(sp, s, pi, cands, sizes)
+        assert s.bits & sp.incidence[pi] in {geom.mask_to_ambient(t) for t in got}
+
+
+@pytest.mark.parametrize("size", [5, 7, 9])
+def test_plane_table_survivors_every_subset_of_a_solid(size):
+    # every subset of one solid of each type of Q(4,2), of every size; for
+    # the singular solid these include the 6,435 seven-subsets that the
+    # singular switch walks, survivors and non-survivors alike.  Some
+    # subsets of the elliptic solid pass every plane and fail only |T| in
+    # sizes.
+    sp = space_for(4, 2)
+    s = canonical("parabolic", 4, 2)
+    sizes = set(profile(PolarKind("parabolic", 4, 2)).sizes)
+    pi = spectrum(s).per_hyperplane.index(size)
+    subsets = range(1 << 15)
+    got = _kernel_survivors(sp, s, pi, subsets, sizes)
+    assert got == _recount_survivors(sp, s, pi, subsets, sizes)
+    assert {t.bit_count() for t in got} <= sizes
+    if size == 7:
+        assert sum(t.bit_count() == 7 for t in subsets) == 6435
+        assert sum(t.bit_count() == 7 for t in got) == 104
+
+
+def test_subgeometry_nucleus_test_matches_find_line_nucleus():
+    # all 2^15 sections of one hyperplane of each type of Q(4,2)
+    sp = space_for(4, 2)
+    s = canonical("parabolic", 4, 2)
+    per = spectrum(s).per_hyperplane
+    nuclei_in_pi = nuclei_off_pi = 0
+    for size in (5, 7, 9):
+        pi = per.index(size)
+        hmask = sp.incidence[pi]
+        base = s.bits & ~hmask
+        geom = subgeometry(sp, hyperplane_flat(sp, pi))
+        has_nucleus = census._nucleus_test(sp, s.bits, pi)
+        for t in range(1 << 15):
+            x = PointSet(sp, base | geom.mask_to_ambient(t))
+            nuclei = sum(1 << n for n in line_nuclei(x))
+            assert has_nucleus(t) == (find_line_nucleus(x) is not None), (size, t)
+            nuclei_in_pi += bool(nuclei) and not nuclei & ~hmask
+            nuclei_off_pi += bool(nuclei) and not nuclei & hmask
+    # each branch of the test is the only way to a nucleus at least once
+    assert nuclei_in_pi > 0
+    assert nuclei_off_pi > 0
+
+
+def test_switch_censuses_do_no_per_candidate_ambient_work(monkeypatch):
+    calls = Counter()
+    to_ambient = pg.SubGeometry.mask_to_ambient
+
+    def counted(geom, bits):
+        calls["mask_to_ambient"] += 1
+        return to_ambient(geom, bits)
+
+    def no_nucleus_search(_s):
+        raise AssertionError("find_line_nucleus called")
+
+    monkeypatch.setattr(pg.SubGeometry, "mask_to_ambient", counted)
+    monkeypatch.setattr(census, "find_line_nucleus", no_nucleus_search)
+    res = nucleus_pivot_census(canonical("parabolic", 4, 2))
+    assert res.total_candidates == 448
+    # only the witnesses are mapped: ten per base type
+    assert calls["mask_to_ambient"] <= 20
+
+    calls.clear()
+    res = nonsingular_switch_census(canonical("parabolic", 4, 3), PolarKind("parabolic", 4, 3))
+    survivors = sum(
+        v for k, v in res.breakdown.items() if k.endswith(("_identity", "_other_survivor"))
+    )
+    assert survivors == 28
+    assert calls["mask_to_ambient"] <= survivors
 
 
 # ---------------------------------------------------------------------------
