@@ -12,6 +12,8 @@ is the byte string of the values h·x over all points x, in point order, widened
 one coordinate at a time from precomputed tables of v + a·c; its zero bytes
 become the mask's bits.  Each line is built once, from its 2-row RREF basis,
 in one pass that fills both ``all_lines()`` and every ``lines_through(p)``.
+Each table raises ``SpaceTooLarge`` before building when its estimated size
+exceeds ``MAX_TABLE_BYTES``.
 
 Hyperplane h is dual point h, so the hyperplanes through a codimension-2 flat
 are, as indices, the points of a line: ``all_lines()`` lists them for every
@@ -28,7 +30,7 @@ from .gf import FieldTable, build_field
 
 
 class SpaceTooLarge(ValueError):
-    """Point count would exceed the 10**6 guard."""
+    """Point count or a bulk table would exceed its guard."""
 
 
 class ZeroVector(ValueError):
@@ -40,6 +42,9 @@ class SamePoint(ValueError):
 
 
 MAX_POINTS = 10**6
+# estimated size of the incidence or line table, one bitmask row per
+# hyperplane or line at ceil(n/8) bytes each
+MAX_TABLE_BYTES = 256 * 2**20
 
 
 def dot(f: FieldTable, u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -157,6 +162,7 @@ class ProjSpace:
     def incidence(self) -> tuple[int, ...]:
         """incidence[h] = bitmask of points on hyperplane h, from byte rows of h·x."""
         if self._incidence is None:
+            self._check_table("incidence", self.n_points)
             f = self.f
             q = self.q
             # steps[a][v]: the values v + a·c for c in GF(q), in field order
@@ -205,6 +211,7 @@ class ProjSpace:
         f = self.f
         q = self.q
         m = self.m
+        self._check_table("lines", self.n_points * (q**m - 1) // (q * q - 1))
         index = self.point_index
         found = []
         for i, j in itertools.combinations(range(m + 1), 2):
@@ -228,6 +235,13 @@ class ProjSpace:
                 through[r].append(mask)
         self._all_lines = tuple(line[2] for line in found)
         self._lines_through = tuple(map(tuple, through))
+
+    def _check_table(self, name: str, rows: int) -> None:
+        size = rows * ((self.n_points + 7) // 8)
+        if size > MAX_TABLE_BYTES:
+            raise SpaceTooLarge(
+                f"PG({self.m},{self.q}) {name} table needs about {round(size / 2**20)} MiB"
+            )
 
     def _line_mask(self, p: int, r: int) -> int:
         f = self.f

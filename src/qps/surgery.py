@@ -3,7 +3,10 @@
 Every operation returns (result, record).  The record names the geometric
 inputs it committed to (hyperplane, vertex, carrier flats, replaced pieces)
 so a run can be audited or replayed.  Deterministic tie-breaks everywhere:
-scans go in index order and take the first admissible object.
+scans go in index order and take the first admissible object.  The cone
+surgeries work on masks of the switched hyperplane's own PG(m-1, q), whose
+lines and incidence are cached; ambient flats are built only for records and
+for the scans that run in a flat's own coordinates.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from .forms import (
     IncompatibleKind,
     PolarKind,
     card_pm,
-    cone,
     is_cone_vertex,
 )
 from .pg import (
@@ -30,7 +32,6 @@ from .pg import (
     hyperplanes_containing,
     line_through,
     normalize_vec,
-    null_space,
     rref,
     scale,
     subgeometry,
@@ -153,14 +154,30 @@ class SurgeryRecord:
         }
 
 
-def _point_flat(space: ProjSpace, p: int) -> Flat:
-    return flat_from_points(space, [p])
-
-
 def _sub_hyperplane(geom: SubGeometry, h_sub: int) -> Flat:
     """Hyperplane h_sub of a subgeometry, as a flat of the ambient space."""
-    pts = [geom.to_ambient[i] for i in bits_to_indices(geom.sub.incidence[h_sub])]
-    return flat_from_points(geom.flat.space, pts)
+    sub = geom.sub
+    rows = hyperplane_flat(sub, h_sub).basis
+    return flat_from_points(
+        geom.flat.space, [geom.to_ambient[sub.point_index[row]] for row in rows]
+    )
+
+
+def _carrier(sub: ProjSpace, v: int, inside: int) -> int:
+    """First hyperplane of sub avoiding point v and containing the mask inside."""
+    for h, hmask in enumerate(sub.incidence):
+        if not hmask >> v & 1 and not inside & ~hmask:
+            return h
+    raise BaseWrongType("no carrier hyperplane avoids the vertex")
+
+
+def _cone_bits(sub: ProjSpace, v: int, base: int) -> int:
+    """Cone with vertex v over base (v off base): v and the lines through v meeting base."""
+    bits = 1 << v
+    for line in sub.lines_through(v):
+        if line & base:
+            bits |= line
+    return bits
 
 
 def switch(
@@ -182,68 +199,50 @@ def switch(
     return result, rec
 
 
+def _decompose(sub: ProjSpace, section: int, vertices, inside: int = 0) -> tuple[int, int, int]:
+    """(vertex, carrier, base) of a cone section, all in sub's own coordinates.
+
+    The vertex is the first of the given points that lies in the section and
+    is a cone vertex of it; the carrier is the first hyperplane of sub avoiding
+    the vertex and containing the mask inside, and the base is the section on
+    it.  For a cone vertex the cone over that base is the whole section.
+    """
+    for v in vertices:
+        if section >> v & 1 and is_cone_vertex(section, v, sub.lines_through(v)):
+            h = _carrier(sub, v, inside)
+            return v, h, section & sub.incidence[h]
+    raise NoConeDecomposition("section is not a cone over a hyperplane base")
+
+
+def _pi_geometry(s: PointSet, pi: int) -> tuple[SubGeometry, int]:
+    """Hyperplane pi as its own PG(m-1, q), and the section of s in it."""
+    geom = subgeometry(s.space, hyperplane_flat(s.space, pi))
+    return geom, geom.mask_from_ambient(s.bits)
+
+
 def _cone_decomposition(
     s: PointSet, pi: int
 ) -> tuple[int, Flat, PointSet]:
     """Vertex, carrier hyperplane flat of pi, and base of the section cone."""
-    space = s.space
-    section = PointSet(space, s.bits & space.incidence[pi])
-    geom = subgeometry(space, hyperplane_flat(space, pi))
-    sec_sub = geom.mask_from_ambient(section.bits)
-    for v_sub in range(geom.sub.n_points):
-        v = geom.to_ambient[v_sub]
-        if not section.contains(v) or not is_cone_vertex(
-            sec_sub, v_sub, geom.sub.lines_through(v_sub)
-        ):
-            continue
-        for h_sub in range(geom.sub.n_points):
-            hmask = geom.sub.incidence[h_sub]
-            if hmask >> v_sub & 1:
-                continue
-            base_bits = geom.mask_to_ambient(hmask & sec_sub)
-            base = PointSet(space, base_bits)
-            if cone(_point_flat(space, v), base).bits == section.bits:
-                return v, _sub_hyperplane(geom, h_sub), base
-            break
-    raise NoConeDecomposition("section is not a cone over a hyperplane base")
+    geom, section = _pi_geometry(s, pi)
+    v, mu, base = _decompose(geom.sub, section, range(geom.sub.n_points))
+    base_amb = PointSet(s.space, geom.mask_to_ambient(base))
+    return geom.to_ambient[v], _sub_hyperplane(geom, mu), base_amb
 
 
-def _validate_base(
-    space: ProjSpace, kind: PolarKind, carrier: Flat, base: PointSet
-) -> None:
+def _validate_base(sub: ProjSpace, kind: PolarKind, carrier: int, base: int) -> None:
+    """Require base, inside hyperplane carrier of sub, to be quasi-polar of
+    the kind two dimensions down; raise BaseWrongType otherwise."""
     try:
         base_kind = PolarKind(kind.family, kind.m - 2, kind.q)
     except IncompatibleKind as e:
         raise BaseWrongType(str(e)) from e
-    geom = subgeometry(space, carrier)
-    sub_bits = geom.mask_from_ambient(base.bits)
-    if geom.mask_to_ambient(sub_bits) != base.bits:
-        raise BaseWrongType("base is not contained in its carrier flat")
-    cls = classify(PointSet(geom.sub, sub_bits), base_kind)
+    geom = subgeometry(sub, hyperplane_flat(sub, carrier))
+    cls = classify(PointSet(geom.sub, geom.mask_from_ambient(base)), base_kind)
     if not cls.quasi_polar:
         raise BaseWrongType("base is not quasi-polar of the required kind")
     if kind.family == "parabolic" and not cls.classical_size:
         raise BaseWrongType("parabolic base must have the classical cardinality")
-
-
-def _find_carrier(
-    s: PointSet, pi: int, vertex: int, base: PointSet
-) -> Flat:
-    """First hyperplane flat of pi avoiding the vertex and containing base."""
-    space = s.space
-    geom = subgeometry(space, hyperplane_flat(space, pi))
-    base_sub = geom.mask_from_ambient(base.bits)
-    if geom.mask_to_ambient(base_sub) != base.bits:
-        raise BaseWrongType("base is not contained in the hyperplane")
-    v_sub = geom.from_ambient.get(vertex)
-    for h_sub in range(geom.sub.n_points):
-        hmask = geom.sub.incidence[h_sub]
-        if v_sub is not None and hmask >> v_sub & 1:
-            continue
-        if base_sub & ~hmask:
-            continue
-        return _sub_hyperplane(geom, h_sub)
-    raise BaseWrongType("no carrier hyperplane avoids the vertex")
 
 
 def pivot(
@@ -252,23 +251,28 @@ def pivot(
     """Replace the cone section in a singular hyperplane by a cone over a new base."""
     space = s.space
     prof = profile(kind)
-    section = PointSet(space, s.bits & space.incidence[pi])
-    if section.size != prof.singular_size:
+    geom, section = _pi_geometry(s, pi)
+    if section.bit_count() != prof.singular_size:
         raise NotSingular("hyperplane section does not have the singular size")
-    vertex, mu, _base = _cone_decomposition(s, pi)
-    carrier = _find_carrier(s, pi, vertex, new_base)
-    _validate_base(space, kind, carrier, new_base)
-    added = cone(_point_flat(space, vertex), new_base)
-    result = PointSet(space, (s.bits & ~section.bits) | added.bits)
+    sub = geom.sub
+    v, mu, _base = _decompose(sub, section, range(sub.n_points))
+    if new_base.bits & ~space.incidence[pi]:
+        raise BaseWrongType("base is not contained in the hyperplane")
+    base = geom.mask_from_ambient(new_base.bits)
+    carrier = _carrier(sub, v, base)
+    _validate_base(sub, kind, carrier, base)
+    added = PointSet(space, geom.mask_to_ambient(_cone_bits(sub, v, base)))
+    removed = PointSet(space, s.bits & space.incidence[pi])
+    result = PointSet(space, (s.bits & ~removed.bits) | added.bits)
     rec = SurgeryRecord(
         kind="pivot",
         hyperplane=pi,
-        vertex=vertex,
-        removed=section,
+        vertex=geom.to_ambient[v],
+        removed=removed,
         added=added,
         details={
-            "mu": _basis_coords(mu),
-            "carrier": _basis_coords(carrier),
+            "mu": _basis_coords(_sub_hyperplane(geom, mu)),
+            "carrier": _basis_coords(_sub_hyperplane(geom, carrier)),
         },
     )
     return result, rec
@@ -319,15 +323,13 @@ def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
 
     gen = _greedy_generator(base_sub, space.m // 2 - 2)
     nu_p_amb = [geom_mu.to_ambient[i] for i in bits_to_indices(gen.mask())]
-    tangent_flat = Flat(
-        geom_mu.sub,
-        _span_basis(geom_mu.sub, gen, base_nucleus),
-    )
+    sub_mu = geom_mu.sub
+    tangent_flat = Flat(sub_mu, rref(space.f, [*gen.basis, sub_mu.points[base_nucleus]]))
     # P dot nu_P is the flat spanned by the vertex and nu_P
     cone_p_bits = flat_from_points(space, nu_p_amb + [vertex]).mask()
     trunc = section.bits & ~cone_p_bits
 
-    for cand in _flat_hyperplanes(geom_mu.sub, tangent_flat):
+    for cand in _flat_hyperplanes(sub_mu, tangent_flat):
         cand_amb = [geom_mu.to_ambient[i] for i in bits_to_indices(cand)]
         if set(cand_amb) == set(nu_p_amb):
             continue
@@ -356,10 +358,6 @@ def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
         )
         return result, rec
     raise NoDisjointFlat("no nucleus-cone flat avoids the truncated cone")
-
-
-def _span_basis(space: ProjSpace, flat: Flat, extra_point: int):
-    return rref(space.f, list(flat.basis) + [space.points[extra_point]])
 
 
 def _flat_hyperplanes(space: ProjSpace, flat: Flat):
@@ -409,35 +407,26 @@ def repeated_pivot(
     per_sizes = spectrum(s).per_hyperplane
 
     tangents = {x: _tangent_hyperplane(s, per_sizes, prof.singular_size, x) for x in (p, r)}
-    xi_basis = null_space(space.f, [space.points[tangents[p]], space.points[tangents[r]]])
-    xi_mask = Flat(space, xi_basis).mask()
+    xi_mask = space.incidence[tangents[p]] & space.incidence[tangents[r]]
 
     result_bits = 0
     for R in line.indices():
         if R not in tangents:
             tangents[R] = _tangent_hyperplane(s, per_sizes, prof.singular_size, R)
         hR = tangents[R]
-        section = PointSet(space, s.bits & space.incidence[hR])
-        geom = subgeometry(space, hyperplane_flat(space, hR))
-        r_sub = geom.from_ambient[R]
-        sigma_sub = next(
-            h
-            for h in range(geom.sub.n_points)
-            if not geom.sub.incidence[h] >> r_sub & 1
-        )
-        sigma_amb = _sub_hyperplane(geom, sigma_sub)
-        base = PointSet(space, sigma_amb.mask() & section.bits)
-        if cone(_point_flat(space, R), base).bits != section.bits:
-            raise NoConeDecomposition(f"tangent section at {R} is not a cone")
-        new_base = base_choices.get(R, base)
-        if new_base.bits != base.bits:
-            if new_base.bits & ~sigma_amb.mask():
+        geom, section = _pi_geometry(s, hR)
+        sub = geom.sub
+        r_sub, sigma, base = _decompose(sub, section, [geom.from_ambient[R]])
+        choice = base_choices.get(R)
+        if choice is not None and choice.bits != geom.mask_to_ambient(base):
+            if choice.bits & ~geom.mask_to_ambient(sub.incidence[sigma]):
                 raise BaseWrongType("replacement base must lie in the carrier flat")
-            _validate_base(space, kind, sigma_amb, new_base)
-        new_cone = cone(_point_flat(space, R), new_base)
-        if new_cone.bits & xi_mask != section.bits & xi_mask:
+            base = geom.mask_from_ambient(choice.bits)
+            _validate_base(sub, kind, sigma, base)
+        new_cone = geom.mask_to_ambient(_cone_bits(sub, r_sub, base))
+        if (new_cone ^ s.bits) & xi_mask & space.incidence[hR]:
             raise ConstraintViolated(R)
-        result_bits |= new_cone.bits
+        result_bits |= new_cone
 
     result = PointSet(space, result_bits)
     removed = PointSet(space, s.bits & ~result_bits)
@@ -642,24 +631,14 @@ def oval_nucleus_swap(s: PointSet, tangent: int) -> tuple[PointSet, SurgeryRecor
 def shifted_nucleus_pivot(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
     """Pivot onto a collineation image of the base that moves the base nucleus."""
     space = s.space
-    kind, section, nucleus = _nucleus_in_singular_section(s, pi)
-    vertex, _mu0, _base0 = _cone_decomposition(s, pi)
-
-    geom = subgeometry(space, hyperplane_flat(space, pi))
-    v_sub = geom.from_ambient[vertex]
-    n_sub = geom.from_ambient[nucleus]
-    mu_sub_idx = next(
-        h
-        for h in range(geom.sub.n_points)
-        if geom.sub.incidence[h] >> n_sub & 1 and not geom.sub.incidence[h] >> v_sub & 1
+    kind, _section, nucleus = _nucleus_in_singular_section(s, pi)
+    geom, section = _pi_geometry(s, pi)
+    sub = geom.sub
+    _v, mu, base = _decompose(
+        sub, section, range(sub.n_points), 1 << geom.from_ambient[nucleus]
     )
-    mu_amb = _sub_hyperplane(geom, mu_sub_idx)
-    base = PointSet(space, mu_amb.mask() & section.bits)
-    if cone(_point_flat(space, vertex), base).bits != section.bits:
-        raise NoConeDecomposition("section is not a cone over the chosen base")
-
-    geom_mu = subgeometry(space, mu_amb)
-    base_sub = PointSet(geom_mu.sub, geom_mu.mask_from_ambient(base.bits))
+    geom_mu = subgeometry(space, _sub_hyperplane(geom, mu))
+    base_sub = PointSet(geom_mu.sub, geom_mu.mask_from_ambient(geom.mask_to_ambient(base)))
     n_mu = geom_mu.from_ambient[nucleus]
     if find_line_nucleus(base_sub) != n_mu:
         raise ValueError("base nucleus does not match the set nucleus")

@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -126,6 +127,15 @@ def test_exit_two_on_usage_and_domain_errors(tmp_path, capsys):
     capsys.readouterr()
     assert run(["surgery", "pivot", "--in", str(out)]) == 2
     assert "requires" in capsys.readouterr().err
+
+
+def test_exit_two_when_the_incidence_is_too_large(tmp_path, capsys):
+    path = tmp_path / "one.qps"
+    save_point_set(str(path), point_set_from_indices(space_for(4, 16), [0]))
+    start = time.perf_counter()
+    assert run(["spectrum", "--in", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "incidence table" in capsys.readouterr().err
 
 
 def test_exit_three_on_io_and_format_errors(tmp_path, capsys):

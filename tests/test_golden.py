@@ -3,12 +3,18 @@
 Each case runs one `qps` command in-process and compares its stdout, and the
 file it writes with `--out`, with `tests/data/golden/<case>.json` and
 `<case>.qps`.  The golden files pin the `--json` bodies of the `test_15`
-commands, of `construct` and of all eight surgeries on fixed inputs, so a
+commands, of `construct` and of all eight surgeries on fixed inputs (pivot
+also on Q(4,4), H(3,4) and Q+(5,2), repeated pivot also on Q(4,4)), so a
 refactor that changes any scan order or tie-break shows up here.
 
-Regenerate the files only when an output change is intended:
+To write the files of new cases, run the module with no arguments; it writes
+only the cases whose files are missing, so no existing file is touched:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Rewrite named cases only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 """
 
 import contextlib
@@ -29,6 +35,8 @@ CANONICAL = {
     "q43": ("parabolic", 4, 3),
     "q44": ("parabolic", 4, 4),
     "h32": ("hyperbolic", 3, 2),
+    "h52": ("hyperbolic", 5, 2),
+    "u34": ("hermitian", 3, 4),
     "c24": ("parabolic", 2, 4),
     "c32": ("parabolic", 2, 32),
 }
@@ -37,6 +45,29 @@ CANONICAL = {
 POINT_FILES = {
     "pivot_base": (4, 2, [(0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)]),
     "repeated_base": (4, 2, [(0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0)]),
+    # a conic in a plane of the singular solid other than the section's mu
+    "pivot_base_q44": (
+        4,
+        4,
+        [(0, 1, 2, 2, 0), (0, 1, 3, 3, 0), (1, 0, 0, 0, 0), (1, 0, 1, 1, 0), (1, 1, 0, 0, 0)],
+    ),
+    # a Hermitian H(1,4) on a line of the singular plane other than mu
+    "pivot_base_u34": (3, 4, [(0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 1)]),
+    # a Q+(3,2) in a solid of the singular hyperplane other than mu
+    "pivot_base_h52": (
+        5,
+        2,
+        [
+            (0, 0, 1, 0, 0, 0), (0, 0, 1, 1, 1, 0), (0, 1, 0, 0, 0, 0),
+            (0, 1, 0, 1, 1, 0), (0, 1, 1, 1, 1, 0), (1, 0, 0, 0, 0, 0),
+            (1, 0, 0, 1, 1, 0), (1, 0, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0),
+        ],
+    ),
+    "repeated_base_q44": (
+        4,
+        4,
+        [(0, 0, 1, 0, 0), (0, 1, 1, 0, 0), (1, 1, 1, 0, 0), (1, 2, 0, 0, 0), (1, 3, 0, 0, 0)],
+    ),
     "q2_section": (
         4,
         2,
@@ -81,6 +112,18 @@ CASES = {
         "surgery", "pivot", "--in", "{q42}", "--kind", "parabolic", "--hyperplane", "0,0,0,0,1",
         "--base", "{pivot_base}", "--out", "{out}", "--json",
     ],
+    "surgery_pivot_q44": [
+        "surgery", "pivot", "--in", "{q44}", "--kind", "parabolic", "--hyperplane", "0,0,0,0,1",
+        "--base", "{pivot_base_q44}", "--out", "{out}", "--json",
+    ],
+    "surgery_pivot_u34": [
+        "surgery", "pivot", "--in", "{u34}", "--kind", "hermitian", "--hyperplane", "0,0,1,1",
+        "--base", "{pivot_base_u34}", "--out", "{out}", "--json",
+    ],
+    "surgery_pivot_h52": [
+        "surgery", "pivot", "--in", "{h52}", "--kind", "hyperbolic", "--hyperplane", "0,0,0,0,0,1",
+        "--base", "{pivot_base_h52}", "--out", "{out}", "--json",
+    ],
     "surgery_cone_swap_q42": [
         "surgery", "cone-swap", "--in", "{q42}", "--hyperplane", "0,0,0,0,1", "--out", "{out}", "--json",
     ],
@@ -90,6 +133,10 @@ CASES = {
     "surgery_repeated_pivot_q42": [
         "surgery", "repeated-pivot", "--in", "{q42}", "--kind", "parabolic", "--p", "0,0,0,0,1",
         "--r", "0,0,1,0,0", "--at", "0,0,0,0,1:{repeated_base}", "--out", "{out}", "--json",
+    ],
+    "surgery_repeated_pivot_q44": [
+        "surgery", "repeated-pivot", "--in", "{q44}", "--kind", "parabolic", "--p", "0,0,0,0,1",
+        "--r", "0,0,1,0,0", "--at", "0,0,0,0,1:{repeated_base_q44}", "--out", "{out}", "--json",
     ],
     "surgery_affine_switch_h32": ["surgery", "affine-switch", "--in", "{h32}", "--out", "{out}", "--json"],
     "surgery_q2_switch_q42": [
@@ -154,13 +201,23 @@ def test_golden_output(name, inputs, tmp_path):
         assert written == (GOLDEN / f"{name}.qps").read_bytes()
 
 
-def _write_golden() -> None:
+def _missing(name: str) -> bool:
+    files = [f"{name}.json"] + ([f"{name}.qps"] if "{out}" in CASES[name] else [])
+    return not all((GOLDEN / f).exists() for f in files)
+
+
+def _write_golden(names: list[str]) -> None:
     import tempfile
 
+    unknown = [n for n in names if n not in CASES]
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
+    if not names:
+        names = [n for n in CASES if _missing(n)]
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         paths = build_inputs(Path(tmp))
-        for name in CASES:
+        for name in names:
             code, stdout, written = run_case(name, paths, Path(tmp) / "out.qps")
             if code != 0:
                 raise SystemExit(f"{name} exited {code}")
@@ -171,4 +228,4 @@ def _write_golden() -> None:
 
 
 if __name__ == "__main__":
-    _write_golden()
+    _write_golden(sys.argv[1:])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,34 @@ def test_points_are_normalized_distinct_and_sorted():
 def test_space_too_large_guard():
     with pytest.raises(SpaceTooLarge):
         space_for(20, 2)
+
+
+def test_bulk_table_guard_rejects_before_building():
+    # PG(4,16) incidence: 69,905 rows of 8,739 bytes (583 MiB);
+    # PG(6,5) lines: 12,714,681 rows of 2,442 bytes (29 GiB)
+    for build in (lambda: space_for(4, 16).incidence, lambda: space_for(6, 5).all_lines()):
+        start = time.perf_counter()
+        with pytest.raises(SpaceTooLarge):
+            build()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_bulk_table_guard_estimates(monkeypatch):
+    # PG(3,2): 15 hyperplanes and 35 lines, each a row of ceil(15/8) = 2 bytes
+    sp = ProjSpace(3, build_field(2))
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 69)
+    assert len(sp.incidence) == 15
+    with pytest.raises(SpaceTooLarge):
+        sp.all_lines()
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 70)
+    assert len(sp.all_lines()) == 35
+    monkeypatch.undo()
+    # the cap keeps the PG(3,32) incidence (136 MiB) and the PG(4,8) lines
+    # (170 MiB), and rejects the PG(6,4) lines (971 MiB)
+    space_for(3, 32)._check_table("incidence", 33825)
+    space_for(4, 8)._check_table("lines", 4681 * (8**4 - 1) // (8**2 - 1))
+    with pytest.raises(SpaceTooLarge):
+        space_for(6, 4).all_lines()
 
 
 def test_build_space_cached():

@@ -1,16 +1,18 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qps import surgery
+from qps import forms, surgery
 from qps.forms import (
     IncompatibleKind,
     PolarKind,
     canonical_form,
+    cone,
     nucleus_point,
     point_class,
     point_set,
@@ -170,6 +172,90 @@ def test_pivot_rejects_collinear_base():
     a, b = bits_to_indices(mu.mask())[:2]
     with pytest.raises(BaseWrongType):
         pivot(s, kind, pi, line_through(sp, a, b))
+
+
+# the singular hyperplanes of a classical polar space are its tangent
+# hyperplanes, one per point, and each section is a cone over a polar space
+# of the same family two dimensions down
+CONE_SPACES = [
+    ("parabolic", 4, 2),
+    ("parabolic", 4, 3),
+    ("parabolic", 4, 4),
+    ("elliptic", 5, 2),
+    ("hyperbolic", 5, 2),
+    ("hermitian", 3, 4),
+]
+
+
+@pytest.mark.parametrize("fam,m,q", CONE_SPACES)
+def test_cone_decomposition_matches_vector_cone(fam, m, q):
+    for s in (canonical(fam, m, q), projective_image(canonical(fam, m, q), m * 100 + q)):
+        sp = s.space
+        singular = singular_hyperplanes(s, PolarKind(fam, m, q))
+        assert len(singular) == s.size
+        for pi in singular:
+            section = s.bits & sp.incidence[pi]
+            v, mu, base = surgery._cone_decomposition(s, pi)
+            assert section >> v & 1
+            assert mu.dim == m - 2
+            assert not mu.mask() & ~sp.incidence[pi]
+            assert not mu.contains_point(v)
+            assert base.bits == section & mu.mask()
+            assert cone(flat_from_points(sp, [v]), base).bits == section
+
+
+@pytest.mark.parametrize("fam,m,q", [("parabolic", 4, 2), ("parabolic", 4, 4), ("hyperbolic", 5, 2), ("hermitian", 3, 4)])
+def test_pivot_adds_the_vector_cone_over_the_new_base(fam, m, q):
+    s = projective_image(canonical(fam, m, q), 7)
+    sp = s.space
+    kind = PolarKind(fam, m, q)
+    rng = random.Random(m * 100 + q)
+    bases = enumerate_quadrics(space_for(m - 2, q), PolarKind(fam, m - 2, q))
+    for pi in rng.sample(singular_hyperplanes(s, kind), 4):
+        v, _mu, _base = surgery._cone_decomposition(s, pi)
+        geom = subgeometry(sp, hyperplane_flat(sp, pi))
+        v_sub = geom.from_ambient[v]
+        carriers = [h for h in range(geom.sub.n_points) if not geom.sub.incidence[h] >> v_sub & 1]
+        for h in rng.sample(carriers, 3):
+            carrier = subgeometry(geom.sub, hyperplane_flat(geom.sub, h))
+            new = rng.choice(bases).bits
+            new_base = PointSet(sp, geom.mask_to_ambient(carrier.mask_to_ambient(new)))
+            result, rec = pivot(s, kind, pi, new_base)
+            assert rec.vertex == v
+            assert rec.removed.bits == s.bits & sp.incidence[pi]
+            assert rec.added.bits == cone(flat_from_points(sp, [v]), new_base).bits
+            assert classify(result, kind).quasi_polar
+
+
+def test_cone_surgeries_do_no_vector_cone_arithmetic(monkeypatch):
+    """The cone surgeries build cones from cached lines, never with forms.cone."""
+
+    def refuse(*_args):
+        raise AssertionError("forms.cone called")
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("qps") and getattr(mod, "cone", None) is cone:
+            monkeypatch.setattr(mod, "cone", refuse)
+    assert forms.cone is refuse
+    for q in (2, 4):
+        s = canonical("parabolic", 4, q)
+        sp = s.space
+        kind = PolarKind("parabolic", 4, q)
+        pi = singular_hyperplanes(s, kind)[0]
+        v, mu, base = surgery._cone_decomposition(s, pi)
+        other = next(c for c in enumerate_quadrics(space_for(2, q), PolarKind("parabolic", 2, q)))
+        new_base = PointSet(sp, subgeometry(sp, mu).mask_to_ambient(other.bits))
+        assert pivot(s, kind, pi, new_base)[1].vertex == v
+        assert classify(shifted_nucleus_pivot(s, pi)[0], kind).quasi_polar
+        assert classify(cone_swap(s, pi)[0], kind).quasi_polar
+    # the repeated pivot of the golden Q(4,4) case
+    s = canonical("parabolic", 4, 4)
+    sp = s.space
+    p, r = (sp.point_index[v] for v in [(0, 0, 0, 0, 1), (0, 0, 1, 0, 0)])
+    choice = [(0, 0, 1, 0, 0), (0, 1, 1, 0, 0), (1, 1, 1, 0, 0), (1, 2, 0, 0, 0), (1, 3, 0, 0, 0)]
+    choice = point_set_from_indices(sp, [sp.point_index[v] for v in choice])
+    result, rec = repeated_pivot(s, PolarKind("parabolic", 4, 4), p, r, {p: choice})
+    assert rec.removed.size == rec.added.size == 12
 
 
 # ---------------------------------------------------------------------------
