@@ -4,7 +4,9 @@ The classical sets of one kind are all projectively equivalent, so
 ``enumerate_quadrics`` lists them as the PGL(m+1, q) orbit of the canonical
 set: a breadth-first search over bitmasks under a fixed generating set, each
 generator applied through per-byte point tables.  The closed-form orbit size
-bounds the search before it starts and checks it when it ends.
+bounds the search before it starts and checks it when it ends.  The orbit
+depends only on the space and the family, so each space keeps it as a sorted
+tuple of bitmasks, which the censuses read directly.
 
 The switch censuses replace the section of s in one hyperplane pi by a
 candidate T and ask whether s stays quasi-polar.  Every other hyperplane H
@@ -154,17 +156,21 @@ def _byte_tables(space: ProjSpace, g: list[list[int]]) -> list[list[int]]:
     return tables
 
 
-def enumerate_quadrics(space: ProjSpace, kind: PolarKind) -> list[PointSet]:
-    """All distinct classical point sets of the kind, sorted by bitmask.
+def _orbit(space: ProjSpace, kind: PolarKind) -> tuple[int, ...]:
+    """Bitmasks of all classical sets of the kind, sorted, searched once per space.
 
-    The sets of one kind form a single PGL(m+1, q) orbit, found by a
-    breadth-first search from the canonical set.
+    The kind is checked against the space and the closed-form orbit size
+    against ``ORBIT_CAP`` before the table is read, so the family alone keys
+    ``space._orbits``; a search whose count is wrong raises and stores nothing.
     """
     if space.m != kind.m or space.q != kind.q:
         raise IncompatibleKind("kind does not match the space")
     total = _orbit_size(kind)
     if total > ORBIT_CAP:
         raise SpaceTooLarge(f"{total} classical sets exceed the enumeration cap")
+    orbit = space._orbits.get(kind.family)
+    if orbit is not None:
+        return orbit
     gens = [_byte_tables(space, g) for g in _pgl_generators(space.m + 1, space.f)]
     nbytes = (space.n_points + 7) // 8
     start = point_set(canonical_form(kind, space)).bits
@@ -183,7 +189,18 @@ def enumerate_quadrics(space: ProjSpace, kind: PolarKind) -> list[PointSet]:
         frontier = new
     if len(seen) != total:
         raise InvariantViolated(f"orbit search found {len(seen)} of {total} sets")
-    return [PointSet(space, b) for b in sorted(seen)]
+    orbit = space._orbits[kind.family] = tuple(sorted(seen))
+    return orbit
+
+
+def enumerate_quadrics(space: ProjSpace, kind: PolarKind) -> list[PointSet]:
+    """All distinct classical point sets of the kind, sorted by bitmask.
+
+    The sets of one kind form a single PGL(m+1, q) orbit, found by a
+    breadth-first search from the canonical set.  Each call returns a new
+    list; the search runs once per space and family.
+    """
+    return [PointSet(space, b) for b in _orbit(space, kind)]
 
 
 def _classical_profile(s: PointSet, kind: PolarKind) -> SpectrumProfile:
@@ -304,18 +321,18 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
     total = 0
     for label, size in (("hyperbolic", hyp), ("elliptic", ell)):
         hyps = [h for h, v in enumerate(per) if v == size]
-        cands = enumerate_quadrics(space_for(3, 2), PolarKind(label, 3, 2))
+        cands = _orbit(space_for(3, 2), PolarKind(label, 3, 2))
         per_hyp: list[tuple[int, int]] = []
         for h in hyps:
             geom, sub_inc, allowed = _plane_tables(space, s.bits, h, sizes)
             survives = _survivor_test(sizes, sub_inc, allowed)
             has_nucleus = _nucleus_test(space, s.bits, h)
             no_nucleus = []
-            for cand in cands:
-                if not survives(cand.bits):
+            for t in cands:
+                if not survives(t):
                     raise InvariantViolated(f"a {label} switch at {h} is not quasi-polar")
-                if not has_nucleus(cand.bits):
-                    no_nucleus.append(cand.bits)
+                if not has_nucleus(t):
+                    no_nucleus.append(t)
             per_hyp.append((len(no_nucleus), len(cands)))
             if h == hyps[0]:
                 base_bits = s.bits & ~space.incidence[h]
@@ -530,10 +547,10 @@ def nonsingular_switch_census(
         target = profile(sub_kind).cardinality
         pi = next(h for h, v in enumerate(per) if v == target)
         geom, sub_inc, allowed = _plane_tables(space, s.bits, pi, sizes)
-        cands = enumerate_quadrics(geom.sub, sub_kind)
+        cands = _orbit(geom.sub, sub_kind)
         survives = _survivor_test(sizes, sub_inc, allowed)
         ident = s.bits & inc[pi]
-        survivors = [geom.mask_to_ambient(c.bits) for c in cands if survives(c.bits)]
+        survivors = [geom.mask_to_ambient(t) for t in cands if survives(t)]
         if ident not in survivors:
             raise InvariantViolated("the identity section did not survive")
         others = sorted(t for t in survivors if t != ident)
@@ -592,14 +609,14 @@ def _two_secant_lines(space: ProjSpace, zeros: int, p: int) -> int:
 
 def quadrics_census(kind: PolarKind) -> CensusResult:
     """Count the classical sets of the kind; the first ten are the witnesses."""
-    sets = enumerate_quadrics(space_for(kind.m, kind.q), kind)
+    sets = _orbit(space_for(kind.m, kind.q), kind)
     return CensusResult(
         name="quadrics",
         m=kind.m,
         q=kind.q,
         total_candidates=len(sets),
         breakdown={kind.family: len(sets)},
-        witnesses={kind.family: [t.indices() for t in sets[:10]]},
+        witnesses={kind.family: [bits_to_indices(t) for t in sets[:10]]},
     )
 
 

@@ -154,6 +154,10 @@ class ProjSpace:
         self._codim2: tuple[Flat, ...] | None = None
         self._flat_masks: dict[tuple, int] = {}
         self._subgeoms: dict[tuple, SubGeometry] = {}
+        self._hyperplane_flats: dict[int, Flat] = {}
+        # family -> sorted bitmasks of its classical sets, at most
+        # census.ORBIT_CAP of them, filled by one orbit search per family
+        self._orbits: dict[str, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
         return f"ProjSpace(m={self.m}, q={self.q})"
@@ -342,8 +346,11 @@ def span_flats(space: ProjSpace, a: Flat, b: Flat) -> Flat:
 
 
 def hyperplane_flat(space: ProjSpace, h: int) -> Flat:
-    basis = null_space(space.f, [space.points[h]])
-    return Flat(space, basis)
+    flat = space._hyperplane_flats.get(h)
+    if flat is None:
+        flat = Flat(space, null_space(space.f, [space.points[h]]))
+        space._hyperplane_flats[h] = flat
+    return flat
 
 
 def hyperplanes_containing(space: ProjSpace, flat: Flat) -> list[int]:

@@ -225,8 +225,15 @@ def test_enumerate_guard_rejects_large_orbit_fast():
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.fixture
+def empty_conic_table(monkeypatch):
+    """PG(2,4) with no orbit table, so that a test sees the search run, not a
+    table an earlier test filled; the table comes back after the test."""
+    monkeypatch.setattr(space_for(2, 4), "_orbits", {})
+
+
 @pytest.mark.parametrize("drop", [0, 1, 2])
-def test_enumerate_missing_generator_raises(monkeypatch, drop):
+def test_enumerate_missing_generator_raises(monkeypatch, empty_conic_table, drop):
     # the conics of PG(2,4) are one orbit of the whole group, but not of the
     # subgroup that any two of the three generators give (without the
     # diagonal one, only matrices over GF(2) are left)
@@ -241,6 +248,74 @@ def test_enumerate_missing_generator_raises(monkeypatch, drop):
 def test_enumerate_rejects_kind_space_mismatch():
     with pytest.raises(IncompatibleKind):
         enumerate_quadrics(space_for(3, 2), PolarKind("parabolic", 2, 2))
+
+
+def test_failed_search_stores_nothing(monkeypatch, empty_conic_table):
+    sp = space_for(2, 4)
+    kind = PolarKind("parabolic", 2, 4)
+    gens = census._pgl_generators
+    monkeypatch.setattr(census, "_pgl_generators", lambda d, f: gens(d, f)[1:])
+    with pytest.raises(InvariantViolated, match="orbit"):
+        enumerate_quadrics(sp, kind)
+    assert sp._orbits == {}
+    monkeypatch.setattr(census, "_pgl_generators", gens)
+    assert [s.bits for s in enumerate_quadrics(sp, kind)] == _form_scan(sp, kind)
+
+
+def test_enumerate_returns_a_new_list_each_call():
+    sp = space_for(2, 3)
+    kind = PolarKind("parabolic", 2, 3)
+    first = enumerate_quadrics(sp, kind)
+    first.clear()
+    second = enumerate_quadrics(sp, kind)
+    assert second is not first
+    assert [s.bits for s in second] == _form_scan(sp, kind)
+    assert enumerate_quadrics(sp, kind) == second
+
+
+def test_warm_orbit_table_keeps_the_checks(monkeypatch):
+    # tables of the same families, filled by real searches
+    for fam, m, q in [("parabolic", 2, 2), ("hyperbolic", 3, 2), ("parabolic", 4, 2)]:
+        enumerate_quadrics(space_for(m, q), PolarKind(fam, m, q))
+    with pytest.raises(IncompatibleKind):
+        enumerate_quadrics(space_for(3, 2), PolarKind("parabolic", 2, 2))
+    with pytest.raises(IncompatibleKind):
+        enumerate_quadrics(space_for(2, 2), PolarKind("hyperbolic", 3, 2))
+    # a table stored under the family of a kind of another space
+    monkeypatch.setitem(space_for(3, 2)._orbits, "parabolic", (0,))
+    with pytest.raises(IncompatibleKind):
+        enumerate_quadrics(space_for(3, 2), PolarKind("parabolic", 2, 2))
+    # the cap: a table for the 4,586,868 parabolic quadrics of PG(4,3) is
+    # never read, and a real table is not read once the cap is below its size
+    monkeypatch.setitem(space_for(4, 3)._orbits, "parabolic", (0,))
+    with pytest.raises(SpaceTooLarge):
+        enumerate_quadrics(space_for(4, 3), PolarKind("parabolic", 4, 3))
+    with pytest.raises(SpaceTooLarge):
+        census.quadrics_census(PolarKind("parabolic", 4, 3))
+    q42 = PolarKind("parabolic", 4, 2)
+    monkeypatch.setattr(census, "ORBIT_CAP", census._orbit_size(q42) - 1)
+    with pytest.raises(SpaceTooLarge):
+        enumerate_quadrics(space_for(4, 2), q42)
+    with pytest.raises(SpaceTooLarge):
+        census.quadrics_census(q42)
+
+
+def test_censuses_search_each_orbit_once(monkeypatch):
+    q42 = canonical("parabolic", 4, 2)
+    q43 = canonical("parabolic", 4, 3)
+    runs = [
+        lambda: nucleus_pivot_census(q42),
+        lambda: nonsingular_switch_census(q43, PolarKind("parabolic", 4, 3)),
+        lambda: census.quadrics_census(PolarKind("hermitian", 2, 4)),
+    ]
+    first = [run().to_dict() for run in runs]
+
+    def searched(*args):
+        raise AssertionError("an orbit was searched a second time")
+
+    monkeypatch.setattr(census, "_pgl_generators", searched)
+    monkeypatch.setattr(census, "_byte_tables", searched)
+    assert [run().to_dict() for run in runs] == first
 
 
 # ---------------------------------------------------------------------------

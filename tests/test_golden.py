@@ -20,10 +20,12 @@ Rewrite named cases only when an output change is intended:
 import contextlib
 import io
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from qps import pg
 from qps.cli import run, save_point_set
 from qps.pg import point_set_from_indices, space_for
 
@@ -199,6 +201,31 @@ def test_golden_output(name, inputs, tmp_path):
     assert stdout.encode() == (GOLDEN / f"{name}.json").read_bytes()
     if written is not None:
         assert written == (GOLDEN / f"{name}.qps").read_bytes()
+
+
+def test_surgeries_compute_each_hyperplane_flat_once(inputs, tmp_path, monkeypatch):
+    # every hyperplane flat is built again from an empty table, each by one
+    # null space of the hyperplane's single dual row
+    for space in list(pg._SPACES.values()):
+        monkeypatch.setattr(space, "_hyperplane_flats", {})
+    null_space = pg.null_space
+    calls = Counter()
+
+    def counted(f, rows):
+        if len(rows) == 1:
+            calls[id(f), tuple(rows[0])] += 1
+        return null_space(f, rows)
+
+    monkeypatch.setattr(pg, "null_space", counted)
+    surgeries = [name for name in CASES if name.startswith("surgery_")]
+    for _ in range(2):
+        for name in surgeries:
+            code, stdout, written = run_case(name, inputs, tmp_path / "out.qps")
+            assert code == 0
+            assert stdout.encode() == (GOLDEN / f"{name}.json").read_bytes()
+            assert written == (GOLDEN / f"{name}.qps").read_bytes()
+    assert calls
+    assert max(calls.values()) == 1
 
 
 def _missing(name: str) -> bool:
