@@ -9,14 +9,16 @@ depends only on the space and the family, so each space keeps it as a sorted
 tuple of bitmasks, which the censuses read directly.
 
 The switch censuses replace the section of s in one hyperplane pi by a
-candidate T and ask whether s stays quasi-polar.  Every other hyperplane H
-meets pi in a hyperplane tau of pi (a plane when pi is a solid), so H meets
-the result in |base ∩ H| + |T ∩ tau| points, base being s off pi.  One pass
-over the hyperplanes per pi gives, for each tau, the values of |T ∩ tau| that
-all its H admit; a candidate is then checked against those plane tables in
-the coordinates of pi as its own PG(m-1, q), and only survivors are mapped
-to ambient point indices.  The line-nucleus test of the nucleus-pivot census
-works from per-pi tables in the same coordinates.
+candidate T and ask whether s stays quasi-polar.  They work in the
+coordinates of pi as its own PG(m-1, q).  Every other hyperplane H meets pi
+in a hyperplane tau of pi (a plane when pi is a solid), so H meets the result
+in |base ∩ H| + |T ∩ tau| points, base being s off pi.  Hyperplane h is dual
+point h, so the hyperplanes other than pi through tau are the other points
+of one dual line through pi: grouped by tau, they give the values of
+|T ∩ tau| that all of them admit, and a candidate is checked against these
+per-tau tables.  The line-nucleus test of the nucleus-pivot census and the
+Q(4,2) shape families of the singular-switch census are built in the same
+coordinates; only survivors are mapped to ambient point indices.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .pg import (
     hyperplanes_containing,
     normalize_point,
     point_set_from_indices,
-    rref,
     space_for,
     subgeometry,
 )
@@ -59,6 +60,7 @@ from .spectra import (
     section_type,
     spectrum,
 )
+from .surgery import _decompose, _pi_geometry
 
 
 class PointOnQuadric(ValueError):
@@ -211,37 +213,33 @@ def _classical_profile(s: PointSet, kind: PolarKind) -> SpectrumProfile:
     return profile(kind)
 
 
-def _plane_tables(
-    space: ProjSpace, s_bits: int, pi: int, sizes
-) -> tuple[SubGeometry, tuple[int, ...], list[frozenset[int]]]:
-    """Subgeometry of hyperplane pi, its incidence, and allowed[tau] per hyperplane tau of pi.
+def _switch_test(space: ProjSpace, s_bits: int, pi: int, sizes):
+    """Subgeometry of hyperplane pi, and a predicate on a section T of pi in
+    its coordinates: does base ∪ T meet every hyperplane in one of sizes?
 
-    allowed[tau] is the intersection, over the hyperplanes H != pi through
-    tau, of {k - |base ∩ H| : k in sizes}, where base is s_bits off pi; tau
-    is indexed as in ``sub.incidence``.
+    base is s_bits off pi; pi itself meets the result in |T| points.  Every
+    other hyperplane H meets pi in a hyperplane tau of pi.  Hyperplane h is
+    dual point h, so the H through one tau are the other q points of one dual
+    line through pi: grouped by tau, they admit the values of |T ∩ tau| in the
+    intersection, over the line, of {k - |base ∩ H| : k in sizes}.  Each tau
+    is mapped into pi's coordinates once.
     """
     geom = subgeometry(space, hyperplane_flat(space, pi))
-    sub_inc = geom.sub.incidence
-    tau_of = {mask: tau for tau, mask in enumerate(sub_inc)}
     inc = space.incidence
     hmask = inc[pi]
     base = s_bits & ~hmask
-    allowed: list = [None] * len(sub_inc)
+    allowed: dict[int, frozenset[int]] = {}
     for h, mask in enumerate(inc):
-        if h == pi:
-            continue
-        a = (base & mask).bit_count()
-        ok = frozenset(k - a for k in sizes if k >= a)
-        tau = tau_of[geom.mask_from_ambient(mask & hmask)]
-        allowed[tau] = ok if allowed[tau] is None else allowed[tau] & ok
-    return geom, sub_inc, allowed
-
-
-def _survivor_test(sizes, sub_inc, allowed):
-    """Predicate on a section T of pi, in subgeometry coordinates: does base ∪ T
-    meet every hyperplane in one of sizes?  pi itself meets it in |T| points."""
+        if h != pi:
+            a = (base & mask).bit_count()
+            ok = frozenset(k - a for k in sizes if k >= a)
+            tau = mask & hmask
+            allowed[tau] = allowed[tau] & ok if tau in allowed else ok
     # the most restrictive planes first, so that most candidates stop early
-    checks = sorted(zip(sub_inc, allowed), key=lambda c: len(c[1]))
+    checks = sorted(
+        ((geom.mask_from_ambient(tau), ok) for tau, ok in allowed.items()),
+        key=lambda c: len(c[1]),
+    )
 
     def survives(t: int) -> bool:
         if t.bit_count() not in sizes:
@@ -251,7 +249,7 @@ def _survivor_test(sizes, sub_inc, allowed):
                 return False
         return True
 
-    return survives
+    return geom, survives
 
 
 def _nucleus_test(space: ProjSpace, s_bits: int, pi: int):
@@ -324,8 +322,7 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
         cands = _orbit(space_for(3, 2), PolarKind(label, 3, 2))
         per_hyp: list[tuple[int, int]] = []
         for h in hyps:
-            geom, sub_inc, allowed = _plane_tables(space, s.bits, h, sizes)
-            survives = _survivor_test(sizes, sub_inc, allowed)
+            geom, survives = _switch_test(space, s.bits, h, sizes)
             has_nucleus = _nucleus_test(space, s.bits, h)
             no_nucleus = []
             for t in cands:
@@ -372,39 +369,31 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     sizes = set(prof.sizes)
     per = spectrum(s).per_hyperplane
     pi = next(h for h, v in enumerate(per) if v == prof.singular_size)
-    from .surgery import _cone_decomposition
-
-    vertex, _mu, _base = _cone_decomposition(s, pi)
-    nucleus = find_line_nucleus(s)
-    if nucleus is None:
-        raise InvariantViolated("a classical-size Q(4,2) set has no line nucleus")
-
-    geom, sub_inc, allowed = _plane_tables(space, s.bits, pi, sizes)
-    survives = _survivor_test(sizes, sub_inc, allowed)
-    combos = itertools.combinations(range(geom.sub.n_points), 7)
+    geom, vertex, nucleus = _q42_frame(s, pi)
+    _geom, survives = _switch_test(space, s.bits, pi, sizes)
+    sub = geom.sub
+    combos = itertools.combinations(range(sub.n_points), 7)
     sevens = (sum(1 << i for i in combo) for combo in combos)
-    survivors = [geom.mask_to_ambient(t) for t in sevens if survives(t)]
-    n_combos = math.comb(geom.sub.n_points, 7)
+    survivors = [t for t in sevens if survives(t)]
+    n_combos = math.comb(sub.n_points, 7)
 
-    families = _q42_shape_families(s, pi, vertex, nucleus)
+    families = _q42_shape_families(sub, vertex, nucleus)
     labels = list(families)
-    union: set[int] = set()
-    for key in labels:
-        union |= families[key]
-    if set(survivors) != union:
+    if set(survivors) != set().union(*families.values()):
         raise InvariantViolated("survivors do not match the shape families")
 
     # a set can admit several shape descriptions; the breakdown uses the
-    # first matching label so the counts sum to the survivor count
+    # first matching label so the counts sum to the survivor count.  Only
+    # the survivors are mapped to ambient masks, which order the witnesses.
     breakdown = {"not_quasi_polar": n_combos - len(survivors)}
     witnesses: dict[str, list[list[int]]] = {}
     multi = 0
     grouped: dict[str, list[int]] = {key: [] for key in labels}
-    for t in sorted(survivors):
+    for amb, t in sorted((geom.mask_to_ambient(t), t) for t in survivors):
         matches = [key for key in labels if t in families[key]]
         if len(matches) > 1:
             multi += 1
-        grouped[matches[0]].append(t)
+        grouped[matches[0]].append(amb)
     for key in labels:
         breakdown[key] = len(grouped[key])
         witnesses[key] = [bits_to_indices(b) for b in grouped[key][:10]]
@@ -417,41 +406,41 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
         witnesses=witnesses,
         extra={
             "hyperplane": pi,
-            "vertex": vertex,
-            "nucleus": nucleus,
+            "vertex": geom.to_ambient[vertex],
+            "nucleus": geom.to_ambient[nucleus],
             "multi_shape": multi,
         },
     )
 
 
-def _q42_shape_families(
-    s: PointSet, pi: int, vertex: int, nucleus: int
-) -> dict[str, set[int]]:
-    """Constructive enumeration of the four surviving section shapes."""
-    space = s.space
-    geom = subgeometry(space, hyperplane_flat(space, pi))
-    sub = geom.sub
+def _q42_frame(s: PointSet, pi: int) -> tuple[SubGeometry, int, int]:
+    """Hyperplane pi as its own PG(3, 2), with the cone vertex of the section
+    of s and the line nucleus of s as points of it."""
+    geom, section = _pi_geometry(s, pi)
+    vertex = _decompose(geom.sub, section, range(geom.sub.n_points))[0]
+    nucleus = find_line_nucleus(s)
+    if nucleus is None:
+        raise ValueError("the ambient set has no line nucleus")
+    return geom, vertex, geom.from_ambient[nucleus]
 
-    def sub_lines(center_amb: int) -> list[int]:
-        c = geom.from_ambient[center_amb]
-        return [geom.mask_to_ambient(l) for l in sub.lines_through(c)]
 
-    def rank_of_mask(mask: int) -> int:
-        return len(rref(space.f, [space.points[i] for i in bits_to_indices(mask)]))
-
-    lines_p = sub_lines(vertex)
-    lines_n = sub_lines(nucleus)
+def _q42_shape_families(sub: ProjSpace, vertex: int, nucleus: int) -> dict[str, set[int]]:
+    """Constructive enumeration of the four surviving section shapes, as
+    masks of the hyperplane's PG(3, 2) in which vertex and nucleus lie."""
+    lines_p = sub.lines_through(vertex)
+    lines_n = sub.lines_through(nucleus)
     pn_line = next(l for l in lines_p if l >> nucleus & 1)
 
-    def cones(lines: list[int]) -> set[int]:
+    def cones(lines) -> set[int]:
+        # three lines through a point are non-coplanar when no plane holds them
         out = set()
         for trip in itertools.combinations(lines, 3):
             m = trip[0] | trip[1] | trip[2]
-            if rank_of_mask(m) == 4:
+            if all(m & ~plane for plane in sub.incidence):
                 out.add(m)
         return out
 
-    def truncated(center: int, lines_c: list[int], other: int, lines_o: list[int]):
+    def truncated(center: int, lines_c, other: int, lines_o):
         out = set()
         cbit = 1 << center
         for l1, l2 in itertools.combinations(lines_c, 2):
@@ -490,12 +479,7 @@ def q4_shape_classify(s: PointSet, pi: int, section) -> list[str]:
     space = s.space
     if (space.m, space.q) != (4, 2):
         raise ValueError("shape classification is defined for PG(4,2)")
-    from .surgery import _cone_decomposition
-
-    vertex, _mu, _base = _cone_decomposition(s, pi)
-    nucleus = find_line_nucleus(s)
-    if nucleus is None:
-        raise ValueError("the ambient set has no line nucleus")
+    geom, vertex, nucleus = _q42_frame(s, pi)
     if isinstance(section, int):
         t_bits = section
     else:
@@ -505,8 +489,9 @@ def q4_shape_classify(s: PointSet, pi: int, section) -> list[str]:
         raise ValueError("section must lie inside the hyperplane")
     if t_bits.bit_count() != 7:
         raise ValueError("section must have exactly 7 points")
-    families = _q42_shape_families(s, pi, vertex, nucleus)
-    return sorted(key for key, fam in families.items() if t_bits in fam)
+    families = _q42_shape_families(geom.sub, vertex, nucleus)
+    t = geom.mask_from_ambient(t_bits)
+    return sorted(key for key, fam in families.items() if t in fam)
 
 
 _SECTION_FAMILIES = {
@@ -546,9 +531,9 @@ def nonsingular_switch_census(
         sub_kind = PolarKind(fam, kind.m - 1, kind.q)
         target = profile(sub_kind).cardinality
         pi = next(h for h, v in enumerate(per) if v == target)
-        geom, sub_inc, allowed = _plane_tables(space, s.bits, pi, sizes)
-        cands = _orbit(geom.sub, sub_kind)
-        survives = _survivor_test(sizes, sub_inc, allowed)
+        # the orbit checks its cap before any table for pi is built
+        cands = _orbit(space_for(sub_kind.m, sub_kind.q), sub_kind)
+        geom, survives = _switch_test(space, s.bits, pi, sizes)
         ident = s.bits & inc[pi]
         survivors = [geom.mask_to_ambient(t) for t in cands if survives(t)]
         if ident not in survivors:

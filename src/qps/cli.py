@@ -176,8 +176,9 @@ def _cmd_construct(args) -> int:
     kind = PolarKind(args.kind, args.m, args.q)
     space = space_for(args.m, args.q)
     s = point_set(canonical_form(kind, space))
-    save_point_set(args.out, s)
+    # classify first: a space too large to classify leaves no file behind
     cls = classify(s, kind)
+    save_point_set(args.out, s)
     rep = _report("construct", space)
     rep["size"] = s.size
     rep["spectrum"] = _spectrum_entries(cls.histogram)

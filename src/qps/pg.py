@@ -42,8 +42,9 @@ class SamePoint(ValueError):
 
 
 MAX_POINTS = 10**6
-# estimated size of the incidence or line table, one bitmask row per
-# hyperplane or line at ceil(n/8) bytes each
+# cap on the estimated size of a bulk table: the incidence at one ceil(n/8)
+# byte row per hyperplane, the lines at one int object per line plus the
+# q + 1 references to it in the per-point lists
 MAX_TABLE_BYTES = 256 * 2**20
 
 
@@ -79,7 +80,6 @@ def rref(f: FieldTable, rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], .
     """Reduced row echelon form over GF(q); zero rows dropped."""
     mat = [list(r) for r in rows]
     ncols = len(mat[0]) if mat else 0
-    pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(ncols):
         piv = None
@@ -98,7 +98,6 @@ def rref(f: FieldTable, rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], .
                 mat[i] = [
                     f.add[x][f.neg[f.mul[coef][y]]] for x, y in zip(mat[i], mat[r])
                 ]
-        pivots.append((r, c))
         r += 1
     return tuple(tuple(row) for row in mat[:r])
 
@@ -166,7 +165,7 @@ class ProjSpace:
     def incidence(self) -> tuple[int, ...]:
         """incidence[h] = bitmask of points on hyperplane h, from byte rows of h·x."""
         if self._incidence is None:
-            self._check_table("incidence", self.n_points)
+            self._check_table("incidence", self.n_points * ((self.n_points + 7) // 8))
             f = self.f
             q = self.q
             # steps[a][v]: the values v + a·c for c in GF(q), in field order
@@ -210,38 +209,42 @@ class ProjSpace:
         The basis is v with pivot j and u with pivot i < j and u[j] = 0; the
         line's points are v and u + a·v, all already normalized.  v is the
         lowest point, as it has more leading zeros, and u the second lowest,
-        as it has 0 where the other points have a ≠ 0.
+        as it has 0 where the other points have a ≠ 0.  Points are listed by
+        descending pivot, then by tail, so walking j and i downwards and the
+        tails in product order gives the lines sorted by (v, u).
         """
         f = self.f
         q = self.q
         m = self.m
-        self._check_table("lines", self.n_points * (q**m - 1) // (q * q - 1))
+        n_lines = self.n_points * (q**m - 1) // (q * q - 1)
+        # each line is one int object, referenced from the lists of its q + 1
+        # points
+        int_bytes = 24 + 4 * ((self.n_points + 29) // 30)
+        self._check_table("lines", n_lines * (int_bytes + 8 * (q + 1)))
         index = self.point_index
-        found = []
-        for i, j in itertools.combinations(range(m + 1), 2):
-            for vtail in itertools.product(range(q), repeat=m - j):
-                v = (0,) * j + (1,) + vtail
-                low = index[v]
-                multiples = [scale(f, a, v) for a in range(1, q)]
-                for utail in itertools.product(range(q), repeat=m - i - 1):
-                    u = (0,) * i + (1,) + utail[: j - i - 1] + (0,) + utail[j - i - 1 :]
-                    rest = [index[u], *(index[vadd(f, u, w)] for w in multiples)]
-                    mask = sum((1 << r for r in rest), 1 << low)
-                    found.append((low, rest[0], mask, rest))
-        found.sort()
+        lines = []
         # restricted to the lines through p this is also the order by the
         # lowest point other than p: first the lines whose lowest point is
         # below p, then those whose lowest point is p
         through: list[list[int]] = [[] for _ in range(self.n_points)]
-        for low, _, mask, rest in found:
-            through[low].append(mask)
-            for r in rest:
-                through[r].append(mask)
-        self._all_lines = tuple(line[2] for line in found)
+        for j in range(m, 0, -1):
+            for vtail in itertools.product(range(q), repeat=m - j):
+                v = (0,) * j + (1,) + vtail
+                low = index[v]
+                multiples = [scale(f, a, v) for a in range(1, q)]
+                for i in range(j - 1, -1, -1):
+                    for utail in itertools.product(range(q), repeat=m - i - 1):
+                        u = (0,) * i + (1,) + utail[: j - i - 1] + (0,) + utail[j - i - 1 :]
+                        rest = [index[u], *(index[vadd(f, u, w)] for w in multiples)]
+                        mask = sum((1 << r for r in rest), 1 << low)
+                        lines.append(mask)
+                        through[low].append(mask)
+                        for r in rest:
+                            through[r].append(mask)
+        self._all_lines = tuple(lines)
         self._lines_through = tuple(map(tuple, through))
 
-    def _check_table(self, name: str, rows: int) -> None:
-        size = rows * ((self.n_points + 7) // 8)
+    def _check_table(self, name: str, size: int) -> None:
         if size > MAX_TABLE_BYTES:
             raise SpaceTooLarge(
                 f"PG({self.m},{self.q}) {name} table needs about {round(size / 2**20)} MiB"
@@ -339,10 +342,6 @@ def flat_from_points(space: ProjSpace, indices) -> Flat:
 
 def flat_from_mask(space: ProjSpace, mask: int) -> Flat:
     return flat_from_points(space, bits_to_indices(mask))
-
-
-def span_flats(space: ProjSpace, a: Flat, b: Flat) -> Flat:
-    return Flat(space, rref(space.f, list(a.basis) + list(b.basis)))
 
 
 def hyperplane_flat(space: ProjSpace, h: int) -> Flat:

@@ -3,10 +3,11 @@
 Every operation returns (result, record).  The record names the geometric
 inputs it committed to (hyperplane, vertex, carrier flats, replaced pieces)
 so a run can be audited or replayed.  Deterministic tie-breaks everywhere:
-scans go in index order and take the first admissible object.  The cone
-surgeries work on masks of the switched hyperplane's own PG(m-1, q), whose
-lines and incidence are cached; ambient flats are built only for records and
-for the scans that run in a flat's own coordinates.
+scans go in index order and take the first admissible object.  The four
+cone surgeries (pivot, repeated pivot, cone swap, shifted-nucleus pivot) work
+on masks of the switched hyperplane's own PG(m-1, q), and on the base's
+carrier hyperplane as a subgeometry of that, whose lines and incidence are
+cached; ambient flats are built only for the records.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .pg import (
     flat_from_mask,
     flat_from_points,
     hyperplane_flat,
-    hyperplanes_containing,
     line_through,
     normalize_vec,
     rref,
@@ -220,16 +220,6 @@ def _pi_geometry(s: PointSet, pi: int) -> tuple[SubGeometry, int]:
     return geom, geom.mask_from_ambient(s.bits)
 
 
-def _cone_decomposition(
-    s: PointSet, pi: int
-) -> tuple[int, Flat, PointSet]:
-    """Vertex, carrier hyperplane flat of pi, and base of the section cone."""
-    geom, section = _pi_geometry(s, pi)
-    v, mu, base = _decompose(geom.sub, section, range(geom.sub.n_points))
-    base_amb = PointSet(s.space, geom.mask_to_ambient(base))
-    return geom.to_ambient[v], _sub_hyperplane(geom, mu), base_amb
-
-
 def _validate_base(sub: ProjSpace, kind: PolarKind, carrier: int, base: int) -> None:
     """Require base, inside hyperplane carrier of sub, to be quasi-polar of
     the kind two dimensions down; raise BaseWrongType otherwise."""
@@ -278,10 +268,8 @@ def pivot(
     return result, rec
 
 
-def _nucleus_in_singular_section(
-    s: PointSet, pi: int
-) -> tuple[PolarKind, PointSet, int]:
-    """Parabolic kind, section and line nucleus for the two nucleus surgeries.
+def _nucleus_in_singular_section(s: PointSet, pi: int) -> tuple[PolarKind, int]:
+    """Parabolic kind and line nucleus for the two nucleus surgeries.
 
     Requires q even, even ambient dimension >= 4, a singular-size section at
     pi and a line nucleus of s inside pi.
@@ -292,15 +280,14 @@ def _nucleus_in_singular_section(
     if space.m % 2 != 0 or space.m < 4:
         raise IncompatibleKind("operation needs even ambient dimension >= 4")
     kind = PolarKind("parabolic", space.m, space.q)
-    section = PointSet(space, s.bits & space.incidence[pi])
-    if section.size != profile(kind).singular_size:
+    if (s.bits & space.incidence[pi]).bit_count() != profile(kind).singular_size:
         raise NotSingular("hyperplane section does not have the singular size")
     nucleus = find_line_nucleus(s)
     if nucleus is None:
         raise ValueError("set has no nucleus-like point")
     if not space.incidence[pi] >> nucleus & 1:
         raise ValueError("nucleus does not lie in the hyperplane")
-    return kind, section, nucleus
+    return kind, nucleus
 
 
 def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
@@ -312,48 +299,51 @@ def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
     not a cone over a quasi-polar base.
     """
     space = s.space
-    _kind, section, nucleus = _nucleus_in_singular_section(s, pi)
-    vertex, mu, base = _cone_decomposition(s, pi)
-
-    geom_mu = subgeometry(space, mu)
-    base_sub = PointSet(geom_mu.sub, geom_mu.mask_from_ambient(base.bits))
+    _kind, nucleus = _nucleus_in_singular_section(s, pi)
+    geom, section = _pi_geometry(s, pi)
+    sub = geom.sub
+    v, mu, base = _decompose(sub, section, range(sub.n_points))
+    carrier = subgeometry(sub, hyperplane_flat(sub, mu))
+    base_sub = PointSet(carrier.sub, carrier.mask_from_ambient(base))
     base_nucleus = find_line_nucleus(base_sub)
     if base_nucleus is None:
         raise ValueError("base has no nucleus-like point")
 
     gen = _greedy_generator(base_sub, space.m // 2 - 2)
-    nu_p_amb = [geom_mu.to_ambient[i] for i in bits_to_indices(gen.mask())]
-    sub_mu = geom_mu.sub
+    sub_mu = carrier.sub
     tangent_flat = Flat(sub_mu, rref(space.f, [*gen.basis, sub_mu.points[base_nucleus]]))
-    # P dot nu_P is the flat spanned by the vertex and nu_P
-    cone_p_bits = flat_from_points(space, nu_p_amb + [vertex]).mask()
-    trunc = section.bits & ~cone_p_bits
+    # P dot nu_P is the cone with vertex P over nu_P
+    nu_p = carrier.mask_to_ambient(gen.mask())
+    cone_p = _cone_bits(sub, v, nu_p)
+    trunc = section & ~cone_p
+    n_sub = geom.from_ambient[nucleus]
 
     for cand in _flat_hyperplanes(sub_mu, tangent_flat):
-        cand_amb = [geom_mu.to_ambient[i] for i in bits_to_indices(cand)]
-        if set(cand_amb) == set(nu_p_amb):
+        nu_n = carrier.mask_to_ambient(cand)
+        # skip nu_P itself and the flats through the nucleus, whose span with
+        # it would not gain a dimension
+        if nu_n == nu_p or nu_n >> n_sub & 1:
             continue
-        # the span with the nucleus must gain a dimension
-        if nucleus in cand_amb:
+        cone_n = _cone_bits(sub, n_sub, nu_n)
+        if cone_n & trunc:
             continue
-        added_bits = flat_from_points(space, cand_amb + [nucleus]).mask()
-        if added_bits & trunc:
-            continue
-        added = PointSet(space, added_bits)
-        removed = PointSet(space, cone_p_bits)
+        added = PointSet(space, geom.mask_to_ambient(cone_n))
+        removed = PointSet(space, geom.mask_to_ambient(cone_p))
         result = PointSet(space, (s.bits & ~removed.bits) | added.bits)
         rec = SurgeryRecord(
             kind="cone-swap",
             hyperplane=pi,
-            vertex=vertex,
+            vertex=geom.to_ambient[v],
             removed=removed,
             added=added,
             details={
                 "nucleus": _pt_coords(space, nucleus),
-                "base_nucleus": _pt_coords(space, geom_mu.to_ambient[base_nucleus]),
-                "mu": _basis_coords(mu),
-                "nu_p": _basis_coords(flat_from_points(space, sorted(nu_p_amb))),
-                "nu_n": _basis_coords(flat_from_points(space, sorted(cand_amb))),
+                "base_nucleus": _pt_coords(
+                    space, geom.to_ambient[carrier.to_ambient[base_nucleus]]
+                ),
+                "mu": _basis_coords(_sub_hyperplane(geom, mu)),
+                "nu_p": _basis_coords(flat_from_mask(space, geom.mask_to_ambient(nu_p))),
+                "nu_n": _basis_coords(flat_from_mask(space, geom.mask_to_ambient(nu_n))),
             },
         )
         return result, rec
@@ -475,19 +465,18 @@ def affine_switch(s: PointSet) -> tuple[PointSet, SurgeryRecord]:
     cls = classify(s, kind)
     if not cls.quasi_polar or not cls.classical_size:
         raise NotQ2Hyperbolic("set is not a classical-size hyperbolic quasi-polar set")
-    n = kind.n
-    g1 = _greedy_generator(s, n)
-    geom = subgeometry(space, g1)
-    nu_mask_amb = geom.mask_to_ambient(geom.sub.incidence[0])
-    nu_flat = flat_from_points(space, bits_to_indices(nu_mask_amb))
-    g2 = _extend_inside(s, nu_mask_amb, g1.mask())
+    if kind.n < 1:
+        raise ValueError("the generators are points, so they have no wall")
+    g1 = _greedy_generator(s, kind.n)
+    # the wall is hyperplane 0 of g1's own coordinates, spanned by all but
+    # the last row of its basis
+    nu_flat = Flat(space, g1.basis[:-1])
+    g2 = _extend_inside(s, nu_flat.mask(), g1.mask())
     if g2 is None:
         raise ValueError("no second generator through the wall")
     removed_bits = g1.mask() ^ g2.mask()
-    span = flat_from_points(
-        space, bits_to_indices(g1.mask() | g2.mask())
-    )
-    pi = hyperplanes_containing(space, span)[0]
+    union = g1.mask() | g2.mask()
+    pi = next(h for h, hmask in enumerate(space.incidence) if not union & ~hmask)
     removed = PointSet(space, removed_bits)
     added = PointSet(space, 0)
     result = PointSet(space, s.bits & ~removed_bits)
@@ -631,20 +620,20 @@ def oval_nucleus_swap(s: PointSet, tangent: int) -> tuple[PointSet, SurgeryRecor
 def shifted_nucleus_pivot(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
     """Pivot onto a collineation image of the base that moves the base nucleus."""
     space = s.space
-    kind, _section, nucleus = _nucleus_in_singular_section(s, pi)
+    kind, nucleus = _nucleus_in_singular_section(s, pi)
     geom, section = _pi_geometry(s, pi)
     sub = geom.sub
     _v, mu, base = _decompose(
         sub, section, range(sub.n_points), 1 << geom.from_ambient[nucleus]
     )
-    geom_mu = subgeometry(space, _sub_hyperplane(geom, mu))
-    base_sub = PointSet(geom_mu.sub, geom_mu.mask_from_ambient(geom.mask_to_ambient(base)))
-    n_mu = geom_mu.from_ambient[nucleus]
+    carrier = subgeometry(sub, hyperplane_flat(sub, mu))
+    base_sub = PointSet(carrier.sub, carrier.mask_from_ambient(base))
+    n_mu = carrier.from_ambient[geom.from_ambient[nucleus]]
     if find_line_nucleus(base_sub) != n_mu:
         raise ValueError("base nucleus does not match the set nucleus")
 
     new_base_sub = _shift_by_elation(base_sub, n_mu)
-    new_base = PointSet(space, geom_mu.mask_to_ambient(new_base_sub.bits))
+    new_base = PointSet(space, geom.mask_to_ambient(carrier.mask_to_ambient(new_base_sub.bits)))
     result, rec = pivot(s, kind, pi, new_base)
     rec.kind = "shifted-nucleus-pivot"
     rec.details.update(
@@ -652,7 +641,7 @@ def shifted_nucleus_pivot(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord
             "nucleus": _pt_coords(space, nucleus),
             "base_nucleus_before": _pt_coords(space, nucleus),
             "base_nucleus_after": _pt_coords(
-                space, geom_mu.to_ambient[find_line_nucleus(new_base_sub)]
+                space, geom.to_ambient[carrier.to_ambient[find_line_nucleus(new_base_sub)]]
             ),
         }
     )

@@ -47,6 +47,8 @@ from qps.spectra import (
     spectrum,
 )
 
+from cone_helpers import cone_decomposition
+
 
 def canonical(fam, m, q):
     space = space_for(m, q)
@@ -158,7 +160,7 @@ def test_04_pivot_three_bases_each_kind():
         space, _, s = canonical(fam, m, q)
         prof = profile(kind)
         pi = first_hyperplane_of_size(s, prof.singular_size)
-        _, mu, base = surgery._cone_decomposition(s, pi)
+        _, mu, base = cone_decomposition(s, pi)
         geom = subgeometry(space, mu)
         cands = enumerate_quadrics(geom.sub, PolarKind(fam, m - 2, q))
         assert len(cands) == n_bases
@@ -298,12 +300,14 @@ def test_05_singular_switch_census_agreement():
             brute.add(t_bits)
     assert len(brute) == 104
 
+    # the families are masks of pi's own PG(3,2)
+    geom = subgeometry(space, hyperplane_flat(space, pi))
     families = census._q42_shape_families(
-        s, pi, res.extra["vertex"], res.extra["nucleus"]
+        geom.sub, geom.from_ambient[res.extra["vertex"]], geom.from_ambient[res.extra["nucleus"]]
     )
     union = set()
     for members in families.values():
-        union |= members
+        union |= {geom.mask_to_ambient(t) for t in members}
     assert brute == union
     assert time.perf_counter() - t0 < 10.0
 
@@ -398,7 +402,7 @@ def test_07_repeated_pivot_non_identity():
             (s.bits & space.incidence[h]).bit_count() for h in range(space.n_points)
         ]
         hp = surgery._tangent_hyperplane(s, per, prof.singular_size, p)
-        _, mu, base = surgery._cone_decomposition(s, hp)
+        _, mu, base = cone_decomposition(s, hp)
         geom = subgeometry(space, mu)
         found = False
         for c in enumerate_quadrics(geom.sub, PolarKind(fam, m - 2, q)):
@@ -528,7 +532,7 @@ def test_10_nucleus_condition_lattice():
     kind42 = PolarKind("parabolic", 4, 2)
     space42, _, s42 = canonical("parabolic", 4, 2)
     pi42 = first_hyperplane_of_size(s42, profile(kind42).singular_size)
-    _, mu, base = surgery._cone_decomposition(s42, pi42)
+    _, mu, base = cone_decomposition(s42, pi42)
     geom = subgeometry(space42, mu)
     for c in enumerate_quadrics(geom.sub, PolarKind("parabolic", 2, 2))[:4]:
         nb = PointSet(space42, geom.mask_to_ambient(c.bits))

@@ -27,12 +27,14 @@ from qps.forms import (
     nucleus_point,
     point_set,
 )
+from qps.gf import build_field
 from qps.pg import (
     PointSet,
     SpaceTooLarge,
     bits_to_indices,
     flats_of_codim,
     hyperplane_flat,
+    point_set_from_indices,
     space_for,
     subgeometry,
 )
@@ -404,6 +406,20 @@ def test_singular_switch_witnesses_are_sections(singular_census):
             assert set(hist) <= sizes
 
 
+def test_singular_switch_census_rejects_a_set_without_nucleus():
+    # a classical-size quasi-polar set of Q(4,2) on which condition c fails:
+    # one non-singular section of the quadric switched for another of its
+    # type; a bad input, not a broken invariant
+    sp = space_for(4, 2)
+    words = "00010 00011 00100 00101 00110 01000 01001 01010 01101 10011 10111 11011 11100 11101 11110"
+    s = point_set_from_indices(sp, [sp.point_index[tuple(map(int, w))] for w in words.split()])
+    cls = classify(s, PolarKind("parabolic", 4, 2))
+    assert cls.quasi_polar and cls.classical_size
+    assert find_line_nucleus(s) is None
+    with pytest.raises(ValueError, match="no line nucleus"):
+        singular_switch_census(s)
+
+
 # ---------------------------------------------------------------------------
 # Shape classification
 # ---------------------------------------------------------------------------
@@ -536,6 +552,18 @@ def test_nonsingular_switch_census_rejects_non_classical():
         nonsingular_switch_census(PointSet(sp, 0), PolarKind("hyperbolic", 3, 3))
 
 
+def test_nonsingular_switch_census_checks_the_orbit_cap_first():
+    # the parabolic sections of Q-(5,3) are the 4,586,868 quadrics of PG(4,3),
+    # over the cap: the census refuses before it builds a subgeometry or lines
+    kind = PolarKind("elliptic", 5, 3)
+    sp = pg.ProjSpace(5, build_field(3))
+    s = point_set(canonical_form(kind, sp))
+    with pytest.raises(SpaceTooLarge, match="enumeration cap"):
+        nonsingular_switch_census(s, kind)
+    assert sp._subgeoms == {}
+    assert sp._lines_through is None
+
+
 # ---------------------------------------------------------------------------
 # Plane-table survivor kernel and subgeometry nucleus test
 # ---------------------------------------------------------------------------
@@ -564,8 +592,7 @@ def _recount_survivors(sp, s, pi, sections, sizes):
 
 
 def _kernel_survivors(sp, s, pi, sections, sizes):
-    _geom, sub_inc, allowed = census._plane_tables(sp, s.bits, pi, sizes)
-    survives = census._survivor_test(sizes, sub_inc, allowed)
+    _geom, survives = census._switch_test(sp, s.bits, pi, sizes)
     return {t for t in sections if survives(t)}
 
 

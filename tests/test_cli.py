@@ -138,6 +138,36 @@ def test_exit_two_when_the_incidence_is_too_large(tmp_path, capsys):
     assert "incidence table" in capsys.readouterr().err
 
 
+def test_construct_too_large_to_classify_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "q416.qps"
+    argv = ["construct", "canonical", "--kind", "parabolic", "--m", "4", "--q", "16", "--out", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "incidence table" in captured.err
+    assert not out.exists()
+
+
+# a classical-size quasi-polar set of Q(4,2) without a line nucleus: one
+# non-singular section of the quadric switched for another of its type
+NO_NUCLEUS_Q42 = (
+    "00010 00011 00100 00101 00110 01000 01001 01010 01101 10011 10111 11011 11100 11101 11110"
+)
+
+
+def test_singular_switch_census_without_nucleus_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "no_nucleus.qps"
+    rows = "".join(" ".join(w) + "\n" for w in NO_NUCLEUS_Q42.split())
+    path.write_text("QPS 1\nPG 4 2\n" + rows)
+    assert run(["spectrum", "--in", str(path), "--kind", "parabolic"]) == 0
+    assert "verdict: classical_size" in capsys.readouterr().out
+    assert run(["census", "singular-switch", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the ambient set has no line nucleus\n"
+
+
 def test_exit_three_on_io_and_format_errors(tmp_path, capsys):
     assert run(["spectrum", "--in", str(tmp_path / "missing.qps")]) == 3
     capsys.readouterr()

@@ -29,7 +29,6 @@ from qps.pg import (
     point_set_from_indices,
     rref,
     space_for,
-    span_flats,
     span_points,
     subgeometry,
 )
@@ -79,21 +78,30 @@ def test_bulk_table_guard_rejects_before_building():
 
 
 def test_bulk_table_guard_estimates(monkeypatch):
-    # PG(3,2): 15 hyperplanes and 35 lines, each a row of ceil(15/8) = 2 bytes
+    # PG(3,2): 15 hyperplanes, each a row of ceil(15/8) = 2 bytes, and 35
+    # lines, each a 28-byte int referenced from the lists of its 3 points
     sp = ProjSpace(3, build_field(2))
-    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 69)
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 1819)
     assert len(sp.incidence) == 15
     with pytest.raises(SpaceTooLarge):
         sp.all_lines()
-    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 70)
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 1820)
     assert len(sp.all_lines()) == 35
+    # under a zero cap every refusal names its estimate, without building
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 0)
+    mib = {}
+    for m, q, table in [(3, 32, "incidence"), (4, 8, "lines"), (5, 5, "lines"), (6, 4, "lines")]:
+        fresh = ProjSpace(m, build_field(q))
+        with pytest.raises(SpaceTooLarge, match=table) as exc:
+            fresh.incidence if table == "incidence" else fresh.all_lines()
+        mib[m, q] = int(str(exc.value).split("about ")[1].split(" MiB")[0])
+    assert mib == {(3, 32): 136, (4, 8): 210, (5, 5): 289, (6, 4): 1132}
     monkeypatch.undo()
-    # the cap keeps the PG(3,32) incidence (136 MiB) and the PG(4,8) lines
-    # (170 MiB), and rejects the PG(6,4) lines (971 MiB)
-    space_for(3, 32)._check_table("incidence", 33825)
-    space_for(4, 8)._check_table("lines", 4681 * (8**4 - 1) // (8**2 - 1))
-    with pytest.raises(SpaceTooLarge):
-        space_for(6, 4).all_lines()
+    # so the cap keeps the PG(3,32) incidence and the PG(4,8) lines, and
+    # refuses the PG(5,5) and PG(6,4) lines at once
+    for m, q in [(5, 5), (6, 4)]:
+        with pytest.raises(SpaceTooLarge):
+            space_for(m, q).all_lines()
 
 
 def test_build_space_cached():
@@ -416,14 +424,6 @@ def test_flat_dim_and_mask():
     h = hyperplane_flat(sp, 5)
     assert h.dim == 3
     assert h.mask() == sp.incidence[5]
-
-
-def test_span_flats():
-    sp = space_for(3, 2)
-    a = flat_from_points(sp, [0])
-    b = flat_from_points(sp, [1])
-    sp_flat = span_flats(sp, a, b)
-    assert sp_flat.mask() == line_through(sp, 0, 1).bits
 
 
 def test_flat_from_mask_roundtrip():

@@ -58,6 +58,8 @@ from qps.surgery import (
     switch,
 )
 
+from cone_helpers import cone_decomposition
+
 
 def canonical(fam, m, q):
     return point_set(canonical_form(PolarKind(fam, m, q), space_for(m, q)))
@@ -124,7 +126,7 @@ def test_pivot_identity():
     s = canonical("parabolic", 4, 2)
     kind = PolarKind("parabolic", 4, 2)
     pi = first_hyperplane_of_size(s, 7)
-    _v, _mu, base = surgery._cone_decomposition(s, pi)
+    _v, _mu, base = cone_decomposition(s, pi)
     result, rec = pivot(s, kind, pi, base)
     assert result.bits == s.bits
     assert rec.kind == "pivot"
@@ -136,7 +138,7 @@ def test_pivot_new_base_stays_quasi_polar():
     sp = s.space
     kind = PolarKind("parabolic", 4, 2)
     pi = first_hyperplane_of_size(s, 7)
-    _v, mu, base = surgery._cone_decomposition(s, pi)
+    _v, mu, base = cone_decomposition(s, pi)
     carrier_pts = bits_to_indices(mu.mask())
     hits = 0
     for trio in itertools.combinations(carrier_pts, 3):
@@ -168,7 +170,7 @@ def test_pivot_rejects_collinear_base():
     sp = s.space
     kind = PolarKind("parabolic", 4, 2)
     pi = first_hyperplane_of_size(s, 7)
-    _v, mu, _base = surgery._cone_decomposition(s, pi)
+    _v, mu, _base = cone_decomposition(s, pi)
     a, b = bits_to_indices(mu.mask())[:2]
     with pytest.raises(BaseWrongType):
         pivot(s, kind, pi, line_through(sp, a, b))
@@ -195,7 +197,7 @@ def test_cone_decomposition_matches_vector_cone(fam, m, q):
         assert len(singular) == s.size
         for pi in singular:
             section = s.bits & sp.incidence[pi]
-            v, mu, base = surgery._cone_decomposition(s, pi)
+            v, mu, base = cone_decomposition(s, pi)
             assert section >> v & 1
             assert mu.dim == m - 2
             assert not mu.mask() & ~sp.incidence[pi]
@@ -212,7 +214,7 @@ def test_pivot_adds_the_vector_cone_over_the_new_base(fam, m, q):
     rng = random.Random(m * 100 + q)
     bases = enumerate_quadrics(space_for(m - 2, q), PolarKind(fam, m - 2, q))
     for pi in rng.sample(singular_hyperplanes(s, kind), 4):
-        v, _mu, _base = surgery._cone_decomposition(s, pi)
+        v, _mu, _base = cone_decomposition(s, pi)
         geom = subgeometry(sp, hyperplane_flat(sp, pi))
         v_sub = geom.from_ambient[v]
         carriers = [h for h in range(geom.sub.n_points) if not geom.sub.incidence[h] >> v_sub & 1]
@@ -242,7 +244,7 @@ def test_cone_surgeries_do_no_vector_cone_arithmetic(monkeypatch):
         sp = s.space
         kind = PolarKind("parabolic", 4, q)
         pi = singular_hyperplanes(s, kind)[0]
-        v, mu, base = surgery._cone_decomposition(s, pi)
+        v, mu, base = cone_decomposition(s, pi)
         other = next(c for c in enumerate_quadrics(space_for(2, q), PolarKind("parabolic", 2, q)))
         new_base = PointSet(sp, subgeometry(sp, mu).mask_to_ambient(other.bits))
         assert pivot(s, kind, pi, new_base)[1].vertex == v
@@ -256,6 +258,30 @@ def test_cone_surgeries_do_no_vector_cone_arithmetic(monkeypatch):
     choice = point_set_from_indices(sp, [sp.point_index[v] for v in choice])
     result, rec = repeated_pivot(s, PolarKind("parabolic", 4, 4), p, r, {p: choice})
     assert rec.removed.size == rec.added.size == 12
+
+
+@pytest.mark.parametrize(
+    "op,fam,m,q",
+    [
+        ("cone_swap", "parabolic", 4, 2),
+        ("cone_swap", "parabolic", 4, 4),
+        ("cone_swap", "parabolic", 6, 2),
+        ("shifted_nucleus_pivot", "parabolic", 4, 2),
+        ("shifted_nucleus_pivot", "parabolic", 4, 4),
+        ("affine_switch", "hyperbolic", 3, 2),
+        ("affine_switch", "hyperbolic", 5, 2),
+    ],
+)
+def test_surgeries_cache_only_hyperplane_subgeometries(op, fam, m, q, monkeypatch):
+    """Carriers and generators are handled inside the switched hyperplane's
+    own coordinates, so the space caches no smaller subgeometry."""
+    sp = space_for(m, q)
+    monkeypatch.setattr(sp, "_subgeoms", {})
+    for seed in range(3):
+        s = projective_image(canonical(fam, m, q), 40 + seed)
+        args = () if op == "affine_switch" else (singular_hyperplanes(s, PolarKind(fam, m, q))[seed],)
+        getattr(surgery, op)(s, *args)
+    assert all(len(basis) == m for basis in sp._subgeoms)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +594,7 @@ def test_record_json_shape():
     s = canonical("parabolic", 4, 2)
     kind = PolarKind("parabolic", 4, 2)
     pi = first_hyperplane_of_size(s, 7)
-    _v, _mu, base = surgery._cone_decomposition(s, pi)
+    _v, _mu, base = cone_decomposition(s, pi)
     _result, rec = pivot(s, kind, pi, base)
     d = rec.to_dict()
     assert set(d) == {"construction", "hyperplane", "vertex", "removed", "added", "details"}
@@ -618,7 +644,7 @@ def replay_case(op, s, rng):
         return (rng.choice(singular),), kind
     if op == "pivot":
         pi = rng.choice(singular)
-        _v, mu, base = surgery._cone_decomposition(s, pi)
+        _v, mu, base = cone_decomposition(s, pi)
         geom = subgeometry(sp, mu)
         conics = enumerate_quadrics(geom.sub, PolarKind("parabolic", 2, sp.q))
         new = rng.choice([c for c in conics if geom.mask_to_ambient(c.bits) != base.bits])
