@@ -60,7 +60,7 @@ from .spectra import (
     section_type,
     spectrum,
 )
-from .surgery import _decompose, _pi_geometry
+from .surgery import _decompose
 
 
 class PointOnQuadric(ValueError):
@@ -369,8 +369,8 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     sizes = set(prof.sizes)
     per = spectrum(s).per_hyperplane
     pi = next(h for h, v in enumerate(per) if v == prof.singular_size)
-    geom, vertex, nucleus = _q42_frame(s, pi)
-    _geom, survives = _switch_test(space, s.bits, pi, sizes)
+    geom, survives = _switch_test(space, s.bits, pi, sizes)
+    vertex, nucleus = _q42_frame(s, geom)
     sub = geom.sub
     combos = itertools.combinations(range(sub.n_points), 7)
     sevens = (sum(1 << i for i in combo) for combo in combos)
@@ -413,15 +413,15 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     )
 
 
-def _q42_frame(s: PointSet, pi: int) -> tuple[SubGeometry, int, int]:
-    """Hyperplane pi as its own PG(3, 2), with the cone vertex of the section
-    of s and the line nucleus of s as points of it."""
-    geom, section = _pi_geometry(s, pi)
+def _q42_frame(s: PointSet, geom: SubGeometry) -> tuple[int, int]:
+    """The cone vertex of the section of s in hyperplane geom, and the line
+    nucleus of s, as points of the hyperplane's own PG(3, 2)."""
+    section = geom.mask_from_ambient(s.bits)
     vertex = _decompose(geom.sub, section, range(geom.sub.n_points))[0]
     nucleus = find_line_nucleus(s)
     if nucleus is None:
         raise ValueError("the ambient set has no line nucleus")
-    return geom, vertex, geom.from_ambient[nucleus]
+    return vertex, geom.from_ambient[nucleus]
 
 
 def _q42_shape_families(sub: ProjSpace, vertex: int, nucleus: int) -> dict[str, set[int]]:
@@ -479,7 +479,8 @@ def q4_shape_classify(s: PointSet, pi: int, section) -> list[str]:
     space = s.space
     if (space.m, space.q) != (4, 2):
         raise ValueError("shape classification is defined for PG(4,2)")
-    geom, vertex, nucleus = _q42_frame(s, pi)
+    geom = subgeometry(space, hyperplane_flat(space, pi))
+    vertex, nucleus = _q42_frame(s, geom)
     if isinstance(section, int):
         t_bits = section
     else:

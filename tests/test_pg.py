@@ -97,8 +97,14 @@ def test_bulk_table_guard_estimates(monkeypatch):
         mib[m, q] = int(str(exc.value).split("about ")[1].split(" MiB")[0])
     assert mib == {(3, 32): 136, (4, 8): 210, (5, 5): 289, (6, 4): 1132}
     monkeypatch.undo()
-    # so the cap keeps the PG(3,32) incidence and the PG(4,8) lines, and
-    # refuses the PG(5,5) and PG(6,4) lines at once
+    # so the cap keeps the PG(3,32) incidence (33,825 rows of 4,229 bytes)
+    # and the PG(4,8) lines (304,265 ints of 24 + 4·⌈4681/30⌉ bytes, each
+    # referenced from 9 point lists), and refuses the PG(5,5) and PG(6,4)
+    # lines at once
+    space_for(3, 32)._check_table("incidence", 33825 * 4229)
+    space_for(4, 8)._check_table("lines", 304265 * (24 + 4 * 157 + 8 * 9))
+    assert mib[3, 32] * 2**20 <= pg.MAX_TABLE_BYTES
+    assert mib[4, 8] * 2**20 <= pg.MAX_TABLE_BYTES
     for m, q in [(5, 5), (6, 4)]:
         with pytest.raises(SpaceTooLarge):
             space_for(m, q).all_lines()
