@@ -19,6 +19,8 @@ of one dual line through pi: grouped by tau, they give the values of
 per-tau tables.  The line-nucleus test of the nucleus-pivot census and the
 Q(4,2) shape families of the singular-switch census are built in the same
 coordinates; only survivors are mapped to ambient point indices.
+The nucleus-pivot test looks off pi only, as a nucleus inside pi needs
+|T| = theta_2 = 7; the Q(4,2) frame's nucleus is read from section sizes.
 """
 
 from __future__ import annotations
@@ -252,18 +254,17 @@ def _switch_test(space: ProjSpace, s_bits: int, pi: int, sizes):
     return geom, survives
 
 
-def _nucleus_test(space: ProjSpace, s_bits: int, pi: int):
-    """Predicate on a section T of hyperplane pi, in subgeometry coordinates:
-    has base ∪ T a line nucleus?  base is s_bits off pi.
+def _nucleus_test(space: ProjSpace, geom: SubGeometry, s_bits: int, pi: int):
+    """Predicate on a section T of hyperplane pi, in the coordinates of its
+    subgeometry geom, with |T| != theta_{m-2}: has base ∪ T a line nucleus?
+    base is s_bits off pi.
 
-    A point N off the hyperplane and off base sees each point of the
-    hyperplane on one line, so it is a nucleus exactly when no line through
+    A nucleus N inside pi would see each line through it inside pi meet T
+    once, which needs |T| = theta_{m-2}; so N lies off pi.  N sees each
+    point of pi on one line, so it is a nucleus exactly when no line through
     it holds two base points and T is required[N], the points whose lines
-    to N miss base.  A point N of the hyperplane is a nucleus exactly when
-    N is not in T, each line through N outside the hyperplane holds one base
-    point, and each line through N inside it meets T once.
+    to N miss base.
     """
-    geom = subgeometry(space, hyperplane_flat(space, pi))
     hmask = space.incidence[pi]
     base = s_bits & ~hmask
     from_amb = geom.from_ambient
@@ -278,25 +279,7 @@ def _nucleus_test(space: ProjSpace, s_bits: int, pi: int):
                 t |= 1 << from_amb[(line & hmask).bit_length() - 1]
         else:
             required.add(t)
-    inner = [
-        (1 << n_sub, geom.sub.lines_through(n_sub))
-        for n_sub, n in enumerate(geom.to_ambient)
-        if all(
-            (line & base).bit_count() == 1
-            for line in space.lines_through(n)
-            if line & ~hmask
-        )
-    ]
-
-    def has_nucleus(t: int) -> bool:
-        if t in required:
-            return True
-        for nbit, lines in inner:
-            if not t & nbit and all((t & line).bit_count() == 1 for line in lines):
-                return True
-        return False
-
-    return has_nucleus
+    return required.__contains__
 
 
 def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
@@ -323,11 +306,17 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
         per_hyp: list[tuple[int, int]] = []
         for h in hyps:
             geom, survives = _switch_test(space, s.bits, h, sizes)
-            has_nucleus = _nucleus_test(space, s.bits, h)
+            # the candidates have 5 or 9 points, never theta_2 = 7
+            has_nucleus = _nucleus_test(space, geom, s.bits, h)
             no_nucleus = []
             for t in cands:
                 if not survives(t):
-                    raise InvariantViolated(f"a {label} switch at {h} is not quasi-polar")
+                    # every switch of the quadric survives; another input
+                    # need not, and only then is the orbit searched
+                    msg = f"a {label} switch at {h} is not quasi-polar"
+                    if s.bits in _orbit(space, PolarKind("parabolic", 4, 2)):
+                        raise InvariantViolated(msg)
+                    raise ValueError(f"census needs the quadric: {msg}")
                 if not has_nucleus(t):
                     no_nucleus.append(t)
             per_hyp.append((len(no_nucleus), len(cands)))
@@ -538,6 +527,8 @@ def nonsingular_switch_census(
         ident = s.bits & inc[pi]
         survivors = [geom.mask_to_ambient(t) for t in cands if survives(t)]
         if ident not in survivors:
+            if geom.mask_from_ambient(ident) not in cands:
+                raise ValueError(f"the section at hyperplane {pi} is not a classical {fam} set")
             raise InvariantViolated("the identity section did not survive")
         others = sorted(t for t in survivors if t != ident)
         breakdown[f"{fam}_identity"] = 1

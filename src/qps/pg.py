@@ -44,7 +44,8 @@ class SamePoint(ValueError):
 MAX_POINTS = 10**6
 # cap on the estimated size of a bulk table: the incidence at one ceil(n/8)
 # byte row per hyperplane, the lines at one int object per line plus the
-# q + 1 references to it in the per-point lists
+# q + 1 references to it in the per-point lists.  These are object sizes:
+# the allocator's overhead is not counted (README, "Library layout")
 MAX_TABLE_BYTES = 256 * 2**20
 
 
@@ -242,7 +243,10 @@ class ProjSpace:
                         for r in rest:
                             through[r].append(mask)
         self._all_lines = tuple(lines)
-        self._lines_through = tuple(map(tuple, through))
+        # one at a time, so that only one list and its tuple coexist
+        for p, line_list in enumerate(through):
+            through[p] = tuple(line_list)
+        self._lines_through = tuple(through)
 
     def _check_table(self, name: str, size: int) -> None:
         if size > MAX_TABLE_BYTES:

@@ -9,7 +9,7 @@ three-size parabolic kind does not force cardinality.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +23,7 @@ from .forms import (
     n_points_pg,
     _is_square,
 )
-from .pg import PointSet, point_set_from_indices
+from .pg import PointSet, ProjSpace, bits_to_indices, point_set_from_indices
 
 
 class NotQuasiPolar(ValueError):
@@ -258,18 +258,31 @@ def cardinality_roots(kind: PolarKind) -> RootsReport:
     )
 
 
+def _line_nuclei_mask(space: ProjSpace, bits: int, sizes: Iterable[int]) -> int:
+    """Points off the set ``bits`` through which every line is a 1-secant of it.
+
+    ``sizes`` are the |set ∩ h| in hyperplane order, read lazily.  For m >= 2
+    N off the set qualifies iff every hyperplane through N meets it in
+    theta_{m-2} points: the lines through N in such a hyperplane are a
+    hyperplane of the quotient PG(m-1, q), whose point-hyperplane incidence
+    matrix is invertible.  In PG(1, q) the one line is the whole space.
+    """
+    off = space.all_mask & ~bits
+    if space.m == 1:
+        return off if bits.bit_count() == 1 else 0
+    target = n_points_pg(space.m - 2, space.q)
+    for hmask, v in zip(space.incidence, sizes):
+        if v != target:
+            off &= ~hmask
+            if not off:
+                break
+    return off
+
+
 def line_nuclei(s: PointSet) -> Iterator[int]:
     """Points off s through which every line is a 1-secant of s, ascending."""
-    space = s.space
-    bits = s.bits
-    for p in range(space.n_points):
-        if bits >> p & 1:
-            continue
-        for line in space.lines_through(p):
-            if (line & bits).bit_count() != 1:
-                break
-        else:
-            yield p
+    sizes = ((s.bits & hmask).bit_count() for hmask in s.space.incidence)
+    yield from bits_to_indices(_line_nuclei_mask(s.space, s.bits, sizes))
 
 
 def find_line_nucleus(s: PointSet) -> int | None:
@@ -330,7 +343,8 @@ def nucleus_conditions(s: PointSet) -> ConditionReport:
     b: some point N off s lies on every hyperplane whose section size is not
        one of the two non-singular sizes.
     b': every section size is admissible for the parabolic kind.
-    c: some point N off s sees every line through it as a 1-secant of s.
+    c: some point N off s sees every line through it as a 1-secant of s,
+       read from the section sizes: N is on no hyperplane of non-cone size.
     c': every codimension-2 flat lies in at least one singular-size hyperplane.
     d: the singular-size hyperplanes exist and share a common point.
     d': the singular-size hyperplanes are exactly those through one point.
@@ -358,10 +372,8 @@ def nucleus_conditions(s: PointSet) -> ConditionReport:
             break
     b_mask &= off
 
-    c_mask = 0
-    for p in line_nuclei(s):
-        c_mask |= 1 << p
-
+    # the cone size is theta_{m-2}: c, d and d' read one singular/other split
+    c_mask = _line_nuclei_mask(space, s.bits, per)
     singular = [h for h, v in enumerate(per) if v == cone_size]
     d_mask = space.all_mask if singular else 0
     for h in singular:

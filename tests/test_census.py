@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import subprocess
 import sys
 import time
@@ -643,26 +644,72 @@ def test_plane_table_survivors_every_subset_of_a_solid(size):
 
 
 def test_subgeometry_nucleus_test_matches_find_line_nucleus():
-    # all 2^15 sections of one hyperplane of each type of Q(4,2)
+    # the 2^15 - 6,435 sections T of one hyperplane of each type of Q(4,2)
+    # with |T| != 7.  A nucleus inside pi needs every line through it in pi
+    # to meet T once, so |T| = theta_2 = 7: none of these sets has one there,
+    # and the test, which looks off pi only, finds every nucleus
     sp = space_for(4, 2)
     s = canonical("parabolic", 4, 2)
     per = spectrum(s).per_hyperplane
-    nuclei_in_pi = nuclei_off_pi = 0
+    nuclei_off_pi = 0
     for size in (5, 7, 9):
         pi = per.index(size)
         hmask = sp.incidence[pi]
         base = s.bits & ~hmask
         geom = subgeometry(sp, hyperplane_flat(sp, pi))
-        has_nucleus = census._nucleus_test(sp, s.bits, pi)
+        has_nucleus = census._nucleus_test(sp, geom, s.bits, pi)
         for t in range(1 << 15):
+            if t.bit_count() == 7:
+                continue
             x = PointSet(sp, base | geom.mask_to_ambient(t))
             nuclei = sum(1 << n for n in line_nuclei(x))
             assert has_nucleus(t) == (find_line_nucleus(x) is not None), (size, t)
-            nuclei_in_pi += bool(nuclei) and not nuclei & ~hmask
-            nuclei_off_pi += bool(nuclei) and not nuclei & hmask
-    # each branch of the test is the only way to a nucleus at least once
-    assert nuclei_in_pi > 0
+            assert not nuclei & hmask, (size, t)
+            nuclei_off_pi += bool(nuclei)
     assert nuclei_off_pi > 0
+
+
+def _q42_switched_sets():
+    """The distinct sets that switching one non-singular section of the
+    canonical Q(4,2) for a classical set of the same type gives, sorted."""
+    s = canonical("parabolic", 4, 2)
+    sp = s.space
+    out = set()
+    for h, v in enumerate(spectrum(s).per_hyperplane):
+        if v in (5, 9):
+            geom = subgeometry(sp, hyperplane_flat(sp, h))
+            base = s.bits & ~sp.incidence[h]
+            sub_kind = PolarKind("elliptic" if v == 5 else "hyperbolic", 3, 2)
+            for t in enumerate_quadrics(geom.sub, sub_kind):
+                out.add(base | geom.mask_to_ambient(t.bits))
+    return sorted(out)
+
+
+def test_switch_censuses_raise_no_invariant_on_switched_quadrics():
+    # all of these are classical-size quasi-polar sets, 121 of them quadrics.
+    # A census may refuse an input (ValueError, exit 2); an InvariantViolated,
+    # a RuntimeError, would report a bug for a valid input and fail the test
+    sp = space_for(4, 2)
+    kind = PolarKind("parabolic", 4, 2)
+    sets = _q42_switched_sets()
+    quadrics = {t.bits for t in enumerate_quadrics(sp, kind)}
+    assert len(sets) == 3523
+    assert sum(bits in quadrics for bits in sets) == 121
+    censuses = {
+        "nucleus-pivot": nucleus_pivot_census,
+        "singular-switch": singular_switch_census,
+        "nonsingular-switch": lambda x: nonsingular_switch_census(x, kind),
+    }
+    refused = Counter()
+    for bits in random.Random(11).sample(sets, 300):
+        s = PointSet(sp, bits)
+        for name, run in censuses.items():
+            try:
+                run(s)
+            except ValueError:
+                assert bits not in quadrics, name
+                refused[name] += 1
+    assert set(refused) == set(censuses)
 
 
 def test_switch_censuses_do_no_per_candidate_ambient_work(monkeypatch):

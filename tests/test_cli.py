@@ -168,6 +168,27 @@ def test_singular_switch_census_without_nucleus_is_a_domain_error(tmp_path, caps
     assert captured.err == "error: the ambient set has no line nucleus\n"
 
 
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("nucleus-pivot", "census needs the quadric: a hyperbolic switch at 6 is not quasi-polar"),
+        ("nonsingular-switch", "the section at hyperplane 5 is not a classical elliptic set"),
+    ],
+    ids=["nucleus-pivot", "nonsingular-switch"],
+)
+def test_switch_census_of_a_non_quadric_is_a_domain_error(tmp_path, capsys, command, message):
+    # valid input that the census cannot take: exit 2, not an invariant
+    # violation (exit 4)
+    path = tmp_path / "no_nucleus.qps"
+    rows = "".join(" ".join(w) + "\n" for w in NO_NUCLEUS_Q42.split())
+    path.write_text("QPS 1\nPG 4 2\n" + rows)
+    argv = ["census", command, "--kind", "parabolic", "--m", "4", "--q", "2", "--in", str(path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_exit_three_on_io_and_format_errors(tmp_path, capsys):
     assert run(["spectrum", "--in", str(tmp_path / "missing.qps")]) == 3
     capsys.readouterr()

@@ -14,6 +14,7 @@ from qps.spectra import (
     cardinality_roots,
     classify,
     find_line_nucleus,
+    line_nuclei,
     nucleus_conditions,
     profile,
     singular_hyperplanes,
@@ -395,3 +396,55 @@ def test_nucleus_conditions_c_prime_matches_pencil_oracle(m, q):
         assert nucleus_conditions(PointSet(sp, bits)).c_prime == expect, (m, q, bits)
         seen.add(expect)
     assert seen == {True, False}
+
+
+def _walk_nuclei(s):
+    """Line nuclei by walking every line through every point off s."""
+    sp = s.space
+    return [
+        p
+        for p in range(sp.n_points)
+        if not s.bits >> p & 1
+        and all((line & s.bits).bit_count() == 1 for line in sp.lines_through(p))
+    ]
+
+
+def _nucleus_kernel_sets():
+    """Every subset of PG(1, q), q = 2..5, and seeded 0-3-point perturbations
+    of classical sets, with and without line nuclei."""
+    for q in (2, 3, 4, 5):
+        sp = space_for(1, q)
+        for bits in range(1 << sp.n_points):
+            yield PointSet(sp, bits)
+    spaces = [("parabolic", 2, q) for q in (2, 4, 8, 16)] + [
+        ("parabolic", 4, 2),
+        ("parabolic", 4, 4),
+        ("parabolic", 6, 2),
+        ("hyperbolic", 3, 2),
+        ("elliptic", 3, 4),
+        ("hermitian", 2, 4),
+    ]
+    for fam, m, q in spaces:
+        s = canonical(fam, m, q)
+        sp = s.space
+        rng = random.Random(f"{fam}{m}{q}")
+        for k in range(4):
+            for _ in range(10):
+                bits = s.bits
+                for p in rng.sample(range(sp.n_points), k):
+                    bits ^= 1 << p
+                yield PointSet(sp, bits)
+
+
+def test_line_nuclei_match_the_line_walk():
+    # the kernel reads hyperplane section sizes; the oracle walks the lines
+    n_sets = with_nucleus = 0
+    for s in _nucleus_kernel_sets():
+        n_sets += 1
+        expect = _walk_nuclei(s)
+        assert list(line_nuclei(s)) == expect, (s.space, s.bits)
+        assert find_line_nucleus(s) == (expect[0] if expect else None)
+        if s.space.m % 2 == 0:
+            assert nucleus_conditions(s).c_candidates == sum(1 << p for p in expect)
+        with_nucleus += bool(expect)
+    assert (n_sets, with_nucleus) == (520, 95)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qps import forms, surgery
+from qps import forms, pg, surgery
 from qps.forms import (
     IncompatibleKind,
     PolarKind,
@@ -18,6 +18,7 @@ from qps.forms import (
     point_set,
 )
 from qps.census import enumerate_quadrics
+from qps.gf import build_field
 from qps.pg import (
     PointSet,
     bits_to_indices,
@@ -583,6 +584,21 @@ def test_shifted_nucleus_pivot_kills_nucleus():
 def test_shifted_nucleus_pivot_rejects_odd_q():
     with pytest.raises(NotEvenQ):
         shifted_nucleus_pivot(canonical("parabolic", 4, 3), 0)
+
+
+def test_nucleus_surgeries_build_no_ambient_line_table():
+    # line nuclei are read from hyperplane section sizes, so the nucleus
+    # surgeries on Q(4,4) use the incidence of PG(4,4) and never its lines;
+    # a fresh space, not the shared one, shows which tables were built
+    sp = pg.ProjSpace(4, build_field(4))
+    kind = PolarKind("parabolic", 4, 4)
+    s = point_set(canonical_form(kind, sp))
+    assert find_line_nucleus(s) is not None
+    pi = singular_hyperplanes(s, kind)[0]
+    cone_swap(s, pi)
+    shifted_nucleus_pivot(s, pi)
+    assert sp._all_lines is None
+    assert sp._lines_through is None
 
 
 # ---------------------------------------------------------------------------
