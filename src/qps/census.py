@@ -25,9 +25,9 @@ The nucleus-pivot test looks off pi only, as a nucleus inside pi needs
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .forms import (
     Form,
@@ -76,15 +76,26 @@ class PointIsNucleus(ValueError):
 ORBIT_CAP = 1 << 20
 
 
-@dataclass
 class CensusResult:
-    name: str
-    m: int
-    q: int
-    total_candidates: int
-    breakdown: dict[str, int]
-    witnesses: dict[str, list[list[int]]]
-    extra: dict = field(default_factory=dict)
+    """Candidate count, breakdown by outcome, witnesses and extras of one census."""
+
+    def __init__(
+        self,
+        name: str,
+        m: int,
+        q: int,
+        total_candidates: int,
+        breakdown: dict[str, int],
+        witnesses: dict[str, list[list[int]]],
+        extra: dict | None = None,
+    ):
+        self.name = name
+        self.m = m
+        self.q = q
+        self.total_candidates = total_candidates
+        self.breakdown = breakdown
+        self.witnesses = witnesses
+        self.extra = {} if extra is None else extra
 
     def to_dict(self) -> dict:
         return {
@@ -497,15 +508,17 @@ def nonsingular_switch_census(
 ) -> CensusResult:
     """Replace a non-singular section by every classical set of its type.
 
-    For each non-singular section type of the classical set ``s``, fix the
-    lex-least hyperplane with that section, enumerate all sets of that type
-    inside the hyperplane, switch, and count the quasi-polar survivors.  The
-    identity always survives.  For q >= 4 it is the only survivor, by the
-    paper's main theorem; over GF(2) and GF(3) other survivors exist and the
-    first ten are witnesses.  On Q(4,2) every same-type set survives (167
-    elliptic and 279 hyperbolic others), which ``q2-switch`` rests on; Q(4,3)
-    gives 10 and 16 others and Q-(5,2) gives 447.  ``threads`` is accepted
-    for compatibility and ignored.
+    For each non-singular section type of the classical-size quasi-polar set
+    ``s``, fix the first hyperplane whose section is a classical set of that
+    type (the lex-least one of its size when ``s`` is classical), enumerate
+    all sets of that type inside the hyperplane, switch, and count the
+    quasi-polar survivors.  The identity always survives.  For q >= 4 it is
+    the only survivor, by the paper's main theorem; over GF(2) and GF(3)
+    other survivors exist and the first ten are witnesses.  On Q(4,2) every
+    same-type set survives (167 elliptic and 279 hyperbolic others), which
+    ``q2-switch`` rests on; Q(4,3) gives 10 and 16 others and Q-(5,2) gives
+    447.  ``threads`` is accepted for compatibility and ignored.  A size
+    with no classical section is refused with ``ValueError``.
     """
     space = s.space
     prof = _classical_profile(s, kind)
@@ -520,15 +533,15 @@ def nonsingular_switch_census(
     for fam in _SECTION_FAMILIES[kind.family]:
         sub_kind = PolarKind(fam, kind.m - 1, kind.q)
         target = profile(sub_kind).cardinality
-        pi = next(h for h, v in enumerate(per) if v == target)
         # the orbit checks its cap before any table for pi is built
         cands = _orbit(space_for(sub_kind.m, sub_kind.q), sub_kind)
+        pi = _classical_section(space, s.bits, per, target, cands)
+        if pi is None:
+            raise ValueError(f"no section of size {target} is a classical {fam} set")
         geom, survives = _switch_test(space, s.bits, pi, sizes)
         ident = s.bits & inc[pi]
         survivors = [geom.mask_to_ambient(t) for t in cands if survives(t)]
         if ident not in survivors:
-            if geom.mask_from_ambient(ident) not in cands:
-                raise ValueError(f"the section at hyperplane {pi} is not a classical {fam} set")
             raise InvariantViolated("the identity section did not survive")
         others = sorted(t for t in survivors if t != ident)
         breakdown[f"{fam}_identity"] = 1
@@ -550,6 +563,20 @@ def nonsingular_switch_census(
         witnesses=witnesses,
         extra=extra,
     )
+
+
+def _classical_section(
+    space: ProjSpace, s_bits: int, per, size: int, cands: tuple[int, ...]
+) -> int | None:
+    """First hyperplane h with per[h] == size whose section of s_bits, in h's
+    own coordinates, is one of the sorted masks cands; None if there is none."""
+    for h, v in enumerate(per):
+        if v == size:
+            t = subgeometry(space, hyperplane_flat(space, h)).mask_from_ambient(s_bits)
+            i = bisect.bisect_left(cands, t)
+            if i < len(cands) and cands[i] == t:
+                return h
+    return None
 
 
 def classical_distribution(form: Form, flat: Flat) -> dict:

@@ -16,8 +16,6 @@ Canonical shapes (coordinates x_0 .. x_m):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .gf import FieldTable, build_field
 from .pg import (
     Flat,
@@ -64,30 +62,42 @@ def _is_square(q: int) -> int | None:
     return r if r * r == q else None
 
 
-@dataclass(frozen=True)
 class PolarKind:
-    """A classical polar space family together with ambient dimension and order."""
+    """A classical polar space family together with ambient dimension and order.
 
-    family: str
-    m: int
-    q: int
+    Kinds with the same family, m and q are equal and hash alike.
+    """
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise IncompatibleKind(f"unknown family {self.family!r}")
-        if self.family == "parabolic":
-            if self.m < 2 or self.m % 2 != 0:
+    __slots__ = ("family", "m", "q")
+
+    def __init__(self, family: str, m: int, q: int):
+        if family not in FAMILIES:
+            raise IncompatibleKind(f"unknown family {family!r}")
+        if family == "parabolic":
+            if m < 2 or m % 2 != 0:
                 raise IncompatibleKind("parabolic needs even ambient dimension >= 2")
-        elif self.family in ("hyperbolic", "elliptic"):
-            if self.m < 1 or self.m % 2 != 1:
-                raise IncompatibleKind(
-                    f"{self.family} needs odd ambient dimension >= 1"
-                )
+        elif family in ("hyperbolic", "elliptic"):
+            if m < 1 or m % 2 != 1:
+                raise IncompatibleKind(f"{family} needs odd ambient dimension >= 1")
         else:
-            if self.m < 1:
+            if m < 1:
                 raise IncompatibleKind("hermitian needs ambient dimension >= 1")
-            if _is_square(self.q) is None:
+            if _is_square(q) is None:
                 raise IncompatibleKind("hermitian needs a square field order")
+        self.family = family
+        self.m = m
+        self.q = q
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolarKind):
+            return NotImplemented
+        return (self.family, self.m, self.q) == (other.family, other.m, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.m, self.q))
+
+    def __repr__(self) -> str:
+        return f"PolarKind(family={self.family!r}, m={self.m!r}, q={self.q!r})"
 
     @property
     def n(self) -> int:
@@ -138,13 +148,15 @@ def classical_cardinality(kind: PolarKind) -> int:
     return card_hermitian(kind.m, kind.q)
 
 
-@dataclass(eq=False)
 class Form:
-    kind: PolarKind
-    space: ProjSpace
-    matrix: tuple[tuple[int, ...], ...]
-    _mask: int | None = field(default=None, repr=False)
-    _bilinear: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
+    """A form of the kind on the space, with its zero set and bilinear matrix cached."""
+
+    def __init__(self, kind: PolarKind, space: ProjSpace, matrix: tuple[tuple[int, ...], ...]):
+        self.kind = kind
+        self.space = space
+        self.matrix = matrix
+        self._mask: int | None = None
+        self._bilinear: tuple[tuple[int, ...], ...] | None = None
 
     def eval_vec(self, x: tuple[int, ...]) -> int:
         f = self.space.f

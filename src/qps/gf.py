@@ -22,8 +22,6 @@ a square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class NotPrimePower(ValueError):
     """Requested order is not a prime power."""
@@ -71,20 +69,34 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     raise NotPrimePower(f"{q} is not a prime power")
 
 
-@dataclass(frozen=True)
 class FieldTable:
     """Lookup tables for one field; treat as immutable."""
 
-    q: int
-    p: int
-    e: int
-    modulus: tuple[int, ...]
-    add: tuple[tuple[int, ...], ...] = field(repr=False)
-    mul: tuple[tuple[int, ...], ...] = field(repr=False)
-    neg: tuple[int, ...] = field(repr=False)
-    inv: tuple[int, ...] = field(repr=False)
-    has_conj: bool = field(repr=False)
-    conj: tuple[int, ...] = field(repr=False)
+    __slots__ = ("q", "p", "e", "modulus", "add", "mul", "neg", "inv", "has_conj", "conj")
+
+    def __init__(
+        self,
+        q: int,
+        p: int,
+        e: int,
+        modulus: tuple[int, ...],
+        add: tuple[tuple[int, ...], ...],
+        mul: tuple[tuple[int, ...], ...],
+        neg: tuple[int, ...],
+        inv: tuple[int, ...],
+        has_conj: bool,
+        conj: tuple[int, ...],
+    ):
+        self.q = q
+        self.p = p
+        self.e = e
+        self.modulus = modulus
+        self.add = add
+        self.mul = mul
+        self.neg = neg
+        self.inv = inv
+        self.has_conj = has_conj
+        self.conj = conj
 
 
 def _digits(n: int, p: int, e: int) -> list[int]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .gf import FieldTable, build_field
 
@@ -311,12 +310,14 @@ def span_points(space: ProjSpace, basis) -> Iterator[int]:
             yield space.point_index[normalize_vec(f, vec)]
 
 
-@dataclass(frozen=True)
 class Flat:
     """Projective flat given by an RREF basis of its underlying subspace."""
 
-    space: ProjSpace
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("space", "basis")
+
+    def __init__(self, space: ProjSpace, basis: tuple[tuple[int, ...], ...]):
+        self.space = space
+        self.basis = basis
 
     @property
     def dim(self) -> int:
@@ -394,12 +395,25 @@ def bits_to_indices(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """A set of points of one space, stored as an int bitmask."""
+    """A set of points of one space, stored as an int bitmask.
 
-    space: ProjSpace
-    bits: int
+    Two point sets are equal when they have the same space and bits.
+    """
+
+    __slots__ = ("space", "bits")
+
+    def __init__(self, space: ProjSpace, bits: int):
+        self.space = space
+        self.bits = bits
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return self.space is other.space and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.bits))
 
     @property
     def size(self) -> int:
@@ -434,14 +448,22 @@ def point_set_from_indices(space: ProjSpace, indices) -> PointSet:
     return PointSet(space, bits)
 
 
-@dataclass
 class SubGeometry:
     """A flat viewed as its own PG(k, q), with index maps to the ambient."""
 
-    flat: Flat
-    sub: ProjSpace
-    to_ambient: tuple[int, ...]
-    from_ambient: dict[int, int]
+    __slots__ = ("flat", "sub", "to_ambient", "from_ambient")
+
+    def __init__(
+        self,
+        flat: Flat,
+        sub: ProjSpace,
+        to_ambient: tuple[int, ...],
+        from_ambient: dict[int, int],
+    ):
+        self.flat = flat
+        self.sub = sub
+        self.to_ambient = to_ambient
+        self.from_ambient = from_ambient
 
     def mask_to_ambient(self, bits: int) -> int:
         out = 0

@@ -10,8 +10,6 @@ three-size parabolic kind does not force cardinality.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .forms import (
     IncompatibleKind,
@@ -23,7 +21,7 @@ from .forms import (
     n_points_pg,
     _is_square,
 )
-from .pg import PointSet, ProjSpace, bits_to_indices, point_set_from_indices
+from .pg import PointSet, ProjSpace, bits_to_indices
 
 
 class NotQuasiPolar(ValueError):
@@ -38,14 +36,24 @@ class InvariantViolated(RuntimeError):
     """An internal consistency check failed: a bug, not a bad input."""
 
 
-@dataclass(frozen=True)
 class SpectrumProfile:
-    kind: PolarKind
-    sizes: tuple[int, ...]
-    singular_size: int
-    expected_counts: dict[int, int]
-    cardinality: int
-    cardinality_forced: bool
+    """Admissible section sizes of a kind and their counts for the classical set."""
+
+    def __init__(
+        self,
+        kind: PolarKind,
+        sizes: tuple[int, ...],
+        singular_size: int,
+        expected_counts: dict[int, int],
+        cardinality: int,
+        cardinality_forced: bool,
+    ):
+        self.kind = kind
+        self.sizes = sizes
+        self.singular_size = singular_size
+        self.expected_counts = expected_counts
+        self.cardinality = cardinality
+        self.cardinality_forced = cardinality_forced
 
 
 _PROFILES: dict[PolarKind, SpectrumProfile] = {}
@@ -93,57 +101,49 @@ def profile(kind: PolarKind) -> SpectrumProfile:
 
 
 def _classical_counts(kind: PolarKind, sizes: tuple[int, ...]) -> dict[int, int]:
-    """Counts per section size for the classical set, by double counting."""
+    """Counts per section size for the classical set, by double counting.
+
+    The counts c_u satisfy sum c_u = H, sum u c_u = S t1 and
+    sum u (u - 1) c_u = S (S - 1) t2.  The first len(sizes) equations give
+    them by Cramer's rule, in integers; the others are checked.
+    """
     q = kind.q
     m = kind.m
     S = classical_cardinality(kind)
-    H = Fraction(n_points_pg(m, q))
-    t1 = Fraction(n_points_pg(m - 1, q))
-    t2 = Fraction(n_points_pg(m - 2, q))
-    rhs = [H, S * t1, S * (S - 1) * t2]
-    us = [Fraction(u) for u in sizes]
-    if len(us) == 1:
-        counts = [H]
-        if us[0] * counts[0] != rhs[1]:
-            raise InvariantViolated(f"{kind}: section count fails the point count")
-    elif len(us) == 2:
-        u, v = us
-        a = (rhs[1] - v * H) / (u - v)
-        b = H - a
-        counts = [a, b]
-        if u * (u - 1) * a + v * (v - 1) * b != rhs[2]:
-            raise InvariantViolated(f"{kind}: section counts fail the pair count")
-    else:
-        counts = _solve3(us, rhs)
-    out = {}
-    for u, c in zip(sizes, counts):
-        if c.denominator != 1 or c < 0:
-            raise InvariantViolated(f"{kind}: section count {c} for size {u}")
-        out[u] = int(c)
-    return out
+    rhs = (n_points_pg(m, q), S * n_points_pg(m - 1, q), S * (S - 1) * n_points_pg(m - 2, q))
+    eqs = [(1,) * len(sizes), sizes, tuple(u * (u - 1) for u in sizes)]
+    rows = eqs[: len(sizes)]
+    det = _det(rows)
+    counts = []
+    for i, u in enumerate(sizes):
+        num = _det([r[:i] + (b,) + r[i + 1 :] for r, b in zip(rows, rhs)])
+        if num % det or num // det < 0:
+            raise InvariantViolated(f"{kind}: section count {num}/{det} for size {u}")
+        counts.append(num // det)
+    for row, b in zip(eqs[len(sizes) :], rhs[len(sizes) :]):
+        if sum(x * c for x, c in zip(row, counts)) != b:
+            raise InvariantViolated(f"{kind}: section counts fail the double count")
+    return dict(zip(sizes, counts))
 
 
-def _solve3(us: list[Fraction], rhs: list[Fraction]) -> list[Fraction]:
-    rows = [
-        [Fraction(1)] * 3 + [rhs[0]],
-        [u for u in us] + [rhs[1]],
-        [u * (u - 1) for u in us] + [rhs[2]],
-    ]
-    for c in range(3):
-        piv = next(i for i in range(c, 3) if rows[i][c] != 0)
-        rows[c], rows[piv] = rows[piv], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for i in range(3):
-            if i != c and rows[i][c] != 0:
-                coef = rows[i][c]
-                rows[i] = [x - coef * y for x, y in zip(rows[i], rows[c])]
-    return [rows[i][3] for i in range(3)]
+def _det(rows) -> int:
+    """Determinant of a square integer matrix, by expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    histogram: dict[int, int]
-    per_hyperplane: tuple[int, ...]
+    """Section size per hyperplane, and how many hyperplanes have each size."""
+
+    __slots__ = ("histogram", "per_hyperplane")
+
+    def __init__(self, histogram: dict[int, int], per_hyperplane: tuple[int, ...]):
+        self.histogram = histogram
+        self.per_hyperplane = per_hyperplane
 
 
 def spectrum(s: PointSet) -> Spectrum:
@@ -156,14 +156,24 @@ def spectrum(s: PointSet) -> Spectrum:
     return Spectrum(histogram=dict(sorted(hist.items())), per_hyperplane=tuple(per))
 
 
-@dataclass(frozen=True)
 class Classification:
-    kind: PolarKind
-    size: int
-    histogram: dict[int, int]
-    quasi_polar: bool
-    classical_size: bool
-    exceptional: str | None
+    """The spectrum verdict of one set for one kind."""
+
+    def __init__(
+        self,
+        kind: PolarKind,
+        size: int,
+        histogram: dict[int, int],
+        quasi_polar: bool,
+        classical_size: bool,
+        exceptional: str | None,
+    ):
+        self.kind = kind
+        self.size = size
+        self.histogram = histogram
+        self.quasi_polar = quasi_polar
+        self.classical_size = classical_size
+        self.exceptional = exceptional
 
 
 def _profile_for(s: PointSet, kind: PolarKind) -> SpectrumProfile:
@@ -212,17 +222,29 @@ def singular_hyperplanes(s: PointSet, kind: PolarKind) -> list[int]:
     return [h for h, v in enumerate(spec.per_hyperplane) if v == prof.singular_size]
 
 
-@dataclass(frozen=True)
 class RootsReport:
-    kind: PolarKind
-    classical_root: int
-    other_root: Fraction
-    other_integral: bool
-    tag: str | None
+    """The classical cardinality and the other root, a ``Fraction``, of its quadratic."""
+
+    def __init__(
+        self,
+        kind: PolarKind,
+        classical_root: int,
+        other_root,
+        other_integral: bool,
+        tag: str | None,
+    ):
+        self.kind = kind
+        self.classical_root = classical_root
+        self.other_root = other_root
+        self.other_integral = other_integral
+        self.tag = tag
 
 
 def cardinality_roots(kind: PolarKind) -> RootsReport:
     """Both roots of the quadratic forced on the cardinality by a two-size spectrum."""
+    # imported here: fractions pulls in decimal, which no other command needs
+    from fractions import Fraction
+
     if kind.family == "parabolic":
         raise IncompatibleKind("cardinality is not forced for the parabolic kind")
     prof = profile(kind)
@@ -306,23 +328,42 @@ def section_type(kind: PolarKind, size: int) -> str | None:
     return "nonsingular"
 
 
-@dataclass(frozen=True)
 class ConditionReport:
-    size: int
-    a: bool
-    b: bool
-    b_prime: bool
-    c: bool
-    c_prime: bool
-    d: bool
-    d_prime: bool
-    singular_count: int
-    expected_singular: int
-    nucleus_candidate: int | None
-    b_candidates: int = field(repr=False)
-    c_candidates: int = field(repr=False)
-    d_common: int = field(repr=False)
-    d_prime_candidates: int = field(repr=False)
+    """The flags a-d' of ``nucleus_conditions``, with counts and candidate masks."""
+
+    def __init__(
+        self,
+        size: int,
+        a: bool,
+        b: bool,
+        b_prime: bool,
+        c: bool,
+        c_prime: bool,
+        d: bool,
+        d_prime: bool,
+        singular_count: int,
+        expected_singular: int,
+        nucleus_candidate: int | None,
+        b_candidates: int,
+        c_candidates: int,
+        d_common: int,
+        d_prime_candidates: int,
+    ):
+        self.size = size
+        self.a = a
+        self.b = b
+        self.b_prime = b_prime
+        self.c = c
+        self.c_prime = c_prime
+        self.d = d
+        self.d_prime = d_prime
+        self.singular_count = singular_count
+        self.expected_singular = expected_singular
+        self.nucleus_candidate = nucleus_candidate
+        self.b_candidates = b_candidates
+        self.c_candidates = c_candidates
+        self.d_common = d_common
+        self.d_prime_candidates = d_prime_candidates
 
     def flags(self) -> dict[str, bool]:
         return {
@@ -334,6 +375,34 @@ class ConditionReport:
             "d": self.d,
             "d_prime": self.d_prime,
         }
+
+
+def _every_pencil_meets(space: ProjSpace, hyperplanes: list[int]) -> bool:
+    """Does every codimension-2 flat lie in one of the given hyperplanes?
+
+    The hyperplanes through a codimension-2 flat F form a pencil, a dual
+    line, and every dual line meets the dual hyperplane of a fixed point p0:
+    some hyperplane x of the pencil passes through p0.  If x is not given,
+    the given y that contain F are those with x ∩ y = F; so every pencil
+    through x meets the given set iff the meets x ∩ y take all theta_{m-1}
+    values, one per hyperplane of x.  Only the incidence is read.  p0 lies
+    on the most given hyperplanes, which leaves the fewest x to check.
+    """
+    n_flats = n_points_pg(space.m - 1, space.q)
+    if len(hyperplanes) < n_flats:
+        # some hyperplane x is not given, and the theta_{m-1} pencils
+        # through x share only x, so each needs a given member of its own
+        return False
+    inc = space.incidence
+    given = sum(1 << h for h in hyperplanes)
+    # the incidence is symmetric: row p is also the mask of the hyperplanes through p
+    counts = [(row & given).bit_count() for row in inc]
+    p0 = counts.index(max(counts))
+    for x in bits_to_indices(inc[p0] & ~given):
+        row = inc[x]
+        if len({row & inc[y] for y in hyperplanes}) != n_flats:
+            return False
+    return True
 
 
 def nucleus_conditions(s: PointSet) -> ConditionReport:
@@ -384,9 +453,7 @@ def nucleus_conditions(s: PointSet) -> ConditionReport:
     t1 = n_points_pg(space.m - 1, q)
     dp_mask = d_mask if len(singular) == t1 else 0
 
-    # hyperplane h is dual point h: the hyperplanes through a codim-2 flat form a line
-    sing_mask = point_set_from_indices(space, singular).bits
-    c_prime = all(line & sing_mask for line in space.all_lines())
+    c_prime = _every_pencil_meets(space, singular)
 
     candidate = None
     if c_mask:

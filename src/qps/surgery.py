@@ -12,8 +12,6 @@ cached; ambient flats are built only for the records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .forms import (
     IncompatibleKind,
     PolarKind,
@@ -124,14 +122,24 @@ def _basis_coords(flat: Flat) -> list[list[int]]:
     return [list(row) for row in flat.basis]
 
 
-@dataclass
 class SurgeryRecord:
-    kind: str
-    hyperplane: int | None
-    vertex: int | None
-    removed: PointSet
-    added: PointSet
-    details: dict = dc_field(default_factory=dict)
+    """What one surgery committed to: its hyperplane, vertex, pieces and details."""
+
+    def __init__(
+        self,
+        kind: str,
+        hyperplane: int | None,
+        vertex: int | None,
+        removed: PointSet,
+        added: PointSet,
+        details: dict | None = None,
+    ):
+        self.kind = kind
+        self.hyperplane = hyperplane
+        self.vertex = vertex
+        self.removed = removed
+        self.added = added
+        self.details = {} if details is None else details
 
     def to_dict(self) -> dict:
         """JSON form: points as coordinate rows, flats as coordinate lists.

@@ -1,8 +1,10 @@
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -156,10 +158,20 @@ NO_NUCLEUS_Q42 = (
 )
 
 
+# another such switch, whose elliptic sections are none of them classical sets
+NO_ELLIPTIC_Q42 = (
+    "00001 00010 00011 00100 00110 01000 01001 01100 01111 10001 10010 10011 10100 11000 11100"
+)
+
+
+def _q42_file(path, points):
+    rows = "".join(" ".join(w) + "\n" for w in points.split())
+    path.write_text("QPS 1\nPG 4 2\n" + rows)
+
+
 def test_singular_switch_census_without_nucleus_is_a_domain_error(tmp_path, capsys):
     path = tmp_path / "no_nucleus.qps"
-    rows = "".join(" ".join(w) + "\n" for w in NO_NUCLEUS_Q42.split())
-    path.write_text("QPS 1\nPG 4 2\n" + rows)
+    _q42_file(path, NO_NUCLEUS_Q42)
     assert run(["spectrum", "--in", str(path), "--kind", "parabolic"]) == 0
     assert "verdict: classical_size" in capsys.readouterr().out
     assert run(["census", "singular-switch", "--in", str(path)]) == 2
@@ -169,24 +181,50 @@ def test_singular_switch_census_without_nucleus_is_a_domain_error(tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "command,message",
+    "command,points,message",
     [
-        ("nucleus-pivot", "census needs the quadric: a hyperbolic switch at 6 is not quasi-polar"),
-        ("nonsingular-switch", "the section at hyperplane 5 is not a classical elliptic set"),
+        (
+            "nucleus-pivot",
+            NO_NUCLEUS_Q42,
+            "census needs the quadric: a hyperbolic switch at 6 is not quasi-polar",
+        ),
+        ("nonsingular-switch", NO_ELLIPTIC_Q42, "no section of size 5 is a classical elliptic set"),
     ],
     ids=["nucleus-pivot", "nonsingular-switch"],
 )
-def test_switch_census_of_a_non_quadric_is_a_domain_error(tmp_path, capsys, command, message):
+def test_switch_census_of_a_non_quadric_is_a_domain_error(
+    tmp_path, capsys, command, points, message
+):
     # valid input that the census cannot take: exit 2, not an invariant
     # violation (exit 4)
-    path = tmp_path / "no_nucleus.qps"
-    rows = "".join(" ".join(w) + "\n" for w in NO_NUCLEUS_Q42.split())
-    path.write_text("QPS 1\nPG 4 2\n" + rows)
+    path = tmp_path / "switched.qps"
+    _q42_file(path, points)
     argv = ["census", command, "--kind", "parabolic", "--m", "4", "--q", "2", "--in", str(path)]
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_nonsingular_switch_census_takes_a_classical_section(tmp_path, capsys):
+    # the lex-least elliptic section of this set is not a classical set, but
+    # another one is: the census switches there, and every same-type set
+    # survives, as on the quadric
+    path = tmp_path / "no_nucleus.qps"
+    _q42_file(path, NO_NUCLEUS_Q42)
+    argv = ["census", "nonsingular-switch", "--in", str(path), "--json"]
+    assert run(argv) == 0
+    body = json.loads(capsys.readouterr().out)["census"]
+    # the lex-least elliptic hyperplane is 5; 27 is the first with a classical section
+    assert body["extra"]["hyperplanes"] == {"elliptic": 27, "hyperbolic": 15}
+    assert body["breakdown"] == {
+        "elliptic_identity": 1,
+        "elliptic_other_survivor": 167,
+        "elliptic_not_quasi_polar": 0,
+        "hyperbolic_identity": 1,
+        "hyperbolic_other_survivor": 279,
+        "hyperbolic_not_quasi_polar": 0,
+    }
 
 
 def test_exit_three_on_io_and_format_errors(tmp_path, capsys):
@@ -217,6 +255,39 @@ def test_report_format_header_first(tmp_path, capsys):
     assert rep["size"] == 16
     assert rep["verdict"] == "classical_size"
     assert rep["spectrum"] == [{"size": 4, "count": 24}, {"size": 7, "count": 16}]
+
+
+@pytest.mark.parametrize(
+    "m,q,nucleus",
+    [(6, 4, {"exists": True, "point": 1365}), (4, 9, {"exists": False, "point": None})],
+    ids=["Q(6,4)", "Q(4,9)"],
+)
+def test_verify_conditions_without_the_line_table(tmp_path, capsys, m, q, nucleus):
+    # the PG(6,4) and PG(4,9) line tables are over the guard (about 1,132 and
+    # 630 MiB); c' reads the incidence only, so verify runs on both.  For q
+    # even the quadric has its nucleus and every flag; for q odd the tangent
+    # hyperplanes share no point and, forming a dual quadric, miss some pencils
+    out = tmp_path / "q.qps"
+    argv = ["construct", "canonical", "--kind", "parabolic", "--m", str(m), "--q", str(q)]
+    assert run([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    code, rep = run_json(capsys, ["verify", "conditions", "--in", str(out), "--json"])
+    assert code == 0
+    even = q % 2 == 0
+    tangents = (q**m - 1) // (q - 1)
+    assert rep["conditions"] == {
+        "a": True,
+        "b": even,
+        "b_prime": True,
+        "c": even,
+        "c_prime": even,
+        "d": even,
+        "d_prime": even,
+        "singular_count": tangents,
+        "expected_singular": tangents,
+    }
+    assert rep["nucleus"] == nucleus
+    assert space_for(m, q)._all_lines is None
 
 
 def test_spectrum_verdicts(tmp_path, capsys):
@@ -412,6 +483,23 @@ def test_invariant_violation_survives_optimize_flag():
 # ---------------------------------------------------------------------------
 # Installed entry point
 # ---------------------------------------------------------------------------
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # every command pays for what `import qps.cli` loads: dataclasses pulls in
+    # inspect, ast and dis, and fractions pulls in decimal.  -S keeps .pth
+    # files, and what they import, out of the child
+    src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ("dataclasses", "decimal", "fractions", "inspect")
+    code = f"import qps.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_console_script_smoke(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qps.forms import PolarKind, canonical_form, point_set
-from qps.pg import PointSet, point_set_from_indices, space_for
+from qps.gf import build_field
+from qps.pg import PointSet, ProjSpace, point_set_from_indices, space_for
 from qps.spectra import (
     IncompatibleKind,
     NotEvenDimension,
@@ -396,6 +397,48 @@ def test_nucleus_conditions_c_prime_matches_pencil_oracle(m, q):
         assert nucleus_conditions(PointSet(sp, bits)).c_prime == expect, (m, q, bits)
         seen.add(expect)
     assert seen == {True, False}
+
+
+def _c_prime_by_lines(sp, bits):
+    """c' by the line walk.  Hyperplane h is dual point h, so the hyperplanes
+    through a codimension-2 flat are the points of one line: every line must
+    hold a hyperplane that meets the set in the cone size theta_{m-2}."""
+    cone = theta(sp.m - 2, sp.q)
+    singular = sum(1 << h for h, row in enumerate(sp.incidence) if (bits & row).bit_count() == cone)
+    return all(line & singular for line in sp.all_lines())
+
+
+def _c_prime_sets(m, q):
+    """Seeded 0-3-point perturbations of the classical set, of a hyperplane
+    and of a hyperplane plus the classical set, and seeded random sets."""
+    sp = space_for(m, q)
+    rng = random.Random(f"c' {m} {q}")
+    classical = canonical("parabolic", m, q).bits
+    hyperplane = sp.incidence[rng.randrange(sp.n_points)]
+    for start in (classical, hyperplane, classical | hyperplane):
+        for k in range(4):
+            for _ in range(6):
+                bits = start
+                for p in rng.sample(range(sp.n_points), k):
+                    bits ^= 1 << p
+                yield bits
+    for _ in range(4):
+        yield rng.getrandbits(sp.n_points)
+
+
+@pytest.mark.parametrize(
+    "m,q,n_true", [(2, 16, 13), (4, 2, 15), (4, 3, 10), (4, 4, 15), (6, 2, 16)]
+)
+def test_c_prime_reads_no_lines_and_matches_the_line_walk(m, q, n_true):
+    # c' is read from the incidence alone: a cold space builds no line table
+    cold = ProjSpace(m, build_field(q))
+    seen = []
+    for bits in _c_prime_sets(m, q):
+        expect = _c_prime_by_lines(space_for(m, q), bits)
+        assert nucleus_conditions(PointSet(cold, bits)).c_prime == expect, (m, q, bits)
+        seen.append(expect)
+    assert cold._all_lines is None and cold._lines_through is None
+    assert (len(seen), sum(seen)) == (76, n_true)
 
 
 def _walk_nuclei(s):

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,7 @@ from qps.surgery import (
 )
 
 from cone_helpers import cone_decomposition
+from switched_sets import q42_switched_sets
 
 
 def canonical(fam, m, q):
@@ -599,6 +601,45 @@ def test_nucleus_surgeries_build_no_ambient_line_table():
     shifted_nucleus_pivot(s, pi)
     assert sp._all_lines is None
     assert sp._lines_through is None
+
+
+def test_surgeries_raise_no_invariant_on_switched_quadrics():
+    # classical-size quasi-polar sets from switching one non-singular section
+    # of Q(4,2).  A surgery may refuse one (ValueError, exit 2); an
+    # InvariantViolated, a RuntimeError, would report a bug for a valid input
+    # and fail the test.  The cone surgeries run at every singular
+    # hyperplane, repeated pivot on every line of the set through its first
+    # point
+    sp = space_for(4, 2)
+    kind = PolarKind("parabolic", 4, 2)
+    outcomes = Counter()
+
+    def attempt(name, op, *args):
+        try:
+            op(*args)
+        except ValueError:
+            outcomes[name, "refused"] += 1
+        else:
+            outcomes[name, "ok"] += 1
+
+    for bits in random.Random(12).sample(q42_switched_sets(), 300):
+        s = PointSet(sp, bits)
+        for pi in singular_hyperplanes(s, kind):
+            attempt("cone-swap", cone_swap, s, pi)
+            attempt("shifted-nucleus", shifted_nucleus_pivot, s, pi)
+        p = s.indices()[0]
+        for line in sp.lines_through(p):
+            if not line & ~bits:
+                r = bits_to_indices(line & ~(1 << p))[0]
+                attempt("repeated-pivot", repeated_pivot, s, kind, p, r)
+    assert outcomes == {
+        ("cone-swap", "ok"): 180,
+        ("cone-swap", "refused"): 4320,
+        ("shifted-nucleus", "ok"): 180,
+        ("shifted-nucleus", "refused"): 4320,
+        ("repeated-pivot", "ok"): 43,
+        ("repeated-pivot", "refused"): 869,
+    }
 
 
 # ---------------------------------------------------------------------------
