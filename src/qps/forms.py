@@ -24,9 +24,7 @@ from .pg import (
     bits_to_indices,
     normalize_vec,
     null_space,
-    scale,
     span_points,
-    vadd,
 )
 
 
@@ -332,18 +330,10 @@ def cone(vertex: Flat, base: PointSet) -> PointSet:
     vmask = vertex.mask()
     if vmask & base.bits:
         raise VertexMeetsBase("vertex flat meets the base")
-    f = space.f
-    # every vector of the vertex subspace: zero and the multiples of its points
-    subvectors = [(0,) * (space.m + 1)] + [
-        scale(f, c, space.points[i])
-        for i in span_points(space, vertex.basis)
-        for c in range(1, f.q)
-    ]
     bits = vmask
     for b in bits_to_indices(base.bits):
-        bvec = space.points[b]
-        for w in subvectors:
-            bits |= 1 << space.point_index[normalize_vec(f, vadd(f, w, bvec))]
+        for i in span_points(space, (*vertex.basis, space.points[b])):
+            bits |= 1 << i
     return PointSet(space, bits)
 
 

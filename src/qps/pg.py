@@ -253,16 +253,6 @@ class ProjSpace:
                 f"PG({self.m},{self.q}) {name} table needs about {round(size / 2**20)} MiB"
             )
 
-    def _line_mask(self, p: int, r: int) -> int:
-        f = self.f
-        u = self.points[p]
-        v = self.points[r]
-        mask = (1 << p) | (1 << r)
-        for c in range(1, f.q):
-            w = normalize_vec(f, vadd(f, u, scale(f, c, v)))
-            mask |= 1 << self.point_index[w]
-        return mask
-
 
 # incidence rows: field value 0 becomes bit 1, any other value bit 0
 _ZERO_TO_ONE = bytes([ord("1")] + [ord("0")] * 255)
@@ -383,7 +373,8 @@ def flats_of_codim(space: ProjSpace, c: int) -> tuple[Flat, ...]:
 def line_through(space: ProjSpace, p: int, r: int) -> "PointSet":
     if p == r:
         raise SamePoint("line needs two distinct points")
-    return PointSet(space, space._line_mask(p, r))
+    basis = rref(space.f, [space.points[p], space.points[r]])
+    return point_set_from_indices(space, span_points(space, basis))
 
 
 def bits_to_indices(mask: int) -> list[int]:

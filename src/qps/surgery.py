@@ -395,26 +395,52 @@ def repeated_pivot(
     r: int,
     base_choices: dict[int, PointSet] | None = None,
 ) -> tuple[PointSet, SurgeryRecord]:
-    """Pivot simultaneously in the tangent hyperplanes of all points of a line."""
+    """Pivot simultaneously in the tangent hyperplanes of all points of a line.
+
+    The tangent hyperplane at a point R of the line is the first singular-size
+    hyperplane holding the line whose section is a cone with vertex R.  One
+    pass over the hyperplanes finds them all, and each such section is
+    decomposed once, in its hyperplane's own coordinates.
+    """
     space = s.space
     base_choices = base_choices or {}
     line = line_through(space, p, r)
     if line.bits & ~s.bits:
         raise NotCollinear("the line through p and r must lie inside the set")
-    prof = profile(kind)
+    for x in base_choices:
+        if not line.bits >> x & 1:
+            coords = ",".join(str(c) for c in space.points[x])
+            raise ValueError(f"base choice at point {coords} is not on the line")
+    singular_size = profile(kind).singular_size
     per_sizes = spectrum(s).per_hyperplane
+    points = line.indices()
 
-    tangents = {x: _tangent_hyperplane(s, per_sizes, prof.singular_size, x) for x in (p, r)}
-    xi_mask = space.incidence[tangents[p]] & space.incidence[tangents[r]]
+    # point of the line -> (tangent hyperplane, its geometry, vertex, carrier, base)
+    cones: dict[int, tuple] = {}
+    for h, hmask in enumerate(space.incidence):
+        if len(cones) == len(points):
+            break
+        if per_sizes[h] != singular_size or line.bits & ~hmask:
+            continue
+        geom, section = _pi_geometry(s, h)
+        for R in points:
+            if R not in cones:
+                try:
+                    cones[R] = (h, geom, *_decompose(geom.sub, section, [geom.from_ambient[R]]))
+                except NoConeDecomposition:
+                    pass
+
+    def tangent(R: int) -> tuple:
+        if R not in cones:
+            raise NoConeDecomposition(f"no tangent hyperplane found at point {R}")
+        return cones[R]
+
+    xi_mask = space.incidence[tangent(p)[0]] & space.incidence[tangent(r)[0]]
 
     result_bits = 0
-    for R in line.indices():
-        if R not in tangents:
-            tangents[R] = _tangent_hyperplane(s, per_sizes, prof.singular_size, R)
-        hR = tangents[R]
-        geom, section = _pi_geometry(s, hR)
+    for R in points:
+        hR, geom, r_sub, sigma, base = tangent(R)
         sub = geom.sub
-        r_sub, sigma, base = _decompose(sub, section, [geom.from_ambient[R]])
         choice = base_choices.get(R)
         if choice is not None and choice.bits != geom.mask_to_ambient(base):
             if choice.bits & ~geom.mask_to_ambient(sub.incidence[sigma]):
@@ -436,32 +462,15 @@ def repeated_pivot(
         removed=removed,
         added=added,
         details={
-            "line": _pts_coords(space, line.indices()),
+            "line": _pts_coords(space, points),
             "tangent_hyperplanes": {
-                ",".join(str(c) for c in space.points[k]): _pt_coords(space, v)
-                for k, v in sorted(tangents.items())
+                ",".join(str(c) for c in space.points[k]): _pt_coords(space, cones[k][0])
+                for k in points
             },
             "xi": _basis_coords(flat_from_mask(space, xi_mask)),
         },
     )
     return result, rec
-
-
-def _tangent_hyperplane(
-    s: PointSet, per_sizes: tuple[int, ...], singular_size: int, p: int
-) -> int:
-    """The unique singular-size hyperplane whose section is a cone with vertex p."""
-    space = s.space
-    for h in range(space.n_points):
-        if per_sizes[h] != singular_size:
-            continue
-        if not space.incidence[h] >> p & 1:
-            continue
-        hmask = space.incidence[h]
-        lines = (line for line in space.lines_through(p) if not line & ~hmask)
-        if is_cone_vertex(s.bits & hmask, p, lines):
-            return h
-    raise NoConeDecomposition(f"no tangent hyperplane found at point {p}")
 
 
 def affine_switch(s: PointSet) -> tuple[PointSet, SurgeryRecord]:

@@ -1,8 +1,11 @@
-"""The cone decomposition of a singular section as ambient objects, for
-tests that check the surgeries against flats of the whole space."""
+"""The cone decomposition of a singular section, and the tangent hyperplane
+at a point, as ambient objects, for tests that check the surgeries against
+flats and lines of the whole space."""
 
 from qps import surgery
+from qps.forms import is_cone_vertex
 from qps.pg import PointSet
+from qps.spectra import spectrum
 
 
 def cone_decomposition(s, pi):
@@ -11,3 +14,17 @@ def cone_decomposition(s, pi):
     geom, section = surgery._pi_geometry(s, pi)
     v, mu, base = surgery._decompose(geom.sub, section, range(geom.sub.n_points))
     return geom.to_ambient[v], surgery._sub_hyperplane(geom, mu), PointSet(s.space, geom.mask_to_ambient(base))
+
+
+def tangent_hyperplane(s, singular_size, p):
+    """First hyperplane of the singular size through p whose section is a cone
+    with vertex p, found by walking the ambient lines through p."""
+    space = s.space
+    sizes = spectrum(s).per_hyperplane
+    for h, hmask in enumerate(space.incidence):
+        if sizes[h] != singular_size or not hmask >> p & 1:
+            continue
+        lines = (line for line in space.lines_through(p) if not line & ~hmask)
+        if is_cone_vertex(s.bits & hmask, p, lines):
+            return h
+    raise surgery.NoConeDecomposition(f"no tangent hyperplane found at point {p}")

@@ -1,12 +1,14 @@
 """Valid non-classical inputs: the classical-size quasi-polar sets of PG(4,2)
-that switching one non-singular section of Q(4,2) gives."""
+that switching one non-singular section of Q(4,2) gives, and the quasi-polar
+sets of PG(4,3) that switching one non-singular section of Q(4,3) gives."""
 
 import functools
 
+from qps import census
 from qps.census import enumerate_quadrics
 from qps.forms import PolarKind, canonical_form, point_set
 from qps.pg import hyperplane_flat, space_for, subgeometry
-from qps.spectra import spectrum
+from qps.spectra import profile, spectrum
 
 
 @functools.cache
@@ -23,4 +25,27 @@ def q42_switched_sets() -> tuple[int, ...]:
             sub_kind = PolarKind("elliptic" if v == 5 else "hyperbolic", 3, 2)
             for t in enumerate_quadrics(geom.sub, sub_kind):
                 out.add(base | geom.mask_to_ambient(t.bits))
+    return tuple(sorted(out))
+
+
+@functools.cache
+def q43_switched_sets() -> tuple[int, ...]:
+    """The sets other than Q(4,3) that switching the section of the canonical
+    Q(4,3) at the nonsingular-switch census's hyperplane of each type for a
+    classical set of that type gives, when the census finds them quasi-polar:
+    10 from the elliptic and 16 from the hyperbolic hyperplane, sorted."""
+    sp = space_for(4, 3)
+    kind = PolarKind("parabolic", 4, 3)
+    s = point_set(canonical_form(kind, sp))
+    sizes = set(profile(kind).sizes)
+    out = []
+    for fam, pi in census.nonsingular_switch_census(s, kind).extra["hyperplanes"].items():
+        geom, survives = census._switch_test(sp, s.bits, pi, sizes)
+        base = s.bits & ~sp.incidence[pi]
+        for t in enumerate_quadrics(geom.sub, PolarKind(fam, 3, 3)):
+            if survives(t.bits):
+                out.append(base | geom.mask_to_ambient(t.bits))
+    # the identity survives at both hyperplanes
+    out.remove(s.bits)
+    out.remove(s.bits)
     return tuple(sorted(out))

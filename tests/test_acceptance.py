@@ -47,7 +47,7 @@ from qps.spectra import (
     spectrum,
 )
 
-from cone_helpers import cone_decomposition
+from cone_helpers import cone_decomposition, tangent_hyperplane
 
 
 def canonical(fam, m, q):
@@ -397,11 +397,7 @@ def test_07_repeated_pivot_non_identity():
         ident, _ = surgery.repeated_pivot(s, kind, p, r)
         assert ident.bits == s.bits
 
-        prof = profile(kind)
-        per = [
-            (s.bits & space.incidence[h]).bit_count() for h in range(space.n_points)
-        ]
-        hp = surgery._tangent_hyperplane(s, per, prof.singular_size, p)
+        hp = tangent_hyperplane(s, profile(kind).singular_size, p)
         _, mu, base = cone_decomposition(s, hp)
         geom = subgeometry(space, mu)
         found = False

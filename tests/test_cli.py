@@ -19,7 +19,7 @@ from qps.cli import (
     save_point_set,
 )
 from qps.forms import PolarKind, canonical_form, nucleus_point, point_set
-from qps.pg import PointSet, point_set_from_indices, space_for
+from qps.pg import PointSet, line_through, point_set_from_indices, space_for
 
 
 def canonical(fam, m, q):
@@ -292,8 +292,6 @@ def test_verify_conditions_without_the_line_table(tmp_path, capsys, m, q, nucleu
 
 def test_spectrum_verdicts(tmp_path, capsys):
     sp = space_for(3, 2)
-    from qps.pg import line_through
-
     line_file = tmp_path / "line.qps"
     save_point_set(str(line_file), line_through(sp, 0, 1))
     code, rep = run_json(capsys, ["spectrum", "--in", str(line_file), "--kind", "elliptic", "--json"])
@@ -377,6 +375,96 @@ def test_surgery_oval_swap_cli(tmp_path, capsys):
     assert code == 0
     assert rep["size"] == 5
     assert rep["verdict"] in ("classical_size", "quasi_polar")
+
+
+def test_surgery_repeated_pivot_on_q49_builds_no_line_table(tmp_path, capsys):
+    # the PG(4,9) line table is over the guard (about 630 MiB); the tangent
+    # hyperplanes are found in their own PG(3,9), so the pivot runs
+    out = tmp_path / "q49.qps"
+    assert run(["construct", "canonical", "--kind", "parabolic", "--m", "4", "--q", "9", "--out", str(out)]) == 0
+    capsys.readouterr()
+    argv = ["surgery", "repeated-pivot", "--in", str(out), "--kind", "parabolic"]
+    code, rep = run_json(capsys, [*argv, "--p", "0,1,0,0,0", "--r", "0,0,0,1,0", "--json"])
+    assert code == 0
+    assert rep["size"] == 820
+    assert rep["verdict"] == "classical_size"
+    assert rep["surgery"]["removed"] == rep["surgery"]["added"] == []
+    assert len(rep["surgery"]["details"]["tangent_hyperplanes"]) == 10
+    assert space_for(4, 9)._all_lines is None
+
+
+# refusals no other test reaches: (argv, with {name} for the files that
+# _refusal_files writes, the message after "error: ")
+_REFUSALS = {
+    "vec-length": ("surgery cone-swap --in {q42} --hyperplane 0,0,1", "expected 5 comma separated coordinates"),
+    "vec-integer": ("surgery cone-swap --in {q42} --hyperplane 0,x,0,0,1", "coordinates must be integers"),
+    "vec-range": ("surgery cone-swap --in {q42} --hyperplane 0,0,0,0,2", "coordinates must lie in [0, 2)"),
+    "vec-zero": ("surgery cone-swap --in {q42} --hyperplane 0,0,0,0,0", "the zero vector names no point"),
+    "base-space": (
+        "surgery pivot --in {q42} --kind parabolic --hyperplane 0,0,1,0,0 --base {pg32}",
+        "base file lives in a different space",
+    ),
+    "section-space": (
+        "surgery q2-switch --in {q42} --hyperplane 1,0,0,0,0 --section {pg32}",
+        "section file lives in a different space",
+    ),
+    "at-space": (
+        "surgery repeated-pivot --in {q42} --kind parabolic --p 0,1,0,0,0 --r 0,0,0,1,0 --at 0,1,0,0,0:{pg32}",
+        "base file lives in a different space",
+    ),
+    "at-colon": (
+        "surgery repeated-pivot --in {q42} --kind parabolic --p 0,1,0,0,0 --r 0,0,0,1,0 --at 0,1,0,0,0",
+        "--at expects COORDS:PATH",
+    ),
+    "at-off-line": (
+        "surgery repeated-pivot --in {q44} --kind parabolic --p 0,1,0,0,0 --r 0,0,0,1,0 --at 1,0,0,0,0:{q44}",
+        "base choice at point 1,0,0,0,0 is not on the line",
+    ),
+    "sub-semicolon": ("surgery q3-switch --in {q43} --sub 1,0,0,0,0", "--sub expects two dual vectors joined by ';'"),
+    "sub-twice": ("surgery q3-switch --in {q43} --sub 1,0,0,0,0;1,0,0,0,0", "--sub needs two distinct hyperplanes"),
+    "census-space": ("census nonsingular-switch --in {pg32}", "census needs a point set in PG(4,2)"),
+    "pivot-base-off": (
+        "surgery pivot --in {q42} --kind parabolic --hyperplane 0,0,1,0,0 --base {off}",
+        "base is not contained in the hyperplane",
+    ),
+    "q2-section-off": (
+        "surgery q2-switch --in {q42} --hyperplane 1,0,0,0,0 --section {off}",
+        "replacement section must lie in the hyperplane",
+    ),
+    "q3-sub-nonsingular": (
+        "surgery q3-switch --in {q43} --sub 1,0,0,0,0;0,1,1,0,0",
+        "pi_sub must be singular for the section",
+    ),
+    "oval-not-oval": ("surgery oval-swap --in {line24} --tangent 1,0,0", "set is not an oval"),
+}
+
+
+def _refusal_files(tmp_path):
+    """The files the refusal cases name: the canonical Q(4,2), Q(4,3) and
+    Q(4,4); a point of PG(3,2); the point 1,0,1,0,0 of PG(4,2), off both
+    hyperplanes the cases give; and a line of PG(2,4)."""
+    pg42 = space_for(4, 2)
+    sets = {
+        "q42": canonical("parabolic", 4, 2),
+        "q43": canonical("parabolic", 4, 3),
+        "q44": canonical("parabolic", 4, 4),
+        "pg32": point_set_from_indices(space_for(3, 2), [0]),
+        "off": point_set_from_indices(pg42, [pg42.point_index[(1, 0, 1, 0, 0)]]),
+        "line24": line_through(space_for(2, 4), 0, 1),
+    }
+    paths = {}
+    for name, s in sets.items():
+        paths[name] = tmp_path / f"{name}.qps"
+        save_point_set(str(paths[name]), s)
+    return paths
+
+
+@pytest.mark.parametrize("argv,message", list(_REFUSALS.values()), ids=list(_REFUSALS))
+def test_refusals_exit_two_with_one_error_line(tmp_path, capsys, argv, message):
+    assert run(argv.format(**_refusal_files(tmp_path)).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

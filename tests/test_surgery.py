@@ -18,7 +18,12 @@ from qps.forms import (
     point_class,
     point_set,
 )
-from qps.census import enumerate_quadrics
+from qps.census import (
+    enumerate_quadrics,
+    nonsingular_switch_census,
+    nucleus_pivot_census,
+    singular_switch_census,
+)
 from qps.gf import build_field
 from qps.pg import (
     PointSet,
@@ -60,8 +65,8 @@ from qps.surgery import (
     switch,
 )
 
-from cone_helpers import cone_decomposition
-from switched_sets import q42_switched_sets
+from cone_helpers import cone_decomposition, tangent_hyperplane
+from switched_sets import q42_switched_sets, q43_switched_sets
 
 
 def canonical(fam, m, q):
@@ -363,8 +368,7 @@ def test_repeated_pivot_new_base():
     sp = s.space
     kind = PolarKind("parabolic", 4, 2)
     p, r = line_inside(s)
-    per = per_hyperplane_sizes(s)
-    hp = surgery._tangent_hyperplane(s, per, 7, p)
+    hp = tangent_hyperplane(s, 7, p)
     geom = subgeometry(sp, hyperplane_flat(sp, hp))
     p_sub = geom.from_ambient[p]
     sigma_sub = next(
@@ -399,6 +403,145 @@ def test_repeated_pivot_rejects_external_line():
     r = bits_to_indices(~s.bits & ((1 << sp.n_points) - 1))[0]
     with pytest.raises(surgery.NotCollinear):
         repeated_pivot(s, kind, p, r)
+
+
+def test_repeated_pivot_rejects_a_base_choice_off_the_line():
+    s = canonical("parabolic", 4, 4)
+    sp = s.space
+    p, r = (sp.point_index[v] for v in [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)])
+    off = sp.point_index[(1, 0, 0, 0, 0)]
+    with pytest.raises(ValueError, match=r"^base choice at point 1,0,0,0,0 is not on the line$"):
+        repeated_pivot(s, PolarKind("parabolic", 4, 4), p, r, {off: s})
+
+
+def ambient_repeated_pivot(s, kind, p, r, base_choices=None):
+    """Repeated pivot whose tangent hyperplane at R is the first singular-size
+    hyperplane through R, held line or not, where the ambient lines through
+    R show a cone with vertex R; each new cone is the vector cone over its
+    base."""
+    space = s.space
+    base_choices = base_choices or {}
+    line = line_through(space, p, r)
+    if line.bits & ~s.bits:
+        raise surgery.NotCollinear("the line through p and r must lie inside the set")
+    singular = profile(kind).singular_size
+    tangents = {x: tangent_hyperplane(s, singular, x) for x in (p, r)}
+    xi = space.incidence[tangents[p]] & space.incidence[tangents[r]]
+    result = 0
+    for R in line.indices():
+        if R not in tangents:
+            tangents[R] = tangent_hyperplane(s, singular, R)
+        h = tangents[R]
+        geom, section = surgery._pi_geometry(s, h)
+        sub = geom.sub
+        _v, sigma, base = surgery._decompose(sub, section, [geom.from_ambient[R]])
+        choice = base_choices.get(R)
+        if choice is not None and choice.bits != geom.mask_to_ambient(base):
+            if choice.bits & ~geom.mask_to_ambient(sub.incidence[sigma]):
+                raise BaseWrongType("replacement base must lie in the carrier flat")
+            base = geom.mask_from_ambient(choice.bits)
+            surgery._validate_base(sub, kind, sigma, base)
+        new_cone = cone(flat_from_points(space, [R]), PointSet(space, geom.mask_to_ambient(base))).bits
+        if (new_cone ^ s.bits) & xi & space.incidence[h]:
+            raise ConstraintViolated(R)
+        result |= new_cone
+    details = {
+        "line": [list(space.points[x]) for x in line.indices()],
+        "tangent_hyperplanes": {
+            ",".join(map(str, space.points[x])): list(space.points[h]) for x, h in sorted(tangents.items())
+        },
+        "xi": [list(row) for row in flat_from_mask(space, xi).basis],
+    }
+    removed = PointSet(space, s.bits & ~result)
+    added = PointSet(space, result & ~s.bits)
+    return PointSet(space, result), surgery.SurgeryRecord("repeated-pivot", None, None, removed, added, details)
+
+
+def pivot_outcome(op, *args):
+    """Result bits and record, or the type and message of the refusal."""
+    try:
+        result, rec = op(*args)
+    except ValueError as e:
+        return type(e), str(e)
+    return result.bits, rec.to_dict()
+
+
+def base_choice_cases():
+    """(s, kind, p, r, base choices) of every candidate that
+    test_repeated_pivot_new_base, test_07 and the golden Q(4,4) case try."""
+    s = canonical("parabolic", 4, 2)
+    sp = s.space
+    kind = PolarKind("parabolic", 4, 2)
+    p, r = line_inside(s)
+    geom = subgeometry(sp, hyperplane_flat(sp, tangent_hyperplane(s, 7, p)))
+    p_sub = geom.from_ambient[p]
+    sigma = next(h for h in range(geom.sub.n_points) if not geom.sub.incidence[h] >> p_sub & 1)
+    for trio in itertools.combinations(bits_to_indices(geom.mask_to_ambient(geom.sub.incidence[sigma])), 3):
+        yield s, kind, p, r, {p: point_set_from_indices(sp, trio)}
+    for fam, m, q in [("hyperbolic", 5, 2), ("parabolic", 4, 2)]:
+        s = canonical(fam, m, q)
+        sp = s.space
+        kind = PolarKind(fam, m, q)
+        p, r = next(
+            (a, b)
+            for a, b in itertools.combinations(s.indices(), 2)
+            if not line_through(sp, a, b).bits & ~s.bits
+        )
+        _, mu, _base = cone_decomposition(s, tangent_hyperplane(s, profile(kind).singular_size, p))
+        carrier = subgeometry(sp, mu)
+        for c in enumerate_quadrics(carrier.sub, PolarKind(fam, m - 2, q)):
+            yield s, kind, p, r, {p: PointSet(sp, carrier.mask_to_ambient(c.bits))}
+    s = canonical("parabolic", 4, 4)
+    sp = s.space
+    p, r = (sp.point_index[v] for v in [(0, 0, 0, 0, 1), (0, 0, 1, 0, 0)])
+    choice = [(0, 0, 1, 0, 0), (0, 1, 1, 0, 0), (1, 1, 1, 0, 0), (1, 2, 0, 0, 0), (1, 3, 0, 0, 0)]
+    yield s, PolarKind("parabolic", 4, 4), p, r, {p: point_set_from_indices(sp, [sp.point_index[v] for v in choice])}
+
+
+def test_repeated_pivot_matches_the_ambient_tangent_rule():
+    # the tangent hyperplanes come from one scan of the hyperplanes holding
+    # the line, decomposed in their own coordinates; the rule they replace
+    # walks the ambient lines at every singular-size hyperplane through R
+    cases = []
+    for fam, m, q in [
+        ("parabolic", 4, 2),
+        ("parabolic", 4, 3),
+        ("parabolic", 4, 4),
+        ("hyperbolic", 5, 2),
+        ("elliptic", 5, 2),
+        ("parabolic", 6, 2),
+        ("hermitian", 3, 4),
+    ]:
+        kind = PolarKind(fam, m, q)
+        for seed in range(3):
+            s = canonical(fam, m, q)
+            if seed:
+                s = projective_image(s, 70 + seed)
+            rng = random.Random(seed)
+            for p in rng.sample(s.indices(), 3):
+                lines = [ln for ln in s.space.lines_through(p) if not ln & ~s.bits]
+                if lines:
+                    r = rng.choice([x for x in bits_to_indices(rng.choice(lines)) if x != p])
+                    cases.append((s, kind, p, r))
+    sp = space_for(4, 2)
+    kind = PolarKind("parabolic", 4, 2)
+    for bits in random.Random(13).sample(q42_switched_sets(), 300):
+        s = PointSet(sp, bits)
+        p = s.indices()[0]
+        for line in [ln for ln in sp.lines_through(p) if not ln & ~bits][:2]:
+            cases.append((s, kind, p, bits_to_indices(line & ~(1 << p))[-1]))
+    cases.extend(base_choice_cases())
+    outcomes = Counter()
+    for args in cases:
+        got = pivot_outcome(repeated_pivot, *args)
+        assert got == pivot_outcome(ambient_repeated_pivot, *args), args[1:4]
+        outcomes[got[0].__name__ if isinstance(got[0], type) else "ok"] += 1
+    assert outcomes == {
+        "ok": 110,
+        "NoConeDecomposition": 560,
+        "ConstraintViolated": 320,
+        "BaseWrongType": 7,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +586,12 @@ def test_affine_switch_rejects_wrong_input():
 
 
 def test_q2_switch_identity_and_replacement():
-    from qps.census import enumerate_quadrics
+    from qps.census import (
+    enumerate_quadrics,
+    nonsingular_switch_census,
+    nucleus_pivot_census,
+    singular_switch_census,
+)
 
     s = canonical("parabolic", 4, 2)
     sp = s.space
@@ -591,7 +739,8 @@ def test_shifted_nucleus_pivot_rejects_odd_q():
 def test_nucleus_surgeries_build_no_ambient_line_table():
     # line nuclei are read from hyperplane section sizes, so the nucleus
     # surgeries on Q(4,4) use the incidence of PG(4,4) and never its lines;
-    # a fresh space, not the shared one, shows which tables were built
+    # repeated pivot finds its tangent hyperplanes in their own coordinates.
+    # A fresh space, not the shared one, shows which tables were built
     sp = pg.ProjSpace(4, build_field(4))
     kind = PolarKind("parabolic", 4, 4)
     s = point_set(canonical_form(kind, sp))
@@ -599,6 +748,8 @@ def test_nucleus_surgeries_build_no_ambient_line_table():
     pi = singular_hyperplanes(s, kind)[0]
     cone_swap(s, pi)
     shifted_nucleus_pivot(s, pi)
+    p, r = (sp.point_index[v] for v in [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)])
+    assert repeated_pivot(s, kind, p, r)[0].bits == s.bits
     assert sp._all_lines is None
     assert sp._lines_through is None
 
@@ -639,6 +790,89 @@ def test_surgeries_raise_no_invariant_on_switched_quadrics():
         ("shifted-nucleus", "refused"): 4320,
         ("repeated-pivot", "ok"): 43,
         ("repeated-pivot", "refused"): 869,
+    }
+
+
+def attempt_every_operation(s, kind, attempt):
+    """Every census and every surgery on s: the cone surgeries at each singular
+    hyperplane (pivot onto the section's own base), the section switches at
+    the first hyperplane of each non-singular size, repeated pivot on every
+    line of s through its first point."""
+    sp = s.space
+    prof = profile(kind)
+    sizes = per_hyperplane_sizes(s)
+    for pi in [h for h, v in enumerate(sizes) if v == prof.singular_size]:
+        attempt("pivot", lambda: pivot(s, kind, pi, cone_decomposition(s, pi)[2]))
+        attempt("cone-swap", cone_swap, s, pi)
+        attempt("shifted-nucleus", shifted_nucleus_pivot, s, pi)
+    p = s.indices()[0]
+    for line in sp.lines_through(p):
+        if not line & ~s.bits:
+            attempt("repeated-pivot", repeated_pivot, s, kind, p, bits_to_indices(line & ~(1 << p))[0])
+    for size, family in [(prof.sizes[0], "elliptic"), (prof.sizes[-1], "hyperbolic")]:
+        xi = sizes.index(size)
+        attempt("q2-switch", nonsingular_switch_q2, s, xi, PointSet(sp, s.bits & sp.incidence[xi]))
+        geom = subgeometry(sp, hyperplane_flat(sp, xi))
+        section = geom.mask_from_ambient(s.bits)
+        target = profile(PolarKind(family, sp.m - 1, sp.q)).singular_size
+        h = next(h for h, mask in enumerate(geom.sub.incidence) if (mask & section).bit_count() == target)
+        attempt("q3-switch", internal_switch_q3, s, xi, flat_from_mask(sp, geom.mask_to_ambient(geom.sub.incidence[h])))
+    attempt("affine-switch", affine_switch, s)
+    attempt("oval-swap", oval_nucleus_swap, s, 0)
+    attempt("nucleus-pivot", nucleus_pivot_census, s)
+    attempt("singular-switch", singular_switch_census, s)
+    attempt("nonsingular-switch", nonsingular_switch_census, s, kind)
+
+
+def test_operations_raise_no_invariant_on_images_and_q43_switches():
+    # seeded projective images of the switched Q(4,2) sets, and a seeded
+    # sample of the quasi-polar sets that switching one non-singular section
+    # of Q(4,3) gives.  Every operation may refuse (ValueError, exit 2); an
+    # InvariantViolated would report a bug for a valid input and fail the test
+    outcomes = Counter()
+
+    def attempt(name, op, *args):
+        try:
+            op(*args)
+        except ValueError:
+            outcomes[name, "refused"] += 1
+        else:
+            outcomes[name, "ok"] += 1
+
+    sp = space_for(4, 2)
+    q43 = q43_switched_sets()
+    assert len(q43) == 26
+    rng = random.Random(14)
+    inputs = [
+        (projective_image(PointSet(sp, bits), 140 + i), PolarKind("parabolic", 4, 2))
+        for i, bits in enumerate(rng.sample(q42_switched_sets(), 30))
+    ]
+    inputs += [(PointSet(space_for(4, 3), bits), PolarKind("parabolic", 4, 3)) for bits in rng.sample(q43, 6)]
+    for s, kind in inputs:
+        cls = classify(s, kind)
+        assert cls.quasi_polar and cls.classical_size
+        attempt_every_operation(s, kind, attempt)
+    assert outcomes == {
+        ("pivot", "ok"): 132,
+        ("pivot", "refused"): 558,
+        ("cone-swap", "ok"): 45,
+        ("cone-swap", "refused"): 645,
+        ("shifted-nucleus", "ok"): 45,
+        ("shifted-nucleus", "refused"): 645,
+        ("repeated-pivot", "ok"): 11,
+        ("repeated-pivot", "refused"): 92,
+        ("q2-switch", "ok"): 14,
+        ("q2-switch", "refused"): 58,
+        ("q3-switch", "ok"): 12,
+        ("q3-switch", "refused"): 60,
+        ("affine-switch", "refused"): 36,
+        ("oval-swap", "refused"): 36,
+        ("nucleus-pivot", "ok"): 3,
+        ("nucleus-pivot", "refused"): 33,
+        ("singular-switch", "ok"): 3,
+        ("singular-switch", "refused"): 33,
+        ("nonsingular-switch", "ok"): 16,
+        ("nonsingular-switch", "refused"): 20,
     }
 
 
@@ -710,7 +944,7 @@ def replay_case(op, s, rng):
         p = rng.choice(s.indices())
         line = rng.choice([ln for ln in sp.lines_through(p) if not ln & ~s.bits])
         r = rng.choice([x for x in bits_to_indices(line) if x != p])
-        hp = surgery._tangent_hyperplane(s, sizes, prof.singular_size, p)
+        hp = tangent_hyperplane(s, prof.singular_size, p)
         geom = subgeometry(sp, hyperplane_flat(sp, hp))
         p_sub = geom.from_ambient[p]
         sigma = rng.choice([h for h in range(geom.sub.n_points) if not geom.sub.incidence[h] >> p_sub & 1])
