@@ -53,6 +53,7 @@ from .pg import (
     space_for,
     subgeometry,
 )
+from . import spectra
 from .spectra import (
     InvariantViolated,
     SpectrumProfile,
@@ -171,18 +172,22 @@ def _byte_tables(space: ProjSpace, g: list[list[int]]) -> list[list[int]]:
     return tables
 
 
-def _orbit(space: ProjSpace, kind: PolarKind) -> tuple[int, ...]:
+def _orbit(kind: PolarKind, space: ProjSpace | None = None) -> tuple[int, ...]:
     """Bitmasks of all classical sets of the kind, sorted, searched once per space.
 
-    The kind is checked against the space and the closed-form orbit size
-    against ``ORBIT_CAP`` before the table is read, so the family alone keys
-    ``space._orbits``; a search whose count is wrong raises and stores nothing.
+    A given space is checked against the kind; without one, ``space_for``
+    builds the kind's space once the closed-form orbit size has passed
+    ``ORBIT_CAP``, which is checked before any table is read.  So the family
+    alone keys ``space._orbits``; a search whose count is wrong raises and
+    stores nothing.
     """
-    if space.m != kind.m or space.q != kind.q:
+    if space is not None and (space.m != kind.m or space.q != kind.q):
         raise IncompatibleKind("kind does not match the space")
     total = _orbit_size(kind)
     if total > ORBIT_CAP:
         raise SpaceTooLarge(f"{total} classical sets exceed the enumeration cap")
+    if space is None:
+        space = space_for(kind.m, kind.q)
     orbit = space._orbits.get(kind.family)
     if orbit is not None:
         return orbit
@@ -215,7 +220,7 @@ def enumerate_quadrics(space: ProjSpace, kind: PolarKind) -> list[PointSet]:
     breadth-first search from the canonical set.  Each call returns a new
     list; the search runs once per space and family.
     """
-    return [PointSet(space, b) for b in _orbit(space, kind)]
+    return [PointSet(space, b) for b in _orbit(kind, space)]
 
 
 def _classical_profile(s: PointSet, kind: PolarKind) -> SpectrumProfile:
@@ -313,7 +318,7 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
     total = 0
     for label, size in (("hyperbolic", hyp), ("elliptic", ell)):
         hyps = [h for h, v in enumerate(per) if v == size]
-        cands = _orbit(space_for(3, 2), PolarKind(label, 3, 2))
+        cands = _orbit(PolarKind(label, 3, 2))
         per_hyp: list[tuple[int, int]] = []
         for h in hyps:
             geom, survives = _switch_test(space, s.bits, h, sizes)
@@ -325,7 +330,7 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
                     # every switch of the quadric survives; another input
                     # need not, and only then is the orbit searched
                     msg = f"a {label} switch at {h} is not quasi-polar"
-                    if s.bits in _orbit(space, PolarKind("parabolic", 4, 2)):
+                    if s.bits in _orbit(PolarKind("parabolic", 4, 2), space):
                         raise InvariantViolated(msg)
                     raise ValueError(f"census needs the quadric: {msg}")
                 if not has_nucleus(t):
@@ -495,14 +500,6 @@ def q4_shape_classify(s: PointSet, pi: int, section) -> list[str]:
     return sorted(key for key, fam in families.items() if t in fam)
 
 
-_SECTION_FAMILIES = {
-    "parabolic": ("elliptic", "hyperbolic"),
-    "hyperbolic": ("parabolic",),
-    "elliptic": ("parabolic",),
-    "hermitian": ("hermitian",),
-}
-
-
 def nonsingular_switch_census(
     s: PointSet, kind: PolarKind, threads: int = 1
 ) -> CensusResult:
@@ -530,11 +527,11 @@ def nonsingular_switch_census(
     witnesses: dict[str, list[list[int]]] = {}
     extra: dict[str, dict] = {"hyperplanes": {}, "candidates": {}}
     total = 0
-    for fam in _SECTION_FAMILIES[kind.family]:
+    for fam in spectra._SECTION_FAMILIES[kind.family]:
         sub_kind = PolarKind(fam, kind.m - 1, kind.q)
         target = profile(sub_kind).cardinality
         # the orbit checks its cap before any table for pi is built
-        cands = _orbit(space_for(sub_kind.m, sub_kind.q), sub_kind)
+        cands = _orbit(sub_kind)
         pi = _classical_section(space, s.bits, per, target, cands)
         if pi is None:
             raise ValueError(f"no section of size {target} is a classical {fam} set")
@@ -613,7 +610,7 @@ def _two_secant_lines(space: ProjSpace, zeros: int, p: int) -> int:
 
 def quadrics_census(kind: PolarKind) -> CensusResult:
     """Count the classical sets of the kind; the first ten are the witnesses."""
-    sets = _orbit(space_for(kind.m, kind.q), kind)
+    sets = _orbit(kind)
     return CensusResult(
         name="quadrics",
         m=kind.m,

@@ -135,11 +135,8 @@ def _parse_vec(arg: str, space: ProjSpace) -> int:
     return normalize_point(space, vec)
 
 
-def _report(command: str, space: ProjSpace | None = None) -> dict:
-    rep: dict = {"format": REPORT_FORMAT, "command": command}
-    if space is not None:
-        rep["space"] = {"m": space.m, "q": space.q}
-    return rep
+def _report(command: str, m: int, q: int) -> dict:
+    return {"format": REPORT_FORMAT, "command": command, "space": {"m": m, "q": q}}
 
 
 def _spectrum_entries(hist: dict[int, int]) -> list[dict]:
@@ -175,11 +172,13 @@ def _print(rep: dict, human: list[str], as_json: bool) -> None:
 def _cmd_construct(args) -> int:
     kind = PolarKind(args.kind, args.m, args.q)
     space = space_for(args.m, args.q)
+    # build the incidence first: a space too large to classify is refused
+    # before the form is evaluated at every point, and leaves no file
+    space.incidence
     s = point_set(canonical_form(kind, space))
-    # classify first: a space too large to classify leaves no file behind
     cls = classify(s, kind)
     save_point_set(args.out, s)
-    rep = _report("construct", space)
+    rep = _report("construct", args.m, args.q)
     rep["size"] = s.size
     rep["spectrum"] = _spectrum_entries(cls.histogram)
     rep["verdict"] = _verdict(cls)
@@ -196,7 +195,7 @@ def _cmd_construct(args) -> int:
 def _cmd_spectrum(args) -> int:
     s = load_point_set(args.infile)
     space = s.space
-    rep = _report("spectrum", space)
+    rep = _report("spectrum", space.m, space.q)
     rep["size"] = s.size
     code = 0
     if args.kind:
@@ -225,7 +224,7 @@ def _cmd_verify(args) -> int:
     s = load_point_set(args.infile)
     space = s.space
     rpt = nucleus_conditions(s)
-    rep = _report("verify", space)
+    rep = _report("verify", space.m, space.q)
     rep["size"] = s.size
     rep["conditions"] = dict(rpt.flags())
     rep["conditions"]["singular_count"] = rpt.singular_count
@@ -315,7 +314,7 @@ def _cmd_surgery(args) -> int:
     if args.out:
         save_point_set(args.out, res)
     cls = classify(res, kind)
-    rep = _report("surgery", space)
+    rep = _report("surgery", space.m, space.q)
     rep["size"] = res.size
     rep["spectrum"] = _spectrum_entries(cls.histogram)
     rep["verdict"] = _verdict(cls)
@@ -362,7 +361,7 @@ def _census_input(args, kind: PolarKind) -> PointSet:
 
 def _cmd_census(args) -> int:
     result = _census_result(args)
-    rep = _report("census", space_for(result.m, result.q))
+    rep = _report("census", result.m, result.q)
     rep["census"] = result.to_dict()
     human = [f"census {result.name} over PG({result.m},{result.q})"]
     human.append(f"candidates: {result.total_candidates}")
@@ -379,7 +378,7 @@ def _cmd_census(args) -> int:
 def _cmd_roots(args) -> int:
     kind = PolarKind(args.kind, args.m, args.q)
     rr = cardinality_roots(kind)
-    rep = _report("roots", space_for(args.m, args.q))
+    rep = _report("roots", args.m, args.q)
     rep["roots"] = {
         "classical": rr.classical_root,
         "other": str(rr.other_root),

@@ -136,14 +136,18 @@ def card_hermitian(m: int, q: int) -> int:
     return (r ** (m + 1) + sm) * (r**m - sm) // (q - 1)
 
 
+def _cardinality(family: str, m: int, q: int) -> int:
+    """|set| of the family's classical polar space in PG(m, q); 0 below the
+    family's least dimension, where the base of a point cone is empty."""
+    if family == "parabolic":
+        return card_parabolic(m // 2, q)
+    if family == "hermitian":
+        return card_hermitian(m, q)
+    return card_pm((m - 1) // 2, q, 1 if family == "hyperbolic" else -1)
+
+
 def classical_cardinality(kind: PolarKind) -> int:
-    if kind.family == "parabolic":
-        return card_parabolic(kind.n, kind.q)
-    if kind.family == "hyperbolic":
-        return card_pm(kind.n, kind.q, 1)
-    if kind.family == "elliptic":
-        return card_pm(kind.n, kind.q, -1)
-    return card_hermitian(kind.m, kind.q)
+    return _cardinality(kind.family, kind.m, kind.q)
 
 
 class Form:

@@ -347,10 +347,26 @@ def hyperplane_flat(space: ProjSpace, h: int) -> Flat:
     return flat
 
 
+def _incidence_meet(space: ProjSpace, rows) -> int:
+    """AND of the incidence rows with the given indices; all points for none.
+
+    Row i is the points on hyperplane i and, the incidence being symmetric,
+    the hyperplanes through point i.  Stops once the AND is empty.
+    """
+    inc = space.incidence
+    mask = space.all_mask
+    for i in rows:
+        mask &= inc[i]
+        if not mask:
+            break
+    return mask
+
+
 def hyperplanes_containing(space: ProjSpace, flat: Flat) -> list[int]:
-    """Indices of hyperplanes through the flat, ascending."""
-    dual_basis = null_space(space.f, list(flat.basis))
-    return sorted(span_points(space, dual_basis)) if dual_basis else []
+    """Indices of hyperplanes through the flat, ascending: those through
+    every point of its basis."""
+    basis_points = (normalize_point(space, v) for v in flat.basis)
+    return bits_to_indices(_incidence_meet(space, basis_points))
 
 
 def flats_of_codim(space: ProjSpace, c: int) -> tuple[Flat, ...]:

@@ -14,14 +14,12 @@ from collections.abc import Iterable, Iterator
 from .forms import (
     IncompatibleKind,
     PolarKind,
-    card_hermitian,
-    card_parabolic,
-    card_pm,
     classical_cardinality,
     n_points_pg,
+    _cardinality,
     _is_square,
 )
-from .pg import PointSet, ProjSpace, bits_to_indices
+from .pg import PointSet, ProjSpace, _incidence_meet, bits_to_indices
 
 
 class NotQuasiPolar(ValueError):
@@ -58,82 +56,59 @@ class SpectrumProfile:
 
 _PROFILES: dict[PolarKind, SpectrumProfile] = {}
 
+# the families of the non-singular hyperplane sections of each family, one
+# dimension down; a singular section is a point cone over the family itself
+# two dimensions down
+_SECTION_FAMILIES = {
+    "parabolic": ("elliptic", "hyperbolic"),
+    "hyperbolic": ("parabolic",),
+    "elliptic": ("parabolic",),
+    "hermitian": ("hermitian",),
+}
+
 
 def profile(kind: PolarKind) -> SpectrumProfile:
-    """Admissible hyperplane-section sizes and their counts for the classical set."""
+    """Admissible hyperplane-section sizes and their counts for the classical set S.
+
+    Each point of S has one singular (tangent) hyperplane, whose section is
+    a point cone over the same family in PG(m-2, q).  The other hyperplanes
+    meet S in a polar space of a section family in PG(m-1, q): for the
+    parabolic family, q^n (q^n - 1) / 2 elliptic and q^n (q^n + 1) / 2
+    hyperbolic ones.  The counts must pass the double counts of hyperplanes,
+    of incident point-hyperplane pairs and of point pairs in a hyperplane.
+    """
     if kind in _PROFILES:
         return _PROFILES[kind]
-    q = kind.q
-    m = kind.m
-    if kind.family == "parabolic":
-        n = kind.n
-        sizes = (
-            card_pm(n - 1, q, -1),
-            q * card_parabolic(n - 1, q) + 1,
-            card_pm(n - 1, q, 1),
-        )
-        singular = sizes[1]
-    elif kind.family == "hyperbolic":
-        n = kind.n
-        sizes = (card_parabolic(n, q), q * card_pm(n - 1, q, 1) + 1)
-        singular = sizes[1]
-    elif kind.family == "elliptic":
-        n = kind.n
-        sizes = (q * card_pm(n - 1, q, -1) + 1, card_parabolic(n, q))
-        singular = sizes[0]
+    family, m, q = kind.family, kind.m, kind.q
+    card = classical_cardinality(kind)
+    singular = 1 + q * _cardinality(family, m - 2, q)
+    counts = {singular: card}
+    if family == "parabolic":
+        qn = q**kind.n
+        # in _SECTION_FAMILIES order: elliptic, hyperbolic
+        rest = (qn * (qn - 1) // 2, qn * (qn + 1) // 2)
     else:
-        sizes = (q * card_hermitian(m - 2, q) + 1, card_hermitian(m - 1, q))
-        singular = sizes[0]
-        if m % 2 == 1:
-            sizes = (sizes[1], sizes[0])
-    ordered = tuple(sorted(set(sizes)))
-    counts = _classical_counts(kind, ordered)
+        rest = (n_points_pg(m, q) - card,)
+    for section, c in zip(_SECTION_FAMILIES[family], rest):
+        counts[_cardinality(section, m - 1, q)] = c
+    theta = [n_points_pg(m - i, q) for i in range(3)]
+    if (
+        sum(counts.values()) != theta[0]
+        or sum(u * c for u, c in counts.items()) != card * theta[1]
+        or sum(u * (u - 1) * c for u, c in counts.items()) != card * (card - 1) * theta[2]
+    ):
+        raise InvariantViolated(f"{kind}: section counts fail the double count")
+    sizes = tuple(sorted(counts))
     prof = SpectrumProfile(
         kind=kind,
-        sizes=ordered,
+        sizes=sizes,
         singular_size=singular,
-        expected_counts=counts,
-        cardinality=classical_cardinality(kind),
-        cardinality_forced=kind.family != "parabolic",
+        expected_counts={u: counts[u] for u in sizes},
+        cardinality=card,
+        cardinality_forced=family != "parabolic",
     )
     _PROFILES[kind] = prof
     return prof
-
-
-def _classical_counts(kind: PolarKind, sizes: tuple[int, ...]) -> dict[int, int]:
-    """Counts per section size for the classical set, by double counting.
-
-    The counts c_u satisfy sum c_u = H, sum u c_u = S t1 and
-    sum u (u - 1) c_u = S (S - 1) t2.  The first len(sizes) equations give
-    them by Cramer's rule, in integers; the others are checked.
-    """
-    q = kind.q
-    m = kind.m
-    S = classical_cardinality(kind)
-    rhs = (n_points_pg(m, q), S * n_points_pg(m - 1, q), S * (S - 1) * n_points_pg(m - 2, q))
-    eqs = [(1,) * len(sizes), sizes, tuple(u * (u - 1) for u in sizes)]
-    rows = eqs[: len(sizes)]
-    det = _det(rows)
-    counts = []
-    for i, u in enumerate(sizes):
-        num = _det([r[:i] + (b,) + r[i + 1 :] for r, b in zip(rows, rhs)])
-        if num % det or num // det < 0:
-            raise InvariantViolated(f"{kind}: section count {num}/{det} for size {u}")
-        counts.append(num // det)
-    for row, b in zip(eqs[len(sizes) :], rhs[len(sizes) :]):
-        if sum(x * c for x, c in zip(row, counts)) != b:
-            raise InvariantViolated(f"{kind}: section counts fail the double count")
-    return dict(zip(sizes, counts))
-
-
-def _det(rows) -> int:
-    """Determinant of a square integer matrix, by expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    return sum(
-        (-1) ** j * x * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
-        for j, x in enumerate(rows[0])
-    )
 
 
 class Spectrum:
@@ -329,7 +304,8 @@ def section_type(kind: PolarKind, size: int) -> str | None:
 
 
 class ConditionReport:
-    """The flags a-d' of ``nucleus_conditions``, with counts and candidate masks."""
+    """The flags a-d' of ``nucleus_conditions``, with counts, the nucleus
+    candidate and the mask of the points that satisfy c."""
 
     def __init__(
         self,
@@ -344,10 +320,7 @@ class ConditionReport:
         singular_count: int,
         expected_singular: int,
         nucleus_candidate: int | None,
-        b_candidates: int,
         c_candidates: int,
-        d_common: int,
-        d_prime_candidates: int,
     ):
         self.size = size
         self.a = a
@@ -360,10 +333,7 @@ class ConditionReport:
         self.singular_count = singular_count
         self.expected_singular = expected_singular
         self.nucleus_candidate = nucleus_candidate
-        self.b_candidates = b_candidates
         self.c_candidates = c_candidates
-        self.d_common = d_common
-        self.d_prime_candidates = d_prime_candidates
 
     def flags(self) -> dict[str, bool]:
         return {
@@ -427,28 +397,16 @@ def nucleus_conditions(s: PointSet) -> ConditionReport:
     ell, cone_size, hyp = prof.sizes
     spec = spectrum(s)
     per = spec.per_hyperplane
-    inc = space.incidence
-    off = space.all_mask & ~s.bits
 
     a = s.size == prof.cardinality
     b_prime = set(spec.histogram) <= set(prof.sizes)
 
-    bad = [h for h, v in enumerate(per) if v != ell and v != hyp]
-    b_mask = space.all_mask
-    for h in bad:
-        b_mask &= inc[h]
-        if not b_mask:
-            break
-    b_mask &= off
+    b_mask = _incidence_meet(space, (h for h, v in enumerate(per) if v != ell and v != hyp))
 
     # the cone size is theta_{m-2}: c, d and d' read one singular/other split
     c_mask = _line_nuclei_mask(space, s.bits, per)
     singular = [h for h, v in enumerate(per) if v == cone_size]
-    d_mask = space.all_mask if singular else 0
-    for h in singular:
-        d_mask &= inc[h]
-        if not d_mask:
-            break
+    d_mask = _incidence_meet(space, singular) if singular else 0
 
     t1 = n_points_pg(space.m - 1, q)
     dp_mask = d_mask if len(singular) == t1 else 0
@@ -464,7 +422,7 @@ def nucleus_conditions(s: PointSet) -> ConditionReport:
     return ConditionReport(
         size=s.size,
         a=a,
-        b=bool(b_mask),
+        b=bool(b_mask & ~s.bits),
         b_prime=b_prime,
         c=bool(c_mask),
         c_prime=c_prime,
@@ -473,8 +431,5 @@ def nucleus_conditions(s: PointSet) -> ConditionReport:
         singular_count=len(singular),
         expected_singular=(q ** space.m - 1) // (q - 1),
         nucleus_candidate=candidate,
-        b_candidates=b_mask,
         c_candidates=c_mask,
-        d_common=d_mask,
-        d_prime_candidates=dp_mask,
     )

@@ -234,7 +234,7 @@ def _validate_base(sub: ProjSpace, kind: PolarKind, carrier: int, base: int) -> 
     try:
         base_kind = PolarKind(kind.family, kind.m - 2, kind.q)
     except IncompatibleKind as e:
-        raise BaseWrongType(str(e)) from e
+        raise BaseWrongType(f"base kind in PG({kind.m - 2},{kind.q}): {e}") from e
     geom = subgeometry(sub, hyperplane_flat(sub, carrier))
     cls = classify(PointSet(geom.sub, geom.mask_from_ambient(base)), base_kind)
     if not cls.quasi_polar:

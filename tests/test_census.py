@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from qps import census, forms, pg
+from qps import census, cli, forms, pg, spectra
 from qps.census import (
     PointIsNucleus,
     PointOnQuadric,
@@ -216,7 +216,7 @@ def test_enumerate_orbit_sizes_match_group_orders(fam, m, q, count):
     assert {b.bit_count() for b in bits} == {classical_cardinality(kind)}
 
 
-def test_enumerate_guard_rejects_large_orbit_fast():
+def test_enumerate_guard_rejects_large_orbit_fast(monkeypatch, capsys):
     # 4,586,868 parabolic quadrics of PG(4,3), over the 2**20-set cap
     assert _gl_order(5, 3) // _stabiliser_order("parabolic", 5, 3) == 4_586_868
     with pytest.raises(SpaceTooLarge):
@@ -228,6 +228,11 @@ def test_enumerate_guard_rejects_large_orbit_fast():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    # the cap is checked before the space is built: PG(7,7) has 960,800 points
+    monkeypatch.setattr(pg, "_SPACES", {})
+    assert cli.run(["census", "quadrics", "--kind", "elliptic", "--m", "7", "--q", "7"]) == 2
+    assert capsys.readouterr().err.endswith(" classical sets exceed the enumeration cap\n")
+    assert (7, 7) not in pg._SPACES
 
 
 @pytest.fixture
@@ -494,7 +499,7 @@ def test_nonsingular_switch_census_identity_only(fam, m, q, n_cand):
     s = canonical(fam, m, q)
     res = nonsingular_switch_census(s, PolarKind(fam, m, q))
     assert res.name == "nonsingular-switch"
-    sub_fam = census._SECTION_FAMILIES[fam][0]
+    sub_fam = spectra._SECTION_FAMILIES[fam][0]
     assert res.breakdown[f"{sub_fam}_identity"] == 1
     assert res.breakdown[f"{sub_fam}_other_survivor"] == 0
     assert res.breakdown[f"{sub_fam}_not_quasi_polar"] == n_cand - 1
@@ -615,7 +620,7 @@ def test_plane_table_survivors_match_full_recount(fam, m, q):
     s = canonical(fam, m, q)
     sizes = set(profile(PolarKind(fam, m, q)).sizes)
     per = spectrum(s).per_hyperplane
-    for sub_fam in census._SECTION_FAMILIES[fam]:
+    for sub_fam in spectra._SECTION_FAMILIES[fam]:
         sub_kind = PolarKind(sub_fam, m - 1, q)
         pi = per.index(classical_cardinality(sub_kind))
         geom = subgeometry(sp, hyperplane_flat(sp, pi))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qps import pg
 from qps.cli import (
     BadHeader,
     DuplicatePoint,
@@ -140,15 +141,22 @@ def test_exit_two_when_the_incidence_is_too_large(tmp_path, capsys):
     assert "incidence table" in capsys.readouterr().err
 
 
-def test_construct_too_large_to_classify_writes_no_file(tmp_path, capsys):
-    out = tmp_path / "q416.qps"
-    argv = ["construct", "canonical", "--kind", "parabolic", "--m", "4", "--q", "16", "--out", str(out)]
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "incidence table" in captured.err
-    assert not out.exists()
+def test_construct_too_large_to_classify_writes_no_file(tmp_path, capsys, monkeypatch):
+    # a cache of its own, so that the PG(7,7) of 960,800 points is freed
+    monkeypatch.setattr(pg, "_SPACES", {})
+    # the incidence guard refuses before the form is evaluated at every
+    # point, which takes about 28 s for Q-(7,7)
+    for fam, m, q in [("parabolic", 4, 16), ("elliptic", 7, 7)]:
+        out = tmp_path / f"{fam}{m}{q}.qps"
+        argv = ["construct", "canonical", "--kind", fam, "--m", str(m), "--q", str(q), "--out", str(out)]
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "incidence table" in captured.err
+        assert not out.exists()
 
 
 # a classical-size quasi-polar set of Q(4,2) without a line nucleus: one
@@ -234,6 +242,9 @@ def test_exit_three_on_io_and_format_errors(tmp_path, capsys):
     bad.write_text("not a point set\n")
     assert run(["spectrum", "--in", str(bad)]) == 3
     capsys.readouterr()
+    bad.write_text("QPS 1\nPG 2\n")
+    assert run(["spectrum", "--in", str(bad)]) == 3
+    assert capsys.readouterr().err == "error: expected a 'PG m q' line\n"
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +337,16 @@ def test_roots_json(capsys):
     assert rep["roots"] == {"classical": 5, "other": "3", "other_integral": True, "tag": "line"}
     code, rep = run_json(capsys, ["roots", "--kind", "hyperbolic", "--m", "3", "--q", "3", "--json"])
     assert rep["roots"] == {"classical": 16, "other": "35/2", "other_integral": False, "tag": None}
+    # arithmetic only: PG(5,16), over MAX_POINTS, is never built
+    code, rep = run_json(capsys, ["roots", "--kind", "hermitian", "--m", "5", "--q", "16", "--json"])
+    assert code == 0
+    assert rep == {
+        "format": "qps-report/1",
+        "command": "roots",
+        "space": {"m": 5, "q": 16},
+        "roots": {"classical": 279825, "other": "72439057/257", "other_integral": False, "tag": None},
+    }
+    assert (5, 16) not in pg._SPACES
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +457,46 @@ _REFUSALS = {
         "pi_sub must be singular for the section",
     ),
     "oval-not-oval": ("surgery oval-swap --in {line24} --tangent 1,0,0", "set is not an oval"),
+    "cone-swap-plane": (
+        "surgery cone-swap --in {c24} --hyperplane 0,0,1",
+        "operation needs even ambient dimension >= 4",
+    ),
+    "shifted-plane": (
+        "surgery shifted-nucleus --in {c24} --hyperplane 0,0,1",
+        "operation needs even ambient dimension >= 4",
+    ),
+    "pivot-base-kind": (
+        "surgery pivot --in {c24} --kind parabolic --hyperplane 0,0,1 --base {nuc24}",
+        "base kind in PG(0,4): parabolic needs even ambient dimension >= 2",
+    ),
+    "affine-line": ("surgery affine-switch --in {h12}", "the generators are points, so they have no wall"),
+    "q2-odd": (
+        "surgery q2-switch --in {e32} --hyperplane 1,0,0,0 --section {e32}",
+        "ambient dimension must be even",
+    ),
+    "q3-odd": ("surgery q3-switch --in {e33} --sub 1,0,0,0;0,1,0,0", "ambient dimension must be even"),
 }
 
 
 def _refusal_files(tmp_path):
-    """The files the refusal cases name: the canonical Q(4,2), Q(4,3) and
-    Q(4,4); a point of PG(3,2); the point 1,0,1,0,0 of PG(4,2), off both
-    hyperplanes the cases give; and a line of PG(2,4)."""
+    """The files the refusal cases name: the canonical Q(4,2), Q(4,3),
+    Q(4,4), conic of PG(2,4), Q+(1,2), Q-(3,2) and Q-(3,3); a point of
+    PG(3,2); the point 1,0,1,0,0 of PG(4,2), off both hyperplanes the cases
+    give; the conic's nucleus 1,0,0; and a line of PG(2,4)."""
     pg42 = space_for(4, 2)
+    pg24 = space_for(2, 4)
     sets = {
         "q42": canonical("parabolic", 4, 2),
         "q43": canonical("parabolic", 4, 3),
         "q44": canonical("parabolic", 4, 4),
+        "c24": canonical("parabolic", 2, 4),
+        "h12": canonical("hyperbolic", 1, 2),
+        "e32": canonical("elliptic", 3, 2),
+        "e33": canonical("elliptic", 3, 3),
         "pg32": point_set_from_indices(space_for(3, 2), [0]),
         "off": point_set_from_indices(pg42, [pg42.point_index[(1, 0, 1, 0, 0)]]),
-        "line24": line_through(space_for(2, 4), 0, 1),
+        "nuc24": point_set_from_indices(pg24, [pg24.point_index[(1, 0, 0)]]),
+        "line24": line_through(pg24, 0, 1),
     }
     paths = {}
     for name, s in sets.items():

@@ -406,6 +406,23 @@ def test_hyperplanes_containing_codim2():
                 assert fl.mask() & ~sp.incidence[h] == 0
 
 
+@pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)])
+def test_hyperplanes_containing_matches_the_dual_vectors(m, q):
+    # the reference: h contains the flat iff h·v = 0 for every basis vector v
+    sp = space_for(m, q)
+    rng = random.Random(100 * m + q)
+    flats = [*flats_of_codim(sp, 1), *flats_of_codim(sp, 2)]
+    flats += [
+        flat_from_points(sp, rng.sample(range(sp.n_points), rng.randint(1, m + 1)))
+        for _ in range(30)
+    ]
+    for fl in flats:
+        expect = [
+            h for h in range(sp.n_points) if all(pg.dot(sp.f, sp.points[h], v) == 0 for v in fl.basis)
+        ]
+        assert hyperplanes_containing(sp, fl) == expect
+
+
 def test_hyperplanes_containing_line_in_pg32():
     sp = space_for(3, 2)
     fl = flat_from_points(sp, line_through(sp, 0, 1).indices())

@@ -1,15 +1,19 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qps.forms import PolarKind, canonical_form, point_set
-from qps.gf import build_field
+from qps import forms, spectra
+from qps.forms import FAMILIES, PolarKind, canonical_form, point_set
+from qps.gf import SUPPORTED_ORDERS, build_field
 from qps.pg import PointSet, ProjSpace, point_set_from_indices, space_for
 from qps.spectra import (
     IncompatibleKind,
+    InvariantViolated,
     NotEvenDimension,
     NotQuasiPolar,
     cardinality_roots,
@@ -108,6 +112,60 @@ def test_profile_matches_brute_force_spectrum():
     ]:
         s = canonical(fam, m, q)
         assert spectrum(s).histogram == profile(PolarKind(fam, m, q)).expected_counts
+
+
+# every field of the profile of each kind of PG(1..9, q), q in
+# SUPPORTED_ORDERS, as [family, m, q, sizes, singular_size,
+# expected_counts items in order, cardinality, cardinality_forced]; the
+# counts were solved from the double counts by Cramer's rule
+PROFILES = Path(__file__).parent / "data" / "profiles.json"
+
+
+def test_profile_fields_match_the_pinned_profiles(monkeypatch):
+    monkeypatch.setattr(spectra, "_PROFILES", {})
+    kinds = []
+    for q in SUPPORTED_ORDERS:
+        for m in range(1, 10):
+            for fam in FAMILIES:
+                try:
+                    kinds.append(PolarKind(fam, m, q))
+                except IncompatibleKind:
+                    pass
+    got = []
+    for kind in kinds:
+        p = profile(kind)
+        got.append([
+            kind.family, kind.m, kind.q, list(p.sizes), p.singular_size,
+            [list(item) for item in p.expected_counts.items()], p.cardinality, p.cardinality_forced,
+        ])
+    assert len(got) == 288
+    assert got == json.loads(PROFILES.read_text())
+
+
+@pytest.mark.parametrize(
+    "planted,kind",
+    [
+        (("elliptic", 3, 2), ("elliptic", 3, 2)),
+        (("parabolic", 4, 3), ("parabolic", 4, 3)),
+        (("hermitian", 2, 4), ("hermitian", 2, 4)),
+        # a section size: the elliptic solids of Q(4,2)
+        (("elliptic", 3, 2), ("parabolic", 4, 2)),
+        # the cone base of Q+(5,2)
+        (("hyperbolic", 3, 2), ("hyperbolic", 5, 2)),
+    ],
+    ids=["e32", "q43", "h24", "e32-in-q42", "h32-in-h52"],
+)
+def test_profile_double_count_catches_a_wrong_cardinality(monkeypatch, planted, kind):
+    card = forms._cardinality
+
+    def off_by_one(family, m, q):
+        return card(family, m, q) + ((family, m, q) == planted)
+
+    monkeypatch.setattr(forms, "_cardinality", off_by_one)
+    monkeypatch.setattr(spectra, "_cardinality", off_by_one)
+    monkeypatch.setattr(spectra, "_PROFILES", {})
+    with pytest.raises(InvariantViolated, match="double count"):
+        profile(PolarKind(*kind))
 
 
 # ---------------------------------------------------------------------------
