@@ -15,10 +15,12 @@ in a hyperplane tau of pi (a plane when pi is a solid), so H meets the result
 in |base ∩ H| + |T ∩ tau| points, base being s off pi.  Hyperplane h is dual
 point h, so the hyperplanes other than pi through tau are the other points
 of one dual line through pi: grouped by tau, they give the values of
-|T ∩ tau| that all of them admit, and a candidate is checked against these
-per-tau tables.  The line-nucleus test of the nucleus-pivot census and the
-Q(4,2) shape families of the singular-switch census are built in the same
-coordinates; only survivors are mapped to ambient point indices.
+|T ∩ tau| that all of them admit.  All candidates are checked against these
+per-tau tables at once (and pi's, |T| in sizes): a bit-sliced counter sums
+the columns of tau's points, one int per point with a bit per candidate.  The
+line-nucleus test of the nucleus-pivot census and the Q(4,2) shape families
+of the singular-switch census are built in the same coordinates; only
+survivors are mapped to ambient point indices.
 The nucleus-pivot test looks off pi only, as a nucleus inside pi needs
 |T| = theta_2 = 7; the Q(4,2) frame's nucleus is read from section sizes.
 """
@@ -26,6 +28,7 @@ The nucleus-pivot test looks off pi only, as a nucleus inside pi needs
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 
@@ -110,7 +113,8 @@ class CensusResult:
 
 
 def _orbit_size(kind: PolarKind) -> int:
-    """Number of classical sets of the kind: |GL(d, q)| / |similitudes of the form|.
+    """Number of classical sets of the kind: |GL(d, q)| / |similitudes of the form|,
+    refused with ``SpaceTooLarge`` above ``ORBIT_CAP``.
 
     The similitudes are the linear maps that fix the point set.  The
     elliptic set of PG(1, q) is empty, so its orbit is the one set.
@@ -129,7 +133,18 @@ def _orbit_size(kind: PolarKind) -> int:
         eps = 1 if kind.family == "hyperbolic" else -1
         stab = 2 * q ** (n * (n - 1)) * (q**n - eps) * (q - 1)
         stab *= math.prod(q ** (2 * i) - 1 for i in range(1, n))
-    return math.prod(q**d - q**i for i in range(d)) // stab
+    total = math.prod(q**d - q**i for i in range(d)) // stab
+    if total > ORBIT_CAP:
+        raise SpaceTooLarge(f"{total} classical sets exceed the enumeration cap")
+    return total
+
+
+def _section_kinds(kind: PolarKind) -> list[PolarKind]:
+    """The section kinds that nonsingular-switch enumerates, checked against the cap."""
+    subs = [PolarKind(fam, kind.m - 1, kind.q) for fam in spectra._SECTION_FAMILIES[kind.family]]
+    for sub in subs:
+        _orbit_size(sub)
+    return subs
 
 
 def _primitive_element(f: FieldTable) -> int:
@@ -184,8 +199,6 @@ def _orbit(kind: PolarKind, space: ProjSpace | None = None) -> tuple[int, ...]:
     if space is not None and (space.m != kind.m or space.q != kind.q):
         raise IncompatibleKind("kind does not match the space")
     total = _orbit_size(kind)
-    if total > ORBIT_CAP:
-        raise SpaceTooLarge(f"{total} classical sets exceed the enumeration cap")
     if space is None:
         space = space_for(kind.m, kind.q)
     orbit = space._orbits.get(kind.family)
@@ -232,48 +245,88 @@ def _classical_profile(s: PointSet, kind: PolarKind) -> SpectrumProfile:
 
 
 def _switch_test(space: ProjSpace, s_bits: int, pi: int, sizes):
-    """Subgeometry of hyperplane pi, and a predicate on a section T of pi in
-    its coordinates: does base ∪ T meet every hyperplane in one of sizes?
+    """Subgeometry of hyperplane pi, and the tables (mask, allowed values of
+    |T ∩ mask|) that a section T of pi, in its coordinates, must pass for
+    base ∪ T to meet every hyperplane in one of sizes, most restrictive first.
 
-    base is s_bits off pi; pi itself meets the result in |T| points.  Every
-    other hyperplane H meets pi in a hyperplane tau of pi.  Hyperplane h is
-    dual point h, so the H through one tau are the other q points of one dual
-    line through pi: grouped by tau, they admit the values of |T ∩ tau| in the
-    intersection, over the line, of {k - |base ∩ H| : k in sizes}.  Each tau
-    is mapped into pi's coordinates once.
+    base is s_bits off pi; pi itself meets the result in |T| points, its own
+    table.  Every other hyperplane H meets pi in a hyperplane tau of pi.
+    Hyperplane h is dual point h, so the H through one tau are the other q
+    points of one dual line through pi: grouped by tau, they admit the values
+    of |T ∩ tau| in the intersection, over the line, of {k - |base ∩ H| : k in
+    sizes}.  Each tau is mapped into pi's coordinates once.
     """
     geom = subgeometry(space, hyperplane_flat(space, pi))
     inc = space.incidence
     hmask = inc[pi]
     base = s_bits & ~hmask
-    allowed: dict[int, frozenset[int]] = {}
+    allowed: dict[int, frozenset[int]] = {hmask: frozenset(sizes)}
     for h, mask in enumerate(inc):
         if h != pi:
             a = (base & mask).bit_count()
             ok = frozenset(k - a for k in sizes if k >= a)
             tau = mask & hmask
             allowed[tau] = allowed[tau] & ok if tau in allowed else ok
-    # the most restrictive planes first, so that most candidates stop early
-    checks = sorted(
-        ((geom.mask_from_ambient(tau), ok) for tau, ok in allowed.items()),
-        key=lambda c: len(c[1]),
-    )
-
-    def survives(t: int) -> bool:
-        if t.bit_count() not in sizes:
-            return False
-        for mask, ok in checks:
-            if (t & mask).bit_count() not in ok:
-                return False
-        return True
-
-    return geom, survives
+    checks = [(geom.mask_from_ambient(tau), ok) for tau, ok in allowed.items()]
+    # the most restrictive tables first, so that most candidates drop early
+    return geom, sorted(checks, key=lambda c: len(c[1]))
 
 
-def _nucleus_test(space: ProjSpace, geom: SubGeometry, s_bits: int, pi: int):
-    """Predicate on a section T of hyperplane pi, in the coordinates of its
-    subgeometry geom, with |T| != theta_{m-2}: has base ∪ T a line nucleus?
-    base is s_bits off pi.
+def _columns(cands, n: int) -> list[int]:
+    """Column i of the masks cands over n points: bit c set when cands[c] holds
+    point i.  Byte i >> 3 of the masks, joined in blocks, gives its digits."""
+    digits = [bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8)]
+    nb = (n + 7) // 8
+    rows = bytearray()
+    for lo in range(0, len(cands), 4096):
+        rows += b"".join(t.to_bytes(nb, "little") for t in cands[lo : lo + 4096])
+    return [int(rows[i >> 3 :: nb].translate(digits[i & 7])[::-1], 2) for i in range(n)]
+
+
+def _orbit_columns(kind: PolarKind) -> tuple[tuple[int, ...], list[int]]:
+    """The orbit of the kind and its columns, cached while ``_orbit`` returns that tuple."""
+    cands = _orbit(kind)
+    space = space_for(kind.m, kind.q)
+    hit = space._columns.get(kind.family)
+    if hit is None or hit[0] is not cands:
+        hit = space._columns[kind.family] = (cands, _columns(cands, space.n_points))
+    return hit
+
+
+def _survivors(checks, cols: list[int], cands) -> list[int]:
+    """The candidates, given also as columns, that pass every (mask, allowed)
+    table.  Per table a bit-sliced adder sums the columns of the mask's points
+    into planes[j], bit j of each count; a count wider than planes matches nothing."""
+    alive = (1 << len(cands)) - 1
+    for mask, ok in checks:
+        planes: list[int] = []
+        for i in bits_to_indices(mask):
+            carry = cols[i]
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            if carry:
+                planes.append(carry)
+        match = 0
+        for k in ok:
+            if k >> len(planes):
+                continue
+            hit = alive
+            for j, plane in enumerate(planes):
+                hit &= plane if k >> j & 1 else ~plane
+            match |= hit
+        alive = match
+        if not alive:
+            break
+    return [cands[c] for c in bits_to_indices(alive)]
+
+
+def _nucleus_test(space: ProjSpace, geom: SubGeometry, s_bits: int, pi: int) -> set[int]:
+    """The sections T of hyperplane pi, in the coordinates of its
+    subgeometry geom, with |T| != theta_{m-2}, for which base ∪ T has a line
+    nucleus.  base is s_bits off pi.
 
     A nucleus N inside pi would see each line through it inside pi meet T
     once, which needs |T| = theta_{m-2}; so N lies off pi.  N sees each
@@ -295,7 +348,7 @@ def _nucleus_test(space: ProjSpace, geom: SubGeometry, s_bits: int, pi: int):
                 t |= 1 << from_amb[(line & hmask).bit_length() - 1]
         else:
             required.add(t)
-    return required.__contains__
+    return required
 
 
 def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
@@ -318,28 +371,24 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
     total = 0
     for label, size in (("hyperbolic", hyp), ("elliptic", ell)):
         hyps = [h for h, v in enumerate(per) if v == size]
-        cands = _orbit(PolarKind(label, 3, 2))
+        cands, cols = _orbit_columns(PolarKind(label, 3, 2))
         per_hyp: list[tuple[int, int]] = []
         for h in hyps:
-            geom, survives = _switch_test(space, s.bits, h, sizes)
+            geom, checks = _switch_test(space, s.bits, h, sizes)
+            if len(_survivors(checks, cols, cands)) != len(cands):
+                # all switches of the quadric survive; the orbit is searched on a failure
+                msg = f"a {label} switch at {h} is not quasi-polar"
+                if s.bits in _orbit(PolarKind("parabolic", 4, 2), space):
+                    raise InvariantViolated(msg)
+                raise ValueError(f"census needs the quadric: {msg}")
             # the candidates have 5 or 9 points, never theta_2 = 7
-            has_nucleus = _nucleus_test(space, geom, s.bits, h)
-            no_nucleus = []
-            for t in cands:
-                if not survives(t):
-                    # every switch of the quadric survives; another input
-                    # need not, and only then is the orbit searched
-                    msg = f"a {label} switch at {h} is not quasi-polar"
-                    if s.bits in _orbit(PolarKind("parabolic", 4, 2), space):
-                        raise InvariantViolated(msg)
-                    raise ValueError(f"census needs the quadric: {msg}")
-                if not has_nucleus(t):
-                    no_nucleus.append(t)
-            per_hyp.append((len(no_nucleus), len(cands)))
+            required = _nucleus_test(space, geom, s.bits, h)
+            per_hyp.append((len(cands) - sum(_in_sorted(cands, t) for t in required), len(cands)))
             if h == hyps[0]:
+                no_nucleus = itertools.islice((t for t in cands if t not in required), 10)
                 base_bits = s.bits & ~space.incidence[h]
                 witnesses[f"{label}_no_nucleus"] = [
-                    bits_to_indices(base_bits | geom.mask_to_ambient(t)) for t in no_nucleus[:10]
+                    bits_to_indices(base_bits | geom.mask_to_ambient(t)) for t in no_nucleus
                 ]
         if len(set(per_hyp)) != 1:
             raise InvariantViolated(f"hyperplane dependence in {label} census")
@@ -374,13 +423,11 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     sizes = set(prof.sizes)
     per = spectrum(s).per_hyperplane
     pi = next(h for h, v in enumerate(per) if v == prof.singular_size)
-    geom, survives = _switch_test(space, s.bits, pi, sizes)
+    geom, checks = _switch_test(space, s.bits, pi, sizes)
     vertex, nucleus = _q42_frame(s, geom)
     sub = geom.sub
-    combos = itertools.combinations(range(sub.n_points), 7)
-    sevens = (sum(1 << i for i in combo) for combo in combos)
-    survivors = [t for t in sevens if survives(t)]
-    n_combos = math.comb(sub.n_points, 7)
+    sevens, cols = _seven_subsets()
+    survivors = _survivors(checks, cols, sevens)
 
     families = _q42_shape_families(sub, vertex, nucleus)
     labels = list(families)
@@ -390,7 +437,7 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     # a set can admit several shape descriptions; the breakdown uses the
     # first matching label so the counts sum to the survivor count.  Only
     # the survivors are mapped to ambient masks, which order the witnesses.
-    breakdown = {"not_quasi_polar": n_combos - len(survivors)}
+    breakdown = {"not_quasi_polar": len(sevens) - len(survivors)}
     witnesses: dict[str, list[list[int]]] = {}
     multi = 0
     grouped: dict[str, list[int]] = {key: [] for key in labels}
@@ -406,7 +453,7 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
         name="singular-switch",
         m=4,
         q=2,
-        total_candidates=n_combos,
+        total_candidates=len(sevens),
         breakdown=breakdown,
         witnesses=witnesses,
         extra={
@@ -416,6 +463,13 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
             "multi_shape": multi,
         },
     )
+
+
+@functools.cache
+def _seven_subsets() -> tuple[tuple[int, ...], list[int]]:
+    """The 7-point subsets of PG(3, 2), in combination order, and their columns."""
+    sevens = tuple(sum(1 << i for i in c) for c in itertools.combinations(range(15), 7))
+    return sevens, _columns(sevens, 15)
 
 
 def _q42_frame(s: PointSet, geom: SubGeometry) -> tuple[int, int]:
@@ -527,17 +581,16 @@ def nonsingular_switch_census(
     witnesses: dict[str, list[list[int]]] = {}
     extra: dict[str, dict] = {"hyperplanes": {}, "candidates": {}}
     total = 0
-    for fam in spectra._SECTION_FAMILIES[kind.family]:
-        sub_kind = PolarKind(fam, kind.m - 1, kind.q)
+    for sub_kind in _section_kinds(kind):
+        fam = sub_kind.family
         target = profile(sub_kind).cardinality
-        # the orbit checks its cap before any table for pi is built
-        cands = _orbit(sub_kind)
+        cands, cols = _orbit_columns(sub_kind)
         pi = _classical_section(space, s.bits, per, target, cands)
         if pi is None:
             raise ValueError(f"no section of size {target} is a classical {fam} set")
-        geom, survives = _switch_test(space, s.bits, pi, sizes)
+        geom, checks = _switch_test(space, s.bits, pi, sizes)
         ident = s.bits & inc[pi]
-        survivors = [geom.mask_to_ambient(t) for t in cands if survives(t)]
+        survivors = [geom.mask_to_ambient(t) for t in _survivors(checks, cols, cands)]
         if ident not in survivors:
             raise InvariantViolated("the identity section did not survive")
         others = sorted(t for t in survivors if t != ident)
@@ -570,10 +623,14 @@ def _classical_section(
     for h, v in enumerate(per):
         if v == size:
             t = subgeometry(space, hyperplane_flat(space, h)).mask_from_ambient(s_bits)
-            i = bisect.bisect_left(cands, t)
-            if i < len(cands) and cands[i] == t:
+            if _in_sorted(cands, t):
                 return h
     return None
+
+
+def _in_sorted(cands: tuple[int, ...], t: int) -> bool:
+    i = bisect.bisect_left(cands, t)
+    return i < len(cands) and cands[i] == t
 
 
 def classical_distribution(form: Form, flat: Flat) -> dict:
@@ -630,11 +687,11 @@ def classical_dist_census(kind: PolarKind) -> CensusResult:
     gives it.
     """
     space = space_for(kind.m, kind.q)
+    inc = space.incidence  # built, or refused, with the lines before the form is evaluated
+    lines = space.all_lines()
     zeros = point_set(canonical_form(kind, space)).bits
-    inc = space.incidence
     types = [section_type(kind, (zeros & hmask).bit_count()) or "other" for hmask in inc]
     agg: dict[str, int] = {}
-    lines = space.all_lines()
     for line in lines:
         hyps = bits_to_indices(line)
         labels: dict[str, int] = {}
@@ -656,6 +713,7 @@ def classical_dist_census(kind: PolarKind) -> CensusResult:
 def two_secant_census(kind: PolarKind) -> CensusResult:
     """Tally the 2-secant counts of the off points other than the nucleus."""
     space = space_for(kind.m, kind.q)
+    space.all_lines()  # built, or refused, before the form is evaluated
     form = canonical_form(kind, space)
     zeros = point_set(form)
     nuc = nucleus_point(form)

@@ -339,6 +339,7 @@ def _census_result(args) -> census_lib.CensusResult:
         return census_lib.singular_switch_census(_census_input(args, PolarKind("parabolic", 4, 2)))
     kind = PolarKind(args.kind, args.m, args.q)
     if name == "nonsingular-switch":
+        census_lib._section_kinds(kind)  # the cap, before any space is built
         return census_lib.nonsingular_switch_census(_census_input(args, kind), kind)
     if name == "quadrics":
         return census_lib.quadrics_census(kind)

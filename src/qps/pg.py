@@ -157,6 +157,7 @@ class ProjSpace:
         # family -> sorted bitmasks of its classical sets, at most
         # census.ORBIT_CAP of them, filled by one orbit search per family
         self._orbits: dict[str, tuple[int, ...]] = {}
+        self._columns: dict[str, tuple] = {}  # family -> (orbit, census._columns of it)
 
     def __repr__(self) -> str:
         return f"ProjSpace(m={self.m}, q={self.q})"

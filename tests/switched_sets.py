@@ -40,11 +40,11 @@ def q43_switched_sets() -> tuple[int, ...]:
     sizes = set(profile(kind).sizes)
     out = []
     for fam, pi in census.nonsingular_switch_census(s, kind).extra["hyperplanes"].items():
-        geom, survives = census._switch_test(sp, s.bits, pi, sizes)
+        geom, checks = census._switch_test(sp, s.bits, pi, sizes)
         base = s.bits & ~sp.incidence[pi]
-        for t in enumerate_quadrics(geom.sub, PolarKind(fam, 3, 3)):
-            if survives(t.bits):
-                out.append(base | geom.mask_to_ambient(t.bits))
+        cands = [t.bits for t in enumerate_quadrics(geom.sub, PolarKind(fam, 3, 3))]
+        for t in census._survivors(checks, census._columns(cands, geom.sub.n_points), cands):
+            out.append(base | geom.mask_to_ambient(t))
     # the identity survives at both hyperplanes
     out.remove(s.bits)
     out.remove(s.bits)

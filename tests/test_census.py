@@ -235,6 +235,40 @@ def test_enumerate_guard_rejects_large_orbit_fast(monkeypatch, capsys):
     assert (7, 7) not in pg._SPACES
 
 
+@pytest.mark.parametrize("fam,m,q", [("elliptic", 7, 7), ("parabolic", 6, 5)])
+def test_nonsingular_switch_checks_the_cap_before_any_space(fam, m, q, monkeypatch, capsys):
+    # the sections' orbits are over the cap, which is arithmetic: the census
+    # is refused before the form is evaluated at the 960,800 points of
+    # PG(7,7) or the 19,531 of PG(6,5), and before any space is built
+    monkeypatch.setattr(pg, "_SPACES", {})
+    argv = ["census", "nonsingular-switch", "--kind", fam, "--m", str(m), "--q", str(q)]
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(" classical sets exceed the enumeration cap\n")
+    assert (m, q) not in pg._SPACES
+    assert (m - 1, q) not in pg._SPACES
+
+
+@pytest.mark.parametrize(
+    "name,m,q,guard",
+    [
+        ("classical-dist", 6, 7, "PG(6,7) incidence table needs about 2246 MiB"),
+        ("two-secants", 6, 8, "PG(6,8) lines table needs about 47606573 MiB"),
+    ],
+)
+def test_table_censuses_check_the_guard_before_the_form(name, m, q, guard, monkeypatch, capsys):
+    def evaluated(form):
+        raise AssertionError("the form was evaluated before the table guard")
+
+    monkeypatch.setattr(census, "point_set", evaluated)
+    monkeypatch.setattr(pg, "_SPACES", {})
+    argv = ["census", name, "--kind", "parabolic", "--m", str(m), "--q", str(q)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == f"error: {guard}\n"
+
+
 @pytest.fixture
 def empty_conic_table(monkeypatch):
     """PG(2,4) with no orbit table, so that a test sees the search run, not a
@@ -600,8 +634,8 @@ def _recount_survivors(sp, s, pi, sections, sizes):
 
 
 def _kernel_survivors(sp, s, pi, sections, sizes):
-    _geom, survives = census._switch_test(sp, s.bits, pi, sizes)
-    return {t for t in sections if survives(t)}
+    geom, checks = census._switch_test(sp, s.bits, pi, sizes)
+    return set(census._survivors(checks, census._columns(sections, geom.sub.n_points), sections))
 
 
 @pytest.mark.parametrize(
@@ -650,6 +684,88 @@ def test_plane_table_survivors_every_subset_of_a_solid(size):
         assert sum(t.bit_count() == 7 for t in got) == 104
 
 
+def _columns_by_loop(cands, n):
+    return [sum(1 << c for c, t in enumerate(cands) if t >> i & 1) for i in range(n)]
+
+
+def _loop_survivors(checks, cands):
+    return [t for t in cands if all((t & mask).bit_count() in ok for mask, ok in checks)]
+
+
+@pytest.mark.parametrize("m,q", [(3, 2), (3, 3), (4, 2), (2, 9)])
+def test_survivors_match_a_per_candidate_loop(m, q):
+    # random families of mixed cardinalities against random tables: masks
+    # from the incidence, random masks and the whole space, allowed sets that
+    # are empty, hold counts some candidates have, or hold counts that need
+    # more bits than the counter's bit-planes
+    sp = space_for(m, q)
+    n = sp.n_points
+    rng = random.Random(f"kernel {m} {q}")
+    for _ in range(25):
+        density = rng.random()
+        cands = [
+            sum(1 << i for i in range(n) if rng.random() < density)
+            for _ in range(rng.randint(1, 400))
+        ]
+        cols = census._columns(cands, n)
+        assert cols == _columns_by_loop(cands, n)
+        checks = []
+        for _ in range(rng.randint(1, 6)):
+            mask = rng.choice([rng.choice(sp.incidence), rng.getrandbits(n), sp.all_mask])
+            size = mask.bit_count()
+            counts = {(t & mask).bit_count() for t in rng.sample(cands, min(3, len(cands)))}
+            ok = rng.choice([
+                frozenset(),
+                frozenset(counts),
+                frozenset(counts | {rng.randint(0, size)}),
+                frozenset(rng.sample(range(size + 1), rng.randint(1, size + 1))),
+                frozenset({size + 1, 1 << size.bit_length(), 3 << size.bit_length()}),
+            ])
+            checks.append((mask, ok))
+            # each table alone, so that an early stop hides no table
+            got = census._survivors([(mask, ok)], cols, cands)
+            assert got == _loop_survivors([(mask, ok)], cands)
+        assert census._survivors(checks, cols, cands) == _loop_survivors(checks, cands)
+
+
+def test_orbit_columns_follow_the_orbit_tuple(monkeypatch):
+    sp = space_for(3, 2)
+    kind = PolarKind("elliptic", 3, 2)
+    monkeypatch.setattr(sp, "_columns", {})
+    built = []
+    columns = census._columns
+
+    def counted(cands, n):
+        built.append(cands)
+        return columns(cands, n)
+
+    monkeypatch.setattr(census, "_columns", counted)
+    cands, cols = census._orbit_columns(kind)
+    assert cands is census._orbit(kind) and built == [cands]
+    assert cols == _columns_by_loop(cands, 15)
+    # about n * N / 8 bytes: one N-bit int per point
+    assert sum(c.bit_length() for c in cols) <= 15 * len(cands)
+    assert census._orbit_columns(kind) == (cands, cols) and built == [cands]
+    # another tuple stored under the family gets its own columns
+    half = cands[::2]
+    monkeypatch.setitem(sp._orbits, "elliptic", half)
+    got, got_cols = census._orbit_columns(kind)
+    assert got is half and got_cols == _columns_by_loop(half, 15)
+    assert built == [cands, half]
+    # a cleared table is searched again: equal sets, a new tuple, new columns
+    monkeypatch.setattr(sp, "_orbits", {})
+    fresh, fresh_cols = census._orbit_columns(kind)
+    assert fresh == cands and fresh is not cands and fresh_cols == cols
+    assert built == [cands, half, fresh]
+    assert sp._columns["elliptic"][0] is fresh
+    # a census switches in the sets of the tuple that the table holds
+    monkeypatch.setitem(sp._orbits, "elliptic", half)
+    res = nonsingular_switch_census(canonical("parabolic", 4, 2), PolarKind("parabolic", 4, 2))
+    assert res.extra["candidates"]["elliptic"] == len(half)
+    assert res.breakdown["elliptic_other_survivor"] == len(half) - 1
+    assert sp._columns["elliptic"][0] is half
+
+
 def test_subgeometry_nucleus_test_matches_find_line_nucleus():
     # the 2^15 - 6,435 sections T of one hyperplane of each type of Q(4,2)
     # with |T| != 7.  A nucleus inside pi needs every line through it in pi
@@ -664,13 +780,13 @@ def test_subgeometry_nucleus_test_matches_find_line_nucleus():
         hmask = sp.incidence[pi]
         base = s.bits & ~hmask
         geom = subgeometry(sp, hyperplane_flat(sp, pi))
-        has_nucleus = census._nucleus_test(sp, geom, s.bits, pi)
+        required = census._nucleus_test(sp, geom, s.bits, pi)
         for t in range(1 << 15):
             if t.bit_count() == 7:
                 continue
             x = PointSet(sp, base | geom.mask_to_ambient(t))
             nuclei = sum(1 << n for n in line_nuclei(x))
-            assert has_nucleus(t) == (find_line_nucleus(x) is not None), (size, t)
+            assert (t in required) == (find_line_nucleus(x) is not None), (size, t)
             assert not nuclei & hmask, (size, t)
             nuclei_off_pi += bool(nuclei)
     assert nuclei_off_pi > 0

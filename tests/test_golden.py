@@ -84,6 +84,13 @@ CASES = {
     "census_nonsingular_switch_h33": [
         "census", "nonsingular-switch", "--kind", "hyperbolic", "--m", "3", "--q", "3", "--json",
     ],
+    # censuses whose switches have survivors other than the identity
+    "census_nonsingular_switch_q43": [
+        "census", "nonsingular-switch", "--kind", "parabolic", "--m", "4", "--q", "3", "--json",
+    ],
+    "census_nonsingular_switch_e52": [
+        "census", "nonsingular-switch", "--kind", "elliptic", "--m", "5", "--q", "2", "--json",
+    ],
     "census_quadrics_e32": ["census", "quadrics", "--kind", "elliptic", "--m", "3", "--q", "2", "--json"],
     "census_classical_dist_h34": [
         "census", "classical-dist", "--kind", "hermitian", "--m", "3", "--q", "4", "--json",
