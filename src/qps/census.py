@@ -38,6 +38,7 @@ from .forms import (
     PolarKind,
     canonical_form,
     nucleus_point,
+    perp,
     point_set,
 )
 from .gf import FieldTable
@@ -141,6 +142,9 @@ def _orbit_size(kind: PolarKind) -> int:
 
 def _section_kinds(kind: PolarKind) -> list[PolarKind]:
     """The section kinds that nonsingular-switch enumerates, checked against the cap."""
+    if kind.m < 2:
+        sections = f"PG({kind.m - 1},{kind.q})"
+        raise IncompatibleKind(f"nonsingular-switch needs m >= 2: its sections lie in {sections}")
     subs = [PolarKind(fam, kind.m - 1, kind.q) for fam in spectra._SECTION_FAMILIES[kind.family]]
     for sub in subs:
         _orbit_size(sub)
@@ -658,11 +662,15 @@ def two_secant_count(form: Form, p: int) -> int:
         raise PointOnQuadric(f"point {p} lies on the set")
     if p == nucleus_point(form):
         raise PointIsNucleus("two-secant count is not defined at the nucleus")
-    return _two_secant_lines(space, zeros.bits, p)
+    return _two_secants(form, zeros.bits, p)
 
 
-def _two_secant_lines(space: ProjSpace, zeros: int, p: int) -> int:
-    return sum((line & zeros).bit_count() == 2 for line in space.lines_through(p))
+def _two_secants(form: Form, zeros: int, p: int) -> int:
+    """2-secants through p, off the quadric and not its nucleus, q even: as
+    Q(p + t·r) = Q(p) + t·B(p, r), pr is tangent for r on the quadric exactly
+    when r is on the polar hyperplane of p."""
+    polar = form.space.incidence[perp(form, p)]
+    return (zeros.bit_count() - (zeros & polar).bit_count()) // 2
 
 
 def quadrics_census(kind: PolarKind) -> CensusResult:
@@ -713,23 +721,20 @@ def classical_dist_census(kind: PolarKind) -> CensusResult:
 def two_secant_census(kind: PolarKind) -> CensusResult:
     """Tally the 2-secant counts of the off points other than the nucleus."""
     space = space_for(kind.m, kind.q)
-    space.all_lines()  # built, or refused, before the form is evaluated
+    space.incidence  # built, or refused, before the form is evaluated
     form = canonical_form(kind, space)
-    zeros = point_set(form)
+    zeros = point_set(form).bits
     nuc = nucleus_point(form)
     agg: dict[str, int] = {}
-    total = 0
     for p in range(space.n_points):
-        if zeros.contains(p) or p == nuc:
-            continue
-        key = f"two_secants={_two_secant_lines(space, zeros.bits, p)}"
-        agg[key] = agg.get(key, 0) + 1
-        total += 1
+        if not zeros >> p & 1 and p != nuc:
+            key = f"two_secants={_two_secants(form, zeros, p)}"
+            agg[key] = agg.get(key, 0) + 1
     return CensusResult(
         name="two-secants",
         m=kind.m,
         q=kind.q,
-        total_candidates=total,
+        total_candidates=sum(agg.values()),
         breakdown=dict(sorted(agg.items())),
         witnesses={},
         extra={"expected": kind.q ** (2 * (kind.m // 2) - 1) // 2},

@@ -7,13 +7,14 @@ the same normalization, so hyperplane index h corresponds to the dual vector
 points[h].  Point sets are plain int bitmasks: bit i set means point i is in
 the set.
 
-The two bulk tables are built without per-pair arithmetic.  Incidence row h
-is the byte string of the values h·x over all points x, in point order, widened
-one coordinate at a time from precomputed tables of v + a·c; its zero bytes
-become the mask's bits.  Each line is built once, from its 2-row RREF basis,
-in one pass that fills both ``all_lines()`` and every ``lines_through(p)``.
-Each table raises ``SpaceTooLarge`` before building when its estimated size
-exceeds ``MAX_TABLE_BYTES``.
+The incidence is built without per-pair arithmetic: row h is the byte string
+of the values h·x over all points x, in point order, widened one coordinate at
+a time from precomputed tables of v + a·c; its zero bytes become the mask's
+bits.  Lines are built per point: ``lines_through(p)`` joins p to each point
+of one coordinate hyperplane, and ``all_lines()`` keeps each line once, at its
+lowest point.  The incidence, and every build of line masks together with
+those the space already holds, raise ``SpaceTooLarge`` before building when
+their estimated size exceeds ``MAX_TABLE_BYTES``.
 
 Hyperplane h is dual point h, so the hyperplanes through a codimension-2 flat
 are, as indices, the points of a line: ``all_lines()`` lists them for every
@@ -41,10 +42,8 @@ class SamePoint(ValueError):
 
 
 MAX_POINTS = 10**6
-# cap on the estimated size of a bulk table: the incidence at one ceil(n/8)
-# byte row per hyperplane, the lines at one int object per line plus the
-# q + 1 references to it in the per-point lists.  These are object sizes:
-# the allocator's overhead is not counted (README, "Library layout")
+# cap on the estimated size of the incidence, at one ceil(n/8) byte row per
+# hyperplane, and of the line masks a space holds, at one int object per line
 MAX_TABLE_BYTES = 256 * 2**20
 
 
@@ -148,8 +147,9 @@ class ProjSpace:
         }
         self.all_mask = (1 << n_points) - 1
         self._incidence: tuple[int, ...] | None = None
-        self._lines_through: tuple[tuple[int, ...], ...] | None = None
+        self._lines: dict[int, tuple[int, ...]] = {}  # p -> lines_through(p)
         self._all_lines: tuple[int, ...] | None = None
+        self._line_bytes = 0  # estimated size of the line masks held
         self._codim2: tuple[Flat, ...] | None = None
         self._flat_masks: dict[tuple, int] = {}
         self._subgeoms: dict[tuple, SubGeometry] = {}
@@ -190,63 +190,55 @@ class ProjSpace:
         return self._incidence
 
     def lines_through(self, p: int) -> tuple[int, ...]:
-        """Bitmasks of the (n-1)/q lines through point p.
+        """Bitmasks of the (n-1)/q lines through point p, built on first use.
 
-        Ordered by each line's lowest point other than p.
+        Line i joins p to the i-th point x, ascending, of the coordinate
+        hyperplane x_j = 0, j the pivot (first non-zero coordinate) of p.  x is
+        the line's lowest point other than p: the others, x + c·p with c ≠ 0,
+        have pivot j if x has a later one, and else agree with x up to
+        coordinate j, where x has 0.
         """
-        if self._lines_through is None:
-            self._build_lines()
-        return self._lines_through[p]
+        if p not in self._lines:
+            xs = self._coordinate_hyperplane(self.points[p].index(1))
+            self._hold_lines(len(xs))
+            self._lines[p] = tuple(self._line(p, x) for x in xs)
+        return self._lines[p]
 
     def all_lines(self) -> tuple[int, ...]:
-        """Bitmasks of all lines, ordered by (lowest point, second-lowest point)."""
+        """Bitmasks of all lines, ordered by (lowest point, second-lowest point):
+        for each p, the lines through p whose lowest point other than p is above p."""
         if self._all_lines is None:
-            self._build_lines()
+            self._hold_lines(self.n_points * (self.q**self.m - 1) // (self.q**2 - 1))
+            planes = [self._coordinate_hyperplane(j) for j in range(self.m + 1)]
+            self._all_lines = tuple(
+                self._line(p, x)
+                for p, v in enumerate(self.points)
+                for x in planes[v.index(1)]
+                if x > p
+            )
         return self._all_lines
 
-    def _build_lines(self) -> None:
-        """Build each line once, from its 2-row RREF basis, and fill both caches.
+    def _coordinate_hyperplane(self, j: int) -> list[int]:
+        """The points x with x_j = 0, ascending."""
+        return [x for x, v in enumerate(self.points) if not v[j]]
 
-        The basis is v with pivot j and u with pivot i < j and u[j] = 0; the
-        line's points are v and u + a·v, all already normalized.  v is the
-        lowest point, as it has more leading zeros, and u the second lowest,
-        as it has 0 where the other points have a ≠ 0.  Points are listed by
-        descending pivot, then by tail, so walking j and i downwards and the
-        tails in product order gives the lines sorted by (v, u).
-        """
-        f = self.f
-        q = self.q
-        m = self.m
-        n_lines = self.n_points * (q**m - 1) // (q * q - 1)
-        # each line is one int object, referenced from the lists of its q + 1
-        # points
-        int_bytes = 24 + 4 * ((self.n_points + 29) // 30)
-        self._check_table("lines", n_lines * (int_bytes + 8 * (q + 1)))
+    def _line(self, a: int, b: int) -> int:
+        """Bitmask of the line through points a and b of different pivots: a, b
+        and hi + c·lo for c ≠ 0, already normalized, as lo is 0 at the pivot
+        of hi, the one with the earlier pivot and so the higher index."""
         index = self.point_index
-        lines = []
-        # restricted to the lines through p this is also the order by the
-        # lowest point other than p: first the lines whose lowest point is
-        # below p, then those whose lowest point is p
-        through: list[list[int]] = [[] for _ in range(self.n_points)]
-        for j in range(m, 0, -1):
-            for vtail in itertools.product(range(q), repeat=m - j):
-                v = (0,) * j + (1,) + vtail
-                low = index[v]
-                multiples = [scale(f, a, v) for a in range(1, q)]
-                for i in range(j - 1, -1, -1):
-                    for utail in itertools.product(range(q), repeat=m - i - 1):
-                        u = (0,) * i + (1,) + utail[: j - i - 1] + (0,) + utail[j - i - 1 :]
-                        rest = [index[u], *(index[vadd(f, u, w)] for w in multiples)]
-                        mask = sum((1 << r for r in rest), 1 << low)
-                        lines.append(mask)
-                        through[low].append(mask)
-                        for r in rest:
-                            through[r].append(mask)
-        self._all_lines = tuple(lines)
-        # one at a time, so that only one list and its tuple coexist
-        for p, line_list in enumerate(through):
-            through[p] = tuple(line_list)
-        self._lines_through = tuple(through)
+        hi, lo = self.points[max(a, b)], self.points[min(a, b)]
+        add = self.f.add
+        mask = 1 << a | 1 << b
+        for row in self.f.mul[1:]:
+            mask |= 1 << index[tuple([add[u][row[v]] for u, v in zip(hi, lo)])]
+        return mask
+
+    def _hold_lines(self, count: int) -> None:
+        """Count count more line masks, one int each, against the cap before they are built."""
+        size = self._line_bytes + count * (24 + 4 * ((self.n_points + 29) // 30))
+        self._check_table("lines", size)
+        self._line_bytes = size
 
     def _check_table(self, name: str, size: int) -> None:
         if size > MAX_TABLE_BYTES:

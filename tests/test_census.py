@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import subprocess
@@ -35,6 +36,7 @@ from qps.pg import (
     bits_to_indices,
     flats_of_codim,
     hyperplane_flat,
+    line_through,
     point_set_from_indices,
     space_for,
     subgeometry,
@@ -255,7 +257,7 @@ def test_nonsingular_switch_checks_the_cap_before_any_space(fam, m, q, monkeypat
     "name,m,q,guard",
     [
         ("classical-dist", 6, 7, "PG(6,7) incidence table needs about 2246 MiB"),
-        ("two-secants", 6, 8, "PG(6,8) lines table needs about 47606573 MiB"),
+        ("two-secants", 6, 8, "PG(6,8) incidence table needs about 10700 MiB"),
     ],
 )
 def test_table_censuses_check_the_guard_before_the_form(name, m, q, guard, monkeypatch, capsys):
@@ -603,7 +605,7 @@ def test_nonsingular_switch_census_checks_the_orbit_cap_first():
     with pytest.raises(SpaceTooLarge, match="enumeration cap"):
         nonsingular_switch_census(s, kind)
     assert sp._subgeoms == {}
-    assert sp._lines_through is None
+    assert sp._all_lines is None and sp._lines == {}
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +953,53 @@ def test_two_secant_count_off_points(m, q, expect):
         if checked == 8:
             break
     assert checked == 8
+
+
+def _two_secants_by_walk(sp, zeros, p):
+    """2-secants through p by walking the lines through p that meet the
+    quadric: the line pr for each quadric point r on no earlier one."""
+    seen = 1 << p
+    count = 0
+    for r in bits_to_indices(zeros):
+        if not seen >> r & 1:
+            line = line_through(sp, p, r).bits
+            seen |= line
+            count += (line & zeros).bit_count() == 2
+    return count
+
+
+@pytest.mark.parametrize("m,q", [(2, 2), (2, 4), (2, 8), (2, 16), (4, 2), (4, 4), (6, 2)])
+def test_two_secant_count_matches_a_line_walk(m, q):
+    # every off point other than the nucleus lies on q^(m-1)/2 2-secants
+    sp = space_for(m, q)
+    form = canonical_form(PolarKind("parabolic", m, q), sp)
+    zeros = point_set(form).bits
+    nuc = nucleus_point(form)
+    off = [p for p in range(sp.n_points) if not zeros >> p & 1 and p != nuc]
+    assert len(off) == sp.n_points - (q**m - 1) // (q - 1) - 1
+    for p in off:
+        walked = _two_secants_by_walk(sp, zeros, p)
+        assert two_secant_count(form, p) == walked == q ** (m - 1) // 2, p
+
+
+@pytest.mark.parametrize("m,q", [(4, 8), (6, 4)])
+def test_two_secant_census_builds_no_lines(m, q, capsys):
+    # the counts come from the polar hyperplanes, so the census runs where
+    # the PG(6,4) line table is refused and builds no line through any point
+    sp = space_for(m, q)
+    held = set(sp._lines)
+    argv = ["census", "two-secants", "--kind", "parabolic", "--m", str(m), "--q", str(q), "--json"]
+    assert cli.run(argv) == 0
+    body = json.loads(capsys.readouterr().out)["census"]
+    # Q(2n, q) has (q^2n - 1)/(q - 1) points; the others but the nucleus
+    # each lie on q^(2n-1)/2 2-secants
+    n = m // 2
+    off = (q ** (m + 1) - 1) // (q - 1) - (q ** (2 * n) - 1) // (q - 1) - 1
+    expect = q ** (2 * n - 1) // 2
+    assert body["total_candidates"] == off
+    assert body["breakdown"] == {f"two_secants={expect}": off}
+    assert body["extra"] == {"expected": expect}
+    assert sp._all_lines is None and set(sp._lines) == held
 
 
 def test_two_secant_count_rejects_special_points():

@@ -159,6 +159,26 @@ def test_construct_too_large_to_classify_writes_no_file(tmp_path, capsys, monkey
         assert not out.exists()
 
 
+def test_q3_switch_over_the_line_budget_writes_no_file(tmp_path, capsys, monkeypatch):
+    # q3-switch reads the lines through each point of its zone; in a fresh
+    # PG(4,3) those are 40 ints of 44 bytes per point, so a cap of 4 KiB
+    # (the incidence takes 1,936 bytes) is reached at the third point
+    monkeypatch.setattr(pg, "_SPACES", {})
+    q43 = tmp_path / "q43.qps"
+    out = tmp_path / "out.qps"
+    assert run(["construct", "canonical", "--kind", "parabolic", "--m", "4", "--q", "3", "--out", str(q43)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 4096)
+    argv = ["surgery", "q3-switch", "--in", str(q43), "--sub", "0,0,0,1,2;0,0,1,0,0", "--out", str(out)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: PG(4,3) lines table needs about ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+    assert len(space_for(4, 3)._lines) == 2
+
+
 # a classical-size quasi-polar set of Q(4,2) without a line nucleus: one
 # non-singular section of the quadric switched for another of its type
 NO_NUCLEUS_Q42 = (
@@ -274,10 +294,13 @@ def test_report_format_header_first(tmp_path, capsys):
     ids=["Q(6,4)", "Q(4,9)"],
 )
 def test_verify_conditions_without_the_line_table(tmp_path, capsys, m, q, nucleus):
-    # the PG(6,4) and PG(4,9) line tables are over the guard (about 1,132 and
-    # 630 MiB); c' reads the incidence only, so verify runs on both.  For q
-    # even the quadric has its nucleus and every flag; for q odd the tangent
-    # hyperplanes share no point and, forming a dual quadric, miss some pencils
+    # the PG(6,4) and PG(4,9) line tables are over the guard (about 1,075 and
+    # 584 MiB); c' reads the incidence only, so verify runs on both and
+    # builds no line through any point.  For q even the quadric has its
+    # nucleus and every flag; for q odd the tangent hyperplanes share no
+    # point and, forming a dual quadric, miss some pencils
+    sp = space_for(m, q)
+    held = set(sp._lines)
     out = tmp_path / "q.qps"
     argv = ["construct", "canonical", "--kind", "parabolic", "--m", str(m), "--q", str(q)]
     assert run([*argv, "--out", str(out)]) == 0
@@ -298,7 +321,7 @@ def test_verify_conditions_without_the_line_table(tmp_path, capsys, m, q, nucleu
         "expected_singular": tangents,
     }
     assert rep["nucleus"] == nucleus
-    assert space_for(m, q)._all_lines is None
+    assert sp._all_lines is None and set(sp._lines) == held
 
 
 def test_spectrum_verdicts(tmp_path, capsys):
@@ -399,8 +422,11 @@ def test_surgery_oval_swap_cli(tmp_path, capsys):
 
 
 def test_surgery_repeated_pivot_on_q49_builds_no_line_table(tmp_path, capsys):
-    # the PG(4,9) line table is over the guard (about 630 MiB); the tangent
-    # hyperplanes are found in their own PG(3,9), so the pivot runs
+    # the PG(4,9) line table is over the guard (about 584 MiB); the tangent
+    # hyperplanes are found in their own PG(3,9), so the pivot runs and
+    # builds no line through any point of PG(4,9)
+    sp = space_for(4, 9)
+    held = set(sp._lines)
     out = tmp_path / "q49.qps"
     assert run(["construct", "canonical", "--kind", "parabolic", "--m", "4", "--q", "9", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -411,7 +437,7 @@ def test_surgery_repeated_pivot_on_q49_builds_no_line_table(tmp_path, capsys):
     assert rep["verdict"] == "classical_size"
     assert rep["surgery"]["removed"] == rep["surgery"]["added"] == []
     assert len(rep["surgery"]["details"]["tangent_hyperplanes"]) == 10
-    assert space_for(4, 9)._all_lines is None
+    assert sp._all_lines is None and set(sp._lines) == held
 
 
 # refusals no other test reaches: (argv, with {name} for the files that
@@ -444,6 +470,18 @@ _REFUSALS = {
     "sub-semicolon": ("surgery q3-switch --in {q43} --sub 1,0,0,0,0", "--sub expects two dual vectors joined by ';'"),
     "sub-twice": ("surgery q3-switch --in {q43} --sub 1,0,0,0,0;1,0,0,0,0", "--sub needs two distinct hyperplanes"),
     "census-space": ("census nonsingular-switch --in {pg32}", "census needs a point set in PG(4,2)"),
+    "census-hermitian-line": (
+        "census nonsingular-switch --kind hermitian --m 1 --q 9",
+        "nonsingular-switch needs m >= 2: its sections lie in PG(0,9)",
+    ),
+    "census-hyperbolic-line": (
+        "census nonsingular-switch --kind hyperbolic --m 1 --q 2",
+        "nonsingular-switch needs m >= 2: its sections lie in PG(0,2)",
+    ),
+    "census-elliptic-line": (
+        "census nonsingular-switch --kind elliptic --m 1 --q 3",
+        "nonsingular-switch needs m >= 2: its sections lie in PG(0,3)",
+    ),
     "pivot-base-off": (
         "surgery pivot --in {q42} --kind parabolic --hyperplane 0,0,1,0,0 --base {off}",
         "base is not contained in the hyperplane",

@@ -69,7 +69,7 @@ def test_space_too_large_guard():
 
 def test_bulk_table_guard_rejects_before_building():
     # PG(4,16) incidence: 69,905 rows of 8,739 bytes (583 MiB);
-    # PG(6,5) lines: 12,714,681 rows of 2,442 bytes (29 GiB)
+    # PG(6,5) lines: 12,714,681 ints of 2,628 bytes (31 GiB)
     for build in (lambda: space_for(4, 16).incidence, lambda: space_for(6, 5).all_lines()):
         start = time.perf_counter()
         with pytest.raises(SpaceTooLarge):
@@ -79,13 +79,13 @@ def test_bulk_table_guard_rejects_before_building():
 
 def test_bulk_table_guard_estimates(monkeypatch):
     # PG(3,2): 15 hyperplanes, each a row of ceil(15/8) = 2 bytes, and 35
-    # lines, each a 28-byte int referenced from the lists of its 3 points
+    # lines, each one 28-byte int
     sp = ProjSpace(3, build_field(2))
-    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 1819)
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 979)
     assert len(sp.incidence) == 15
     with pytest.raises(SpaceTooLarge):
         sp.all_lines()
-    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 1820)
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 980)
     assert len(sp.all_lines()) == 35
     # under a zero cap every refusal names its estimate, without building
     monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 0)
@@ -95,19 +95,40 @@ def test_bulk_table_guard_estimates(monkeypatch):
         with pytest.raises(SpaceTooLarge, match=table) as exc:
             fresh.incidence if table == "incidence" else fresh.all_lines()
         mib[m, q] = int(str(exc.value).split("about ")[1].split(" MiB")[0])
-    assert mib == {(3, 32): 136, (4, 8): 210, (5, 5): 289, (6, 4): 1132}
+    assert mib == {(3, 32): 136, (4, 8): 189, (5, 5): 266, (6, 4): 1075}
     monkeypatch.undo()
     # so the cap keeps the PG(3,32) incidence (33,825 rows of 4,229 bytes)
-    # and the PG(4,8) lines (304,265 ints of 24 + 4·⌈4681/30⌉ bytes, each
-    # referenced from 9 point lists), and refuses the PG(5,5) and PG(6,4)
-    # lines at once
+    # and the PG(4,8) lines (304,265 ints of 24 + 4·⌈4681/30⌉ bytes), and
+    # refuses the PG(5,5) and PG(6,4) lines at once
     space_for(3, 32)._check_table("incidence", 33825 * 4229)
-    space_for(4, 8)._check_table("lines", 304265 * (24 + 4 * 157 + 8 * 9))
+    space_for(4, 8)._check_table("lines", 304265 * (24 + 4 * 157))
     assert mib[3, 32] * 2**20 <= pg.MAX_TABLE_BYTES
     assert mib[4, 8] * 2**20 <= pg.MAX_TABLE_BYTES
     for m, q in [(5, 5), (6, 4)]:
         with pytest.raises(SpaceTooLarge):
             space_for(m, q).all_lines()
+
+
+def test_line_guard_counts_every_line_mask_held(monkeypatch):
+    # the lines through a point of PG(3,2) are 7 ints of 28 bytes; they and
+    # the 35 lines of all_lines() count against one cap, checked before each
+    # build, and a refused build holds nothing
+    sp = ProjSpace(3, build_field(2))
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 2 * 196)
+    assert len(sp.lines_through(0)) == 7
+    assert len(sp.lines_through(1)) == 7
+    for build in (sp.all_lines, lambda: sp.lines_through(2)):
+        with pytest.raises(SpaceTooLarge, match="lines"):
+            build()
+    assert sp._all_lines is None and set(sp._lines) == {0, 1}
+    assert sp._line_bytes == 2 * 196
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 980 + 3 * 196)
+    assert len(sp.all_lines()) == 35
+    assert len(sp.lines_through(2)) == 7
+    with pytest.raises(SpaceTooLarge, match="lines"):
+        sp.lines_through(3)
+    # cached lines are read without a check
+    assert sp.lines_through(0) == space_for(3, 2).lines_through(0)
 
 
 def test_build_space_cached():

@@ -6,6 +6,10 @@
   the GIL, where worker threads measured slower than one thread.
 - No import outside the standard library and ``qps`` itself: the package
   has no runtime dependencies.
+- ``all_lines`` only in the two readers of every line,
+  ``pg.flats_of_codim`` and ``census.classical_dist_census``: a question
+  about the lines through one point reads ``lines_through(p)``, which builds
+  the lines through that point alone.
 """
 
 import ast
@@ -16,6 +20,7 @@ import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qps").glob("*.py"))
 BANNED_MODULES = ("concurrent.futures", "threading")
+ALL_LINES_READERS = {("pg.py", "flats_of_codim"), ("census.py", "classical_dist_census")}
 
 
 def _banned(module: str) -> bool:
@@ -27,8 +32,29 @@ def _third_party(module: str) -> bool:
     return top != "qps" and top not in sys.stdlib_module_names
 
 
-def violations(tree: ast.AST) -> list[str]:
+def _all_lines_refs(tree: ast.AST, module: str) -> list[str]:
+    """References to all_lines outside the top-level functions allowed them;
+    a method is inside its top-level class, never one of those functions."""
     out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = func
+            if func is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name
+            named = (isinstance(child, ast.Attribute) and child.attr == "all_lines") or (
+                isinstance(child, ast.Name) and child.id == "all_lines"
+            )
+            if named and (module, func) not in ALL_LINES_READERS:
+                out.append(f"line {child.lineno}: all_lines outside its readers")
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
+
+
+def violations(tree: ast.AST, module: str = "") -> list[str]:
+    out = _all_lines_refs(tree, module)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             out.append(f"line {node.lineno}: assert statement")
@@ -51,7 +77,7 @@ def test_sources_found():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_source_rules(path):
-    assert violations(ast.parse(path.read_text(), filename=str(path))) == []
+    assert violations(ast.parse(path.read_text(), filename=str(path)), path.name) == []
 
 
 @pytest.mark.parametrize(
@@ -67,10 +93,27 @@ def test_source_rules(path):
         "import numpy.linalg",
         "from numpy import array",
         "def f():\n    import scipy\n",
+        "def f(space):\n    return space.all_lines()\n",
+        "lines = all_lines",
     ],
 )
 def test_rules_catch(code):
     assert violations(ast.parse(code))
+
+
+@pytest.mark.parametrize(
+    "module,code,allowed",
+    [
+        ("census.py", "def classical_dist_census(kind):\n    return space.all_lines()\n", True),
+        ("pg.py", "def flats_of_codim(space, c):\n    def g():\n        return space.all_lines()\n", True),
+        ("pg.py", "def classical_dist_census(kind):\n    return space.all_lines()\n", False),
+        ("census.py", "def two_secant_census(kind):\n    space.all_lines()\n", False),
+        ("census.py", "class C:\n    def classical_dist_census(self):\n        self.all_lines()\n", False),
+        ("surgery.py", "def f(sub, v):\n    return [l for l in sub.all_lines() if l >> v & 1]\n", False),
+    ],
+)
+def test_all_lines_rule_names_its_readers(module, code, allowed):
+    assert (violations(ast.parse(code), module) == []) == allowed
 
 
 @pytest.mark.parametrize(

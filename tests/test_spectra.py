@@ -495,7 +495,7 @@ def test_c_prime_reads_no_lines_and_matches_the_line_walk(m, q, n_true):
         expect = _c_prime_by_lines(space_for(m, q), bits)
         assert nucleus_conditions(PointSet(cold, bits)).c_prime == expect, (m, q, bits)
         seen.append(expect)
-    assert cold._all_lines is None and cold._lines_through is None
+    assert cold._all_lines is None and cold._lines == {}
     assert (len(seen), sum(seen)) == (76, n_true)
 
 

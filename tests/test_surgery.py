@@ -751,7 +751,39 @@ def test_nucleus_surgeries_build_no_ambient_line_table():
     p, r = (sp.point_index[v] for v in [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)])
     assert repeated_pivot(s, kind, p, r)[0].bits == s.bits
     assert sp._all_lines is None
-    assert sp._lines_through is None
+    assert sp._lines == {}
+
+
+@pytest.mark.parametrize("m,q", [(4, 4), (6, 2)])
+def test_cone_surgeries_cache_lines_only_for_the_points_asked(m, q, monkeypatch):
+    # fresh spaces, the ambient one and those of pi and its carriers, show
+    # which lines the cone surgeries build: never all_lines(), and the lines
+    # through a point only when a surgery asked for them
+    monkeypatch.setattr(pg, "_SPACES", {})
+    asked = {}
+    lines_through = pg.ProjSpace.lines_through
+
+    def record(space, p):
+        asked.setdefault(space, set()).add(p)
+        return lines_through(space, p)
+
+    monkeypatch.setattr(pg.ProjSpace, "lines_through", record)
+    sp = space_for(m, q)
+    kind = PolarKind("parabolic", m, q)
+    s = point_set(canonical_form(kind, sp))
+    pi = singular_hyperplanes(s, kind)[0]
+    assert pivot(s, kind, pi, cone_decomposition(s, pi)[2])[0].bits == s.bits
+    cone_swap(s, pi)
+    shifted_nucleus_pivot(s, pi)
+    p = s.indices()[0]
+    r = next(r for r in s.indices()[1:] if line_through(sp, p, r) <= s)
+    assert repeated_pivot(s, kind, p, r)[0].bits == s.bits
+    spaces = list(pg._SPACES.values())
+    assert {x.m for x in spaces} >= {m, m - 1, m - 2}
+    assert asked and sp not in asked
+    for space in spaces:
+        assert space._all_lines is None, space
+        assert set(space._lines) == asked.get(space, set()), space
 
 
 def test_surgeries_raise_no_invariant_on_switched_quadrics():
