@@ -79,6 +79,8 @@ class PointIsNucleus(ValueError):
 
 
 ORBIT_CAP = 1 << 20
+ORBIT_MAX_M = 8  # above it every kind has over ORBIT_CAP sets, whatever q
+_CAPPED = "classical sets exceed the enumeration cap"
 
 
 class CensusResult:
@@ -122,6 +124,8 @@ def _orbit_size(kind: PolarKind) -> int:
     """
     q, d = kind.q, kind.m + 1
     n = d // 2
+    if kind.m > ORBIT_MAX_M:
+        raise SpaceTooLarge(f"PG({kind.m},{q}): over {ORBIT_CAP} {_CAPPED}")
     if kind.family == "elliptic" and d == 2:
         return 1
     if kind.family == "hermitian":
@@ -136,7 +140,7 @@ def _orbit_size(kind: PolarKind) -> int:
         stab *= math.prod(q ** (2 * i) - 1 for i in range(1, n))
     total = math.prod(q**d - q**i for i in range(d)) // stab
     if total > ORBIT_CAP:
-        raise SpaceTooLarge(f"{total} classical sets exceed the enumeration cap")
+        raise SpaceTooLarge(f"PG({kind.m},{q}): {total} {_CAPPED}")
     return total
 
 
@@ -439,20 +443,20 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
         raise InvariantViolated("survivors do not match the shape families")
 
     # a set can admit several shape descriptions; the breakdown uses the
-    # first matching label so the counts sum to the survivor count.  Only
-    # the survivors are mapped to ambient masks, which order the witnesses.
+    # first matching label so the counts sum to the survivor count.  Masks
+    # sort in pi's coordinates as their ambient images do (to_ambient rises).
     breakdown = {"not_quasi_polar": len(sevens) - len(survivors)}
     witnesses: dict[str, list[list[int]]] = {}
     multi = 0
     grouped: dict[str, list[int]] = {key: [] for key in labels}
-    for amb, t in sorted((geom.mask_to_ambient(t), t) for t in survivors):
+    for t in sorted(survivors):
         matches = [key for key in labels if t in families[key]]
         if len(matches) > 1:
             multi += 1
-        grouped[matches[0]].append(amb)
+        grouped[matches[0]].append(t)
     for key in labels:
         breakdown[key] = len(grouped[key])
-        witnesses[key] = [bits_to_indices(b) for b in grouped[key][:10]]
+        witnesses[key] = [bits_to_indices(geom.mask_to_ambient(t)) for t in grouped[key][:10]]
     return CensusResult(
         name="singular-switch",
         m=4,
@@ -579,7 +583,6 @@ def nonsingular_switch_census(
     prof = _classical_profile(s, kind)
     sizes = set(prof.sizes)
     per = spectrum(s).per_hyperplane
-    inc = space.incidence
 
     breakdown: dict[str, int] = {}
     witnesses: dict[str, list[list[int]]] = {}
@@ -593,16 +596,17 @@ def nonsingular_switch_census(
         if pi is None:
             raise ValueError(f"no section of size {target} is a classical {fam} set")
         geom, checks = _switch_test(space, s.bits, pi, sizes)
-        ident = s.bits & inc[pi]
-        survivors = [geom.mask_to_ambient(t) for t in _survivors(checks, cols, cands)]
+        # in pi's coordinates, kept in cands' order, which is also ambient order
+        ident = geom.mask_from_ambient(s.bits)
+        survivors = _survivors(checks, cols, cands)
         if ident not in survivors:
             raise InvariantViolated("the identity section did not survive")
-        others = sorted(t for t in survivors if t != ident)
+        others = [t for t in survivors if t != ident]
         breakdown[f"{fam}_identity"] = 1
         breakdown[f"{fam}_other_survivor"] = len(others)
         breakdown[f"{fam}_not_quasi_polar"] = len(cands) - len(survivors)
         witnesses[f"{fam}_other_survivor"] = [
-            bits_to_indices(t) for t in others[:10]
+            bits_to_indices(geom.mask_to_ambient(t)) for t in others[:10]
         ]
         extra["hyperplanes"][fam] = pi
         extra["candidates"][fam] = len(cands)

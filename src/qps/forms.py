@@ -24,6 +24,7 @@ from .pg import (
     bits_to_indices,
     normalize_vec,
     null_space,
+    rref,
     span_points,
 )
 
@@ -336,7 +337,7 @@ def cone(vertex: Flat, base: PointSet) -> PointSet:
         raise VertexMeetsBase("vertex flat meets the base")
     bits = vmask
     for b in bits_to_indices(base.bits):
-        for i in span_points(space, (*vertex.basis, space.points[b])):
+        for i in span_points(space, rref(space.f, [*vertex.basis, space.points[b]])):
             bits |= 1 << i
     return PointSet(space, bits)
 

@@ -7,14 +7,13 @@ the same normalization, so hyperplane index h corresponds to the dual vector
 points[h].  Point sets are plain int bitmasks: bit i set means point i is in
 the set.
 
-The incidence is built without per-pair arithmetic: row h is the byte string
-of the values h·x over all points x, in point order, widened one coordinate at
-a time from precomputed tables of v + a·c; its zero bytes become the mask's
-bits.  Lines are built per point: ``lines_through(p)`` joins p to each point
-of one coordinate hyperplane, and ``all_lines()`` keeps each line once, at its
-lowest point.  The incidence, and every build of line masks together with
-those the space already holds, raise ``SpaceTooLarge`` before building when
-their estimated size exceeds ``MAX_TABLE_BYTES``.
+Field values are widened only by ``_values``, from one table of v + a·c per
+field: incidence row h is the bytes of h·x over all points x, its zero bytes
+the mask's bits, and ``span_points`` reads a span's points off byte columns of
+their coordinates.  ``lines_through(p)`` spans p with each point of one
+coordinate hyperplane; ``all_lines()`` keeps each line once, at its lowest
+point.  The incidence and every build of line masks, with those the space
+holds, raise ``SpaceTooLarge`` first when over ``MAX_TABLE_BYTES``.
 
 Hyperplane h is dual point h, so the hyperplanes through a codimension-2 flat
 are, as indices, the points of a line: ``all_lines()`` lists them for every
@@ -23,8 +22,8 @@ such flat at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections.abc import Iterator
 
 from .gf import FieldTable, build_field
 
@@ -56,23 +55,34 @@ def dot(f: FieldTable, u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return s
 
 
-def scale(f: FieldTable, c: int, v: tuple[int, ...]) -> tuple[int, ...]:
-    row = f.mul[c]
-    return tuple(row[x] for x in v)
-
-
-def vadd(f: FieldTable, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    add = f.add
-    return tuple(add[a][b] for a, b in zip(u, v))
-
-
 def normalize_vec(f: FieldTable, v: tuple[int, ...]) -> tuple[int, ...]:
     for x in v:
         if x != 0:
             if x == 1:
                 return tuple(v)
-            return scale(f, f.inv[x], v)
+            row = f.mul[f.inv[x]]
+            return tuple(row[y] for y in v)
     raise ZeroVector("zero vector has no projective point")
+
+
+@functools.cache
+def _steps(f: FieldTable) -> list[list[bytes]]:
+    """steps[a][v]: the bytes v + a·c for c in GF(q).  Lists, as ``map`` calls
+    ``list.__getitem__`` faster than the tuple one."""
+    return [
+        [bytes(f.add[v][f.mul[a][c]] for c in range(f.q)) for v in range(f.q)]
+        for a in range(f.q)
+    ]
+
+
+def _values(steps, head: int, col) -> bytes:
+    """The bytes of head + Σ colᵢ·tᵢ over t in GF(q)^len(col), in product order."""
+    if not col:
+        return bytes((head,))
+    vals = steps[col[0]][head]
+    for a in col[1:]:
+        vals = b"".join(map(steps[a].__getitem__, vals))
+    return vals
 
 
 def rref(f: FieldTable, rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -105,12 +115,7 @@ def null_space(f: FieldTable, rows: list[tuple[int, ...]]) -> tuple[tuple[int, .
     """RREF basis of {x : rows @ x = 0}."""
     red = rref(f, rows)
     ncols = len(rows[0])
-    pivot_cols = []
-    for row in red:
-        for c in range(ncols):
-            if row[c] != 0:
-                pivot_cols.append(c)
-                break
+    pivot_cols = [row.index(1) for row in red]  # each RREF row leads with 1
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
@@ -129,22 +134,20 @@ class ProjSpace:
         if m < 1:
             raise ValueError("projective dimension must be at least 1")
         q = f.q
-        n_points = (q ** (m + 1) - 1) // (q - 1)
-        if n_points > MAX_POINTS:
-            raise SpaceTooLarge(f"PG({m},{q}) has {n_points} points")
+        # PG(m, q) has over 2^m points: no power of q for an m over the cap
+        if m >= MAX_POINTS.bit_length() or (n_points := (q ** (m + 1) - 1) // (q - 1)) > MAX_POINTS:
+            raise SpaceTooLarge(f"PG({m},{q}) has more than {MAX_POINTS} points")
         self.m = m
         self.f = f
         self.q = q
         self.n_points = n_points
-        pts: list[tuple[int, ...]] = []
-        for lead in range(m, -1, -1):
-            zeros = (0,) * lead
-            for tail in itertools.product(range(q), repeat=m - lead):
-                pts.append(zeros + (1,) + tail)
-        self.points: tuple[tuple[int, ...], ...] = tuple(pts)
-        self.point_index: dict[tuple[int, ...], int] = {
-            v: i for i, v in enumerate(pts)
-        }
+        self.points: tuple[tuple[int, ...], ...] = tuple(
+            (0,) * lead + (1,) + tail
+            for lead in range(m, -1, -1)
+            for tail in itertools.product(range(q), repeat=m - lead)
+        )
+        self._ids = tuple(range(n_points))  # one int object per index, shared by every span
+        self.point_index: dict[tuple[int, ...], int] = dict(zip(self.points, self._ids))
         self.all_mask = (1 << n_points) - 1
         self._incidence: tuple[int, ...] | None = None
         self._lines: dict[int, tuple[int, ...]] = {}  # p -> lines_through(p)
@@ -167,25 +170,14 @@ class ProjSpace:
         """incidence[h] = bitmask of points on hyperplane h, from byte rows of h·x."""
         if self._incidence is None:
             self._check_table("incidence", self.n_points * ((self.n_points + 7) // 8))
-            f = self.f
-            q = self.q
-            # steps[a][v]: the values v + a·c for c in GF(q), in field order
-            steps = [
-                [bytes(f.add[v][f.mul[a][c]] for c in range(q)) for v in range(q)]
-                for a in range(q)
-            ]
+            steps = _steps(self.f)
             rows = []
-            for hvec in self.points:
-                blocks = []
-                for lead in range(self.m, -1, -1):
-                    # points (0, ..., 0, 1, tail): start from h[lead], then
-                    # widen by one tail coordinate at a time
-                    vals = bytes((hvec[lead],))
-                    for a in hvec[lead + 1 :]:
-                        vals = b"".join(map(steps[a].__getitem__, vals))
-                    blocks.append(vals)
-                row = b"".join(blocks).translate(_ZERO_TO_ONE)
-                rows.append(int(row[::-1], 2))
+            for h in self.points:
+                # h·x over the points (0, ..., 0, 1, tail), one block per lead
+                row = b"".join(
+                    [_values(steps, h[lead], h[lead + 1 :]) for lead in range(self.m, -1, -1)]
+                )
+                rows.append(int(row.translate(_ZERO_TO_ONE)[::-1], 2))
             self._incidence = tuple(rows)
         return self._incidence
 
@@ -223,16 +215,11 @@ class ProjSpace:
         return [x for x, v in enumerate(self.points) if not v[j]]
 
     def _line(self, a: int, b: int) -> int:
-        """Bitmask of the line through points a and b of different pivots: a, b
-        and hi + c·lo for c ≠ 0, already normalized, as lo is 0 at the pivot
-        of hi, the one with the earlier pivot and so the higher index."""
-        index = self.point_index
-        hi, lo = self.points[max(a, b)], self.points[min(a, b)]
-        add = self.f.add
-        mask = 1 << a | 1 << b
-        for row in self.f.mul[1:]:
-            mask |= 1 << index[tuple([add[u][row[v]] for u, v in zip(hi, lo)])]
-        return mask
+        """Bitmask of the line through points a and b of different pivots: the
+        span of the echelon basis (hi, lo), hi the one with the earlier pivot
+        and so the higher index."""
+        hi_lo = (self.points[max(a, b)], self.points[min(a, b)])
+        return sum(1 << i for i in span_points(self, hi_lo))
 
     def _hold_lines(self, count: int) -> None:
         """Count count more line masks, one int each, against the cap before they are built."""
@@ -249,6 +236,8 @@ class ProjSpace:
 
 # incidence rows: field value 0 becomes bit 1, any other value bit 0
 _ZERO_TO_ONE = bytes([ord("1")] + [ord("0")] * 255)
+# span_points: field value v becomes the digit int(_, q) reads as v (q <= 36)
+_DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"0")
 
 
 _SPACES: dict[tuple[int, int], ProjSpace] = {}
@@ -274,23 +263,35 @@ def incident(space: ProjSpace, h: int, p: int) -> bool:
     return dot(space.f, space.points[h], space.points[p]) == 0
 
 
-def span_points(space: ProjSpace, basis) -> Iterator[int]:
-    """Point indices of span(basis), in canonical coefficient order.
+def span_points(space: ProjSpace, basis) -> list[int]:
+    """Point indices of span(basis) in coefficient order (that of
+    ``SubGeometry.to_ambient``), for an echelon basis: each row leads with 1,
+    at a column (its pivot) right of the row above's, else ``ValueError``.
 
-    The i-th point yielded is the one with coefficient vector i of
-    PG(len(basis) - 1, q) in its canonical point order, so for a flat this
-    is the order of ``SubGeometry.to_ambient``.
+    A combination whose first coefficient, 1, is at row r is normalized, with
+    row r's pivot j; each coordinate after j is a ``_values`` column over the
+    block, and the index is offset(j) plus those coordinates as base-q digits.
     """
-    f = space.f
-    k = len(basis)
-    zero = (0,) * (space.m + 1)
-    for lead in range(k - 1, -1, -1):
-        for tail in itertools.product(range(f.q), repeat=k - 1 - lead):
-            vec = zero
-            for c, b in zip((0,) * lead + (1,) + tail, basis):
-                if c:
-                    vec = vadd(f, vec, scale(f, c, b))
-            yield space.point_index[normalize_vec(f, vec)]
+    q, m = space.q, space.m
+    pivots: list[int] = []
+    for row in basis:
+        j = row.index(1) if 1 in row else m + 1
+        if j > m or any(row[:j]) or (pivots and j <= pivots[-1]):
+            raise ValueError("span_points needs an echelon basis")
+        pivots.append(j)
+    steps, ids = _steps(space.f), space._ids
+    cols = list(zip(*basis))
+    out: list[int] = []
+    for r in range(len(basis) - 1, -1, -1):
+        j = pivots[r]
+        n = q ** (len(basis) - 1 - r)
+        # coordinates j+1..m, column by column, after a 0 column for j = m
+        digits = b"".join(
+            [bytes(n)] + [_values(steps, c[r], c[r + 1 :]) for c in cols[j + 1 :]]
+        ).translate(_DIGITS)
+        offset = (q ** (m - j) - 1) // (q - 1)
+        out += [ids[offset + int(digits[p::n], q)] for p in range(n)]
+    return out
 
 
 class Flat:
@@ -307,14 +308,10 @@ class Flat:
         return len(self.basis) - 1
 
     def mask(self) -> int:
-        key = self.basis
-        cached = self.space._flat_masks.get(key)
-        if cached is not None:
-            return cached
-        mask = 0
-        for i in span_points(self.space, self.basis):
-            mask |= 1 << i
-        self.space._flat_masks[key] = mask
+        masks = self.space._flat_masks
+        mask = masks.get(self.basis)
+        if mask is None:
+            mask = masks[self.basis] = sum(1 << i for i in span_points(self.space, self.basis))
         return mask
 
     def contains_point(self, p: int) -> bool:
@@ -370,12 +367,9 @@ def flats_of_codim(space: ProjSpace, c: int) -> tuple[Flat, ...]:
         raise ValueError("only codimension 1 and 2 are supported")
     if space._codim2 is None:
         # each codimension-2 flat is cut out by the hyperplanes of one line
-        pts = space.points
-        bases = []
-        for line in space.all_lines():
-            h1, h2 = bits_to_indices(line)[:2]
-            bases.append(null_space(space.f, [pts[h1], pts[h2]]))
-        space._codim2 = tuple(Flat(space, b) for b in sorted(bases))
+        pairs = (bits_to_indices(line)[:2] for line in space.all_lines())
+        bases = sorted(null_space(space.f, [space.points[h] for h in hs]) for hs in pairs)
+        space._codim2 = tuple(Flat(space, b) for b in bases)
     return space._codim2
 
 
@@ -484,15 +478,10 @@ def subgeometry(space: ProjSpace, flat: Flat) -> SubGeometry:
     cached = space._subgeoms.get(key)
     if cached is not None:
         return cached
-    k = flat.dim
-    if k < 1:
+    if flat.dim < 1:
         raise ValueError("subgeometry needs projective dimension >= 1")
-    to_amb = list(span_points(space, flat.basis))
-    geom = SubGeometry(
-        flat=flat,
-        sub=build_space(k, space.f),
-        to_ambient=tuple(to_amb),
-        from_ambient={a: s for s, a in enumerate(to_amb)},
-    )
+    to_amb = span_points(space, flat.basis)
+    sub = build_space(flat.dim, space.f)
+    geom = SubGeometry(flat, sub, tuple(to_amb), {a: s for s, a in enumerate(to_amb)})
     space._subgeoms[key] = geom
     return geom

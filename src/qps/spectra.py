@@ -9,6 +9,7 @@ three-size parabolic kind does not force cardinality.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 
 from .forms import (
@@ -19,7 +20,7 @@ from .forms import (
     _cardinality,
     _is_square,
 )
-from .pg import PointSet, ProjSpace, _incidence_meet, bits_to_indices
+from .pg import PointSet, ProjSpace, SpaceTooLarge, _incidence_meet, bits_to_indices
 
 
 class NotQuasiPolar(ValueError):
@@ -197,6 +198,10 @@ def singular_hyperplanes(s: PointSet, kind: PolarKind) -> list[int]:
     return [h for h, v in enumerate(spec.per_hyperplane) if v == prof.singular_size]
 
 
+# q^(m+1) <= 2^ROOTS_MAX_BITS keeps the roots under 640 digits, Python's least str limit
+ROOTS_MAX_BITS = 1024
+
+
 class RootsReport:
     """The classical cardinality and the other root, a ``Fraction``, of its quadratic."""
 
@@ -220,13 +225,14 @@ def cardinality_roots(kind: PolarKind) -> RootsReport:
     # imported here: fractions pulls in decimal, which no other command needs
     from fractions import Fraction
 
+    q, m = kind.q, kind.m
     if kind.family == "parabolic":
         raise IncompatibleKind("cardinality is not forced for the parabolic kind")
+    if (m + 1) * math.log2(q) > ROOTS_MAX_BITS:
+        raise SpaceTooLarge(f"PG({m},{q}): q^(m+1) is over 2^{ROOTS_MAX_BITS} for the roots")
     prof = profile(kind)
     u, v = (Fraction(x) for x in prof.sizes)
-    q = kind.q
-    m = kind.m
-    if kind.m < 2:
+    if m < 2:
         raise IncompatibleKind("no quadratic constraint in dimension below 2")
     H = Fraction(n_points_pg(m, q))
     t1 = Fraction(n_points_pg(m - 1, q))

@@ -31,9 +31,7 @@ from .pg import (
     line_through,
     normalize_vec,
     rref,
-    scale,
     subgeometry,
-    vadd,
 )
 from .spectra import classify, find_line_nucleus, profile, section_type, spectrum
 
@@ -678,7 +676,7 @@ def _shift_by_elation(base: PointSet, moved_point: int) -> PointSet:
     bits = 0
     for i in base.indices():
         x = space.points[i]
-        t = dot(f, phi_vec, x)
-        y = vadd(f, x, scale(f, t, c_vec)) if t else x
+        row = f.mul[dot(f, phi_vec, x)]
+        y = tuple(f.add[u][row[c]] for u, c in zip(x, c_vec))
         bits |= 1 << space.point_index[normalize_vec(f, y)]
     return PointSet(space, bits)

@@ -237,6 +237,34 @@ def test_enumerate_guard_rejects_large_orbit_fast(monkeypatch, capsys):
     assert (7, 7) not in pg._SPACES
 
 
+def test_orbit_cap_from_the_dimension_alone():
+    """Above ORBIT_MAX_M every kind of every supported order has more sets
+    than ORBIT_CAP, by the closed form written here, so the refusal needs no
+    count; it still names the space and ends as the counted refusals do."""
+    from qps.gf import SUPPORTED_ORDERS
+
+    top = census.ORBIT_MAX_M
+    checked = 0
+    for fam in ("parabolic", "hyperbolic", "elliptic", "hermitian"):
+        for q in SUPPORTED_ORDERS:
+            for m in range(top + 1, top + 5):
+                try:
+                    kind = PolarKind(fam, m, q)
+                except forms.IncompatibleKind:
+                    continue
+                assert _gl_order(m + 1, q) // _stabiliser_order(fam, m + 1, q) > census.ORBIT_CAP
+                with pytest.raises(SpaceTooLarge) as exc:
+                    census._orbit_size(kind)
+                assert str(exc.value) == f"PG({m},{q}): over {census.ORBIT_CAP} classical sets exceed the enumeration cap"
+                checked += 1
+    assert checked > 80
+    start = time.perf_counter()
+    for m in (10**4, 10**10):
+        with pytest.raises(SpaceTooLarge, match=rf"^PG\({m},2\): over "):
+            census._orbit_size(PolarKind("parabolic", m, 2))
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("fam,m,q", [("elliptic", 7, 7), ("parabolic", 6, 5)])
 def test_nonsingular_switch_checks_the_cap_before_any_space(fam, m, q, monkeypatch, capsys):
     # the sections' orbits are over the cap, which is arithmetic: the census

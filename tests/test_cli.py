@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -157,6 +158,56 @@ def test_construct_too_large_to_classify_writes_no_file(tmp_path, capsys, monkey
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "incidence table" in captured.err
         assert not out.exists()
+
+
+# sizes whose powers Python cannot evaluate in time or print in full: each
+# is refused from its dimension alone, before any power of q is formed
+_HUGE = {
+    "construct-1e10": ("construct canonical --kind parabolic --m 10000000000 --q 2 --out {out}", 2, "PG(10000000000,2)"),
+    "construct-1e8": ("construct canonical --kind parabolic --m 100000000 --q 2 --out {out}", 2, "PG(100000000,2)"),
+    "file-header": ("spectrum --in {huge}", 3, "PG(10000000000,2)"),
+    "census-quadrics": ("census quadrics --kind parabolic --m 1000 --q 2", 2, "PG(1000,2)"),
+    "roots-1000001": ("roots --kind hyperbolic --m 1000001 --q 2", 2, "PG(1000001,2)"),
+    "roots-20001": ("roots --kind hyperbolic --m 20001 --q 2", 2, "PG(20001,2)"),
+}
+
+
+@pytest.mark.parametrize("argv,code,name", list(_HUGE.values()), ids=list(_HUGE))
+def test_huge_dimensions_are_refused_at_once(tmp_path, capsys, argv, code, name):
+    huge = tmp_path / "huge.qps"
+    huge.write_text("QPS 1\nPG 10000000000 2\n")
+    out = tmp_path / "out.qps"
+    start = time.perf_counter()
+    assert run(argv.format(huge=huge, out=out).split()) == code
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name}") and captured.err.count("\n") == 1
+    if "quadrics" in argv:
+        assert captured.err.endswith(" classical sets exceed the enumeration cap\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fam,q", [("hyperbolic", 2), ("elliptic", 3), ("hermitian", 4), ("hermitian", 25)])
+def test_roots_up_to_their_bound_print_under_the_least_digit_limit(capsys, fam, q):
+    # the largest m of the family with q^(m+1) <= 2^ROOTS_MAX_BITS prints under
+    # a limit of 640 digits, the least Python allows; the next m is refused
+    from qps.spectra import ROOTS_MAX_BITS
+
+    m = int(ROOTS_MAX_BITS / math.log2(q)) - 1
+    step = 1
+    if fam != "hermitian":  # odd m only
+        m -= (m + 1) % 2
+        step = 2
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run(["roots", "--kind", fam, "--m", str(m), "--q", str(q)]) == 0
+        assert "classical cardinality: " in capsys.readouterr().out
+        assert run(["roots", "--kind", fam, "--m", str(m + step), "--q", str(q)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: PG({m + step},{q}): q^(m+1) is over 2^")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_q3_switch_over_the_line_budget_writes_no_file(tmp_path, capsys, monkeypatch):

@@ -65,6 +65,14 @@ def test_points_are_normalized_distinct_and_sorted():
 def test_space_too_large_guard():
     with pytest.raises(SpaceTooLarge):
         space_for(20, 2)
+    # from m = MAX_POINTS.bit_length() = 20 on, PG(m, q) has over 2^20 points,
+    # more than MAX_POINTS, and the refusal comes from m alone
+    assert pg.MAX_POINTS.bit_length() == 20 and pg.MAX_POINTS < theta(19, 2) < 2**20
+    start = time.perf_counter()
+    for m in (20, 10**10, 10**100):
+        with pytest.raises(SpaceTooLarge, match=rf"^PG\({m},2\) has more than 1000000 points$"):
+            ProjSpace(m, build_field(2))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bulk_table_guard_rejects_before_building():
@@ -359,14 +367,22 @@ def test_bulk_tables_use_no_per_pair_arithmetic(m, q, monkeypatch):
     def boom(*args):
         raise AssertionError("per-pair arithmetic in a bulk table build")
 
-    expect_inc = space_for(m, q).incidence
-    expect_lines = space_for(m, q).all_lines()
+    warm = space_for(m, q)
+    h = warm.n_points // 3
+    expect_inc = warm.incidence
+    expect_lines = warm.all_lines()
+    expect_to_ambient = subgeometry(warm, hyperplane_flat(warm, h)).to_ambient
+    codim2 = flats_of_codim(warm, 2)[-1].basis
+    expect_mask = Flat(warm, codim2).mask()
     monkeypatch.setattr(pg, "dot", boom)
     monkeypatch.setattr(pg, "normalize_vec", boom)
     sp = ProjSpace(m, build_field(q))
     assert sp.incidence == expect_inc
     assert sp.all_lines() == expect_lines
-    assert sp.lines_through(sp.n_points - 1) == space_for(m, q).lines_through(sp.n_points - 1)
+    assert sp.lines_through(sp.n_points - 1) == warm.lines_through(sp.n_points - 1)
+    # flats too: the span of a basis is read off byte columns, not normalized
+    assert subgeometry(sp, hyperplane_flat(sp, h)).to_ambient == expect_to_ambient
+    assert Flat(sp, codim2).mask() == expect_mask
 
 
 # ---------------------------------------------------------------------------
@@ -566,17 +582,109 @@ def test_span_points_rank_oracle_pg33_flats():
             assert list(subgeometry(sp, fl).to_ambient) == list(span_points(sp, fl.basis))
 
 
+def _unreduced(f, basis, rng):
+    """A non-reduced echelon basis of the same span: each row plus a seeded
+    multiple of each later row, which leaves its leading 1 in place."""
+    rows = [list(r) for r in basis]
+    for i in range(len(rows)):
+        for later in rows[i + 1 :]:
+            c = rng.randrange(f.q)
+            rows[i] = [f.add[a][f.mul[c][b]] for a, b in zip(rows[i], later)]
+    return [tuple(r) for r in rows]
+
+
 def test_span_points_rank_oracle_pg42_seeded_bases():
+    """Seeded independent rows, spanned in their RREF and in a non-reduced
+    echelon form; the rows as drawn are refused unless already echelon."""
     sp = space_for(4, 2)
     rng = random.Random(20)
-    checked = 0
+    checked = refused = unreduced = 0
     while checked < 60:
         k = rng.randint(1, 5)
         rows = [tuple(rng.randrange(2) for _ in range(5)) for _ in range(k)]
-        if len(rref(sp.f, rows)) != k:
+        red = rref(sp.f, rows)
+        if len(red) != k:
             continue
-        check_span_points(sp, rows)
+        ech = _unreduced(sp.f, red, rng)
+        check_span_points(sp, red)
+        check_span_points(sp, ech)
+        unreduced += ech != list(red)
+        leads = [r.index(1) for r in rows if 1 in r]
+        if len(leads) == k and _is_increasing(leads):
+            check_span_points(sp, rows)
+        else:
+            with pytest.raises(ValueError, match="echelon"):
+                span_points(sp, rows)
+            refused += 1
         checked += 1
+    assert refused > 30 and unreduced > 30
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [(0, 1, 0), (1, 0, 0)],  # pivots decrease
+        [(0, 1, 1), (0, 1, 0)],  # pivots repeat
+        [(1, 0, 0), (0, 0, 2)],  # a pivot entry is not 1
+        [(1, 0, 0), (0, 0, 0)],  # a zero row
+    ],
+)
+def test_span_points_refuses_a_non_echelon_basis(basis):
+    with pytest.raises(ValueError, match="echelon"):
+        span_points(space_for(2, 3), basis)
+
+
+@pytest.mark.parametrize("m,q", [(4, 4), (6, 4), (4, 9), (3, 32)])
+def test_span_points_rank_oracle_seeded_hyperplanes(m, q):
+    sp = space_for(m, q)
+    rng = random.Random(m * 100 + q)
+    basis = hyperplane_flat(sp, rng.randrange(sp.n_points)).basis
+    check_span_points(sp, basis)
+    check_span_points(sp, _unreduced(sp.f, basis, rng))
+
+
+def _is_increasing(seq):
+    return all(a < b for a, b in zip(seq, seq[1:]))
+
+
+def test_to_ambient_is_increasing():
+    """For an RREF basis, span order is ambient order, so masks in a flat's
+    own coordinates sort as their ambient images do."""
+    for m, q in [(3, 2), (4, 2), (3, 3), (2, 9)]:
+        sp = space_for(m, q)
+        for fl in flats_of_codim(sp, 1):
+            assert _is_increasing(subgeometry(sp, fl).to_ambient)
+    rng = random.Random(7)
+    for m, q in [(4, 3), (3, 4), (5, 2), (3, 8), (2, 25)]:
+        sp = space_for(m, q)
+        for _ in range(20):
+            fl = flat_from_points(sp, rng.sample(range(sp.n_points), rng.randint(2, m)))
+            if fl.dim >= 1:
+                assert _is_increasing(subgeometry(sp, fl).to_ambient)
+
+
+@pytest.mark.parametrize("m,q", LINE_SPACES)
+def test_lines_through_match_a_coordinate_sum(m, q):
+    """lines_through(p) against {p, x} and hi + c·lo, c ≠ 0, normalized and
+    looked up, for each x with x_j = 0 in turn, j the pivot of p."""
+    sp = space_for(m, q)
+    f = sp.f
+    points = range(sp.n_points)
+    if sp.n_points > 400:
+        points = random.Random(m * 100 + q).sample(points, 40)
+    for p in points:
+        j = sp.points[p].index(1)
+        expect = []
+        for x in range(sp.n_points):
+            if sp.points[x][j]:
+                continue
+            hi, lo = sp.points[max(p, x)], sp.points[min(p, x)]
+            mask = 1 << p | 1 << x
+            for c in range(1, q):
+                vec = tuple(f.add[u][f.mul[c][v]] for u, v in zip(hi, lo))
+                mask |= 1 << sp.point_index[normalize_vec(f, vec)]
+            expect.append(mask)
+        assert list(sp.lines_through(p)) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@
   ``pg.flats_of_codim`` and ``census.classical_dist_census``: a question
   about the lines through one point reads ``lines_through(p)``, which builds
   the lines through that point alone.
+- ``itertools.product`` only in ``ProjSpace.__init__``, where the point list
+  is built: every other enumeration of a flat's points goes through
+  ``pg.span_points`` and its byte columns.
 """
 
 import ast
@@ -21,6 +24,7 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qps").glob("*.py"))
 BANNED_MODULES = ("concurrent.futures", "threading")
 ALL_LINES_READERS = {("pg.py", "flats_of_codim"), ("census.py", "classical_dist_census")}
+PRODUCT_SCOPE = ("pg.py", "ProjSpace", "__init__")
 
 
 def _banned(module: str) -> bool:
@@ -53,8 +57,35 @@ def _all_lines_refs(tree: ast.AST, module: str) -> list[str]:
     return out
 
 
+def _product_refs(tree: ast.AST, module: str) -> list[str]:
+    """Uses of itertools.product outside ProjSpace.__init__, and any import
+    of the bare name."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = (*scope, child.name)
+            attr = (
+                isinstance(child, ast.Attribute)
+                and child.attr == "product"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "itertools"
+            )
+            imported = isinstance(child, ast.ImportFrom) and child.module == "itertools" and any(
+                a.name == "product" for a in child.names
+            )
+            if imported or (attr and (module, *scope) != PRODUCT_SCOPE):
+                out.append(f"line {child.lineno}: itertools.product outside ProjSpace.__init__")
+            visit(child, inner)
+
+    visit(tree, ())
+    return out
+
+
 def violations(tree: ast.AST, module: str = "") -> list[str]:
-    out = _all_lines_refs(tree, module)
+    out = _all_lines_refs(tree, module) + _product_refs(tree, module)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             out.append(f"line {node.lineno}: assert statement")
@@ -113,6 +144,25 @@ def test_rules_catch(code):
     ],
 )
 def test_all_lines_rule_names_its_readers(module, code, allowed):
+    assert (violations(ast.parse(code), module) == []) == allowed
+
+
+_POINT_LIST = "class ProjSpace:\n    def __init__(self, m, q):\n        self.t = list(itertools.product(range(q), repeat=m))\n"
+
+
+@pytest.mark.parametrize(
+    "module,code,allowed",
+    [
+        ("pg.py", _POINT_LIST, True),
+        ("census.py", _POINT_LIST, False),
+        ("pg.py", _POINT_LIST.replace("__init__", "flat_points"), False),
+        ("pg.py", "def span_points(space, basis):\n    return itertools.product(range(2), repeat=len(basis))\n", False),
+        ("surgery.py", "tails = itertools.product(range(3), repeat=2)\n", False),
+        ("pg.py", "from itertools import product\n", False),
+        ("pg.py", "import itertools\npairs = itertools.combinations(range(4), 2)\n", True),
+    ],
+)
+def test_product_rule_allows_only_the_point_list(module, code, allowed):
     assert (violations(ast.parse(code), module) == []) == allowed
 
 
