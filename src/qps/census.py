@@ -15,12 +15,17 @@ in a hyperplane tau of pi (a plane when pi is a solid), so H meets the result
 in |base ∩ H| + |T ∩ tau| points, base being s off pi.  Hyperplane h is dual
 point h, so the hyperplanes other than pi through tau are the other points
 of one dual line through pi: grouped by tau, they give the values of
-|T ∩ tau| that all of them admit.  All candidates are checked against these
-per-tau tables at once (and pi's, |T| in sizes): a bit-sliced counter sums
-the columns of tau's points, one int per point with a bit per candidate.  The
-line-nucleus test of the nucleus-pivot census and the Q(4,2) shape families
-of the singular-switch census are built in the same coordinates; only
-survivors are mapped to ambient point indices.
+|T ∩ tau| that all of them admit.  Tables are built only where a candidate
+can fail: each candidate has one size and meets every tau in one of a few
+sizes (a classical set's of the section kind, or 0..7 for the 7-subsets of
+the singular switch), so a hyperplane admitting all of those is skipped, and
+pi's own table, |T| in sizes, is dropped when the candidates' size is in
+sizes.  On Q(4,2) no table is left at a non-singular hyperplane.  All
+candidates are checked against the tables left at once: a bit-sliced counter
+sums the columns of tau's points, one int per point with a bit per
+candidate.  The line-nucleus test of the nucleus-pivot census and the Q(4,2)
+shape families of the singular-switch census are built in the same
+coordinates; only survivors are mapped to ambient point indices.
 The nucleus-pivot test looks off pi only, as a nucleus inside pi needs
 |T| = theta_2 = 7; the Q(4,2) frame's nucleus is read from section sizes.
 """
@@ -252,29 +257,40 @@ def _classical_profile(s: PointSet, kind: PolarKind) -> SpectrumProfile:
     return profile(kind)
 
 
-def _switch_test(space: ProjSpace, s_bits: int, pi: int, sizes):
+def _switch_test(space: ProjSpace, s_bits: int, pi: int, sizes, card: int, t_sizes):
     """Subgeometry of hyperplane pi, and the tables (mask, allowed values of
     |T ∩ mask|) that a section T of pi, in its coordinates, must pass for
     base ∪ T to meet every hyperplane in one of sizes, most restrictive first.
+    Each candidate T has card points and meets every hyperplane of pi in one
+    of t_sizes; a table that allows all of those rejects none and is not built.
 
-    base is s_bits off pi; pi itself meets the result in |T| points, its own
-    table.  Every other hyperplane H meets pi in a hyperplane tau of pi.
-    Hyperplane h is dual point h, so the H through one tau are the other q
-    points of one dual line through pi: grouped by tau, they admit the values
-    of |T ∩ tau| in the intersection, over the line, of {k - |base ∩ H| : k in
-    sizes}.  Each tau is mapped into pi's coordinates once.
+    base is s_bits off pi; pi itself meets the result in |T| = card points,
+    so its table is built only when card is not in sizes, and then rejects
+    every candidate.  Every other hyperplane H meets pi in a hyperplane tau of
+    pi.  Hyperplane h is dual point h, so the H through one tau are the other
+    q points of one dual line through pi: grouped by tau, they admit the
+    values of |T ∩ tau| in t_sizes and in the intersection, over the line, of
+    {k - |base ∩ H| : k in sizes}.  An H that admits all of t_sizes is
+    skipped, and a tau whose H were all skipped gets no table.  Each tau that
+    has one is mapped into pi's coordinates once.
     """
     geom = subgeometry(space, hyperplane_flat(space, pi))
     inc = space.incidence
     hmask = inc[pi]
     base = s_bits & ~hmask
-    allowed: dict[int, frozenset[int]] = {hmask: frozenset(sizes)}
+    t_sizes = frozenset(t_sizes)
+    allowed: dict[int, frozenset[int]] = {} if card in sizes else {hmask: frozenset()}
+    by_count: dict[int, frozenset[int] | None] = {}  # |base ∩ H| -> values, None to skip
     for h, mask in enumerate(inc):
         if h != pi:
             a = (base & mask).bit_count()
-            ok = frozenset(k - a for k in sizes if k >= a)
-            tau = mask & hmask
-            allowed[tau] = allowed[tau] & ok if tau in allowed else ok
+            if a not in by_count:
+                ok = frozenset(k - a for k in sizes) & t_sizes
+                by_count[a] = None if ok == t_sizes else ok
+            ok = by_count[a]
+            if ok is not None:
+                tau = mask & hmask
+                allowed[tau] = allowed[tau] & ok if tau in allowed else ok
     checks = [(geom.mask_from_ambient(tau), ok) for tau, ok in allowed.items()]
     # the most restrictive tables first, so that most candidates drop early
     return geom, sorted(checks, key=lambda c: len(c[1]))
@@ -304,7 +320,10 @@ def _orbit_columns(kind: PolarKind) -> tuple[tuple[int, ...], list[int]]:
 def _survivors(checks, cols: list[int], cands) -> list[int]:
     """The candidates, given also as columns, that pass every (mask, allowed)
     table.  Per table a bit-sliced adder sums the columns of the mask's points
-    into planes[j], bit j of each count; a count wider than planes matches nothing."""
+    into planes[j], bit j of each count; a count wider than planes matches
+    nothing.  With no table every candidate survives, and no column is read."""
+    if not checks:
+        return list(cands)
     alive = (1 << len(cands)) - 1
     for mask, ok in checks:
         planes: list[int] = []
@@ -379,10 +398,11 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
     total = 0
     for label, size in (("hyperbolic", hyp), ("elliptic", ell)):
         hyps = [h for h, v in enumerate(per) if v == size]
-        cands, cols = _orbit_columns(PolarKind(label, 3, 2))
+        sub = profile(PolarKind(label, 3, 2))
+        cands, cols = _orbit_columns(sub.kind)
         per_hyp: list[tuple[int, int]] = []
         for h in hyps:
-            geom, checks = _switch_test(space, s.bits, h, sizes)
+            geom, checks = _switch_test(space, s.bits, h, sizes, sub.cardinality, sub.sizes)
             if len(_survivors(checks, cols, cands)) != len(cands):
                 # all switches of the quadric survive; the orbit is searched on a failure
                 msg = f"a {label} switch at {h} is not quasi-polar"
@@ -431,7 +451,7 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     sizes = set(prof.sizes)
     per = spectrum(s).per_hyperplane
     pi = next(h for h, v in enumerate(per) if v == prof.singular_size)
-    geom, checks = _switch_test(space, s.bits, pi, sizes)
+    geom, checks = _switch_test(space, s.bits, pi, sizes, 7, range(8))
     vertex, nucleus = _q42_frame(s, geom)
     sub = geom.sub
     sevens, cols = _seven_subsets()
@@ -590,12 +610,13 @@ def nonsingular_switch_census(
     total = 0
     for sub_kind in _section_kinds(kind):
         fam = sub_kind.family
-        target = profile(sub_kind).cardinality
+        sub = profile(sub_kind)
+        target = sub.cardinality
         cands, cols = _orbit_columns(sub_kind)
         pi = _classical_section(space, s.bits, per, target, cands)
         if pi is None:
             raise ValueError(f"no section of size {target} is a classical {fam} set")
-        geom, checks = _switch_test(space, s.bits, pi, sizes)
+        geom, checks = _switch_test(space, s.bits, pi, sizes, target, sub.sizes)
         # in pi's coordinates, kept in cands' order, which is also ambient order
         ident = geom.mask_from_ambient(s.bits)
         survivors = _survivors(checks, cols, cands)

@@ -342,11 +342,12 @@ def cone(vertex: Flat, base: PointSet) -> PointSet:
     return PointSet(space, bits)
 
 
-def is_cone_vertex(bits: int, v: int, lines) -> bool:
-    """True when each of the given lines through v meets bits, off v, in
-    either no point or all of its points."""
+def is_cone_vertex(space: ProjSpace, bits: int, v: int) -> bool:
+    """True when each line of space through v meets bits, off v, in either no
+    point or all of its points.  For bits inside a flat through v, only the
+    lines in the flat can fail: any other line through v meets it in v alone."""
     rest = ~(1 << v)
-    for line in lines:
+    for line in space.lines_through(v):
         t = line & bits & rest
         if t and t != line & rest:
             return False
@@ -356,9 +357,7 @@ def is_cone_vertex(bits: int, v: int, lines) -> bool:
 def cone_vertices(s: PointSet) -> list[int]:
     """Points V such that every line through V meets s in 0 or q points off V."""
     space = s.space
-    return [
-        v for v in range(space.n_points) if is_cone_vertex(s.bits, v, space.lines_through(v))
-    ]
+    return [v for v in range(space.n_points) if is_cone_vertex(space, s.bits, v)]
 
 
 def point_class(form: Form, p: int) -> str:

@@ -11,8 +11,8 @@ Field values are widened only by ``_values``, from one table of v + a·c per
 field: incidence row h is the bytes of h·x over all points x, its zero bytes
 the mask's bits, and ``span_points`` reads a span's points off byte columns of
 their coordinates.  ``lines_through(p)`` spans p with each point of one
-coordinate hyperplane; ``all_lines()`` keeps each line once, at its lowest
-point.  The incidence and every build of line masks, with those the space
+coordinate hyperplane, and the points of a line share its mask;
+``all_lines()`` keeps each line once, at its lowest point.  The incidence and every build of line masks, with those the space
 holds, raise ``SpaceTooLarge`` first when over ``MAX_TABLE_BYTES``.
 
 Hyperplane h is dual point h, so the hyperplanes through a codimension-2 flat
@@ -151,6 +151,7 @@ class ProjSpace:
         self.all_mask = (1 << n_points) - 1
         self._incidence: tuple[int, ...] | None = None
         self._lines: dict[int, tuple[int, ...]] = {}  # p -> lines_through(p)
+        self._line_masks: dict[int, int] = {}  # each mask in _lines -> itself, held once
         self._all_lines: tuple[int, ...] | None = None
         self._line_bytes = 0  # estimated size of the line masks held
         self._codim2: tuple[Flat, ...] | None = None
@@ -188,12 +189,15 @@ class ProjSpace:
         hyperplane x_j = 0, j the pivot (first non-zero coordinate) of p.  x is
         the line's lowest point other than p: the others, x + c·p with c ≠ 0,
         have pivot j if x has a later one, and else agree with x up to
-        coordinate j, where x has 0.
+        coordinate j, where x has 0.  The guard counts one mask per line per
+        point, though the q + 1 points of a line share one.
         """
         if p not in self._lines:
             xs = self._coordinate_hyperplane(self.points[p].index(1))
             self._hold_lines(len(xs))
-            self._lines[p] = tuple(self._line(p, x) for x in xs)
+            lines = [self._line(p, x) for x in xs]
+            # a line met before at another point is held as that point's mask
+            self._lines[p] = tuple(map(self._line_masks.setdefault, lines, lines))
         return self._lines[p]
 
     def all_lines(self) -> tuple[int, ...]:

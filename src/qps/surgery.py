@@ -214,7 +214,7 @@ def _decompose(sub: ProjSpace, section: int, vertices, inside: int = 0) -> tuple
     it.  For a cone vertex the cone over that base is the whole section.
     """
     for v in vertices:
-        if section >> v & 1 and is_cone_vertex(section, v, sub.lines_through(v)):
+        if section >> v & 1 and is_cone_vertex(sub, section, v):
             h = _carrier(sub, v, inside)
             return v, h, section & sub.incidence[h]
     raise NoConeDecomposition("section is not a cone over a hyperplane base")

@@ -18,13 +18,13 @@ def cone_decomposition(s, pi):
 
 def tangent_hyperplane(s, singular_size, p):
     """First hyperplane of the singular size through p whose section is a cone
-    with vertex p, found by walking the ambient lines through p."""
+    with vertex p, found by walking the ambient lines through p: those off the
+    hyperplane meet the section in p alone."""
     space = s.space
     sizes = spectrum(s).per_hyperplane
     for h, hmask in enumerate(space.incidence):
         if sizes[h] != singular_size or not hmask >> p & 1:
             continue
-        lines = (line for line in space.lines_through(p) if not line & ~hmask)
-        if is_cone_vertex(s.bits & hmask, p, lines):
+        if is_cone_vertex(space, s.bits & hmask, p):
             return h
     raise surgery.NoConeDecomposition(f"no tangent hyperplane found at point {p}")

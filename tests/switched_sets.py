@@ -1,14 +1,32 @@
-"""Valid non-classical inputs: the classical-size quasi-polar sets of PG(4,2)
-that switching one non-singular section of Q(4,2) gives, and the quasi-polar
-sets of PG(4,3) that switching one non-singular section of Q(4,3) gives."""
+"""Valid inputs other than the canonical sets: seeded projective images, the
+classical-size quasi-polar sets of PG(4,2) that switching one non-singular
+section of Q(4,2) gives, and the quasi-polar sets of PG(4,3) that switching
+one non-singular section of Q(4,3) gives."""
 
 import functools
+import random
 
 from qps import census
 from qps.census import enumerate_quadrics
 from qps.forms import PolarKind, canonical_form, point_set
-from qps.pg import hyperplane_flat, space_for, subgeometry
+from qps.pg import PointSet, dot, hyperplane_flat, normalize_vec, rref, space_for, subgeometry
 from qps.spectra import profile, spectrum
+
+
+def projective_image(s, seed):
+    """Image of s under a seeded random invertible matrix."""
+    sp = s.space
+    f = sp.f
+    d = sp.m + 1
+    rng = random.Random(seed)
+    while True:
+        rows = [tuple(rng.randrange(sp.q) for _ in range(d)) for _ in range(d)]
+        if len(rref(f, rows)) == d:
+            break
+    bits = 0
+    for v in s.vectors():
+        bits |= 1 << sp.point_index[normalize_vec(f, tuple(dot(f, row, v) for row in rows))]
+    return PointSet(sp, bits)
 
 
 @functools.cache
@@ -40,9 +58,10 @@ def q43_switched_sets() -> tuple[int, ...]:
     sizes = set(profile(kind).sizes)
     out = []
     for fam, pi in census.nonsingular_switch_census(s, kind).extra["hyperplanes"].items():
-        geom, checks = census._switch_test(sp, s.bits, pi, sizes)
+        sub = profile(PolarKind(fam, 3, 3))
+        geom, checks = census._switch_test(sp, s.bits, pi, sizes, sub.cardinality, sub.sizes)
         base = s.bits & ~sp.incidence[pi]
-        cands = [t.bits for t in enumerate_quadrics(geom.sub, PolarKind(fam, 3, 3))]
+        cands = [t.bits for t in enumerate_quadrics(geom.sub, sub.kind)]
         for t in census._survivors(checks, census._columns(cands, geom.sub.n_points), cands):
             out.append(base | geom.mask_to_ambient(t))
     # the identity survives at both hyperplanes

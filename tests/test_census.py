@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -51,7 +52,7 @@ from qps.spectra import (
 )
 from qps.surgery import shifted_nucleus_pivot
 
-from switched_sets import q42_switched_sets
+from switched_sets import projective_image, q42_switched_sets
 
 
 def canonical(fam, m, q):
@@ -649,10 +650,16 @@ def _incident_incidence(sp):
     ]
 
 
+@functools.cache
+def _hyperplane_masks(sp):
+    """Hyperplane bitmasks counted without ``space.incidence``."""
+    return _dot_incidence(sp) if sp.q == sp.f.p else _incident_incidence(sp)
+
+
 def _recount_survivors(sp, s, pi, sections, sizes):
     """The sections T (subgeometry masks) for which (s off pi) ∪ T meets
     every hyperplane in one of sizes, by a full recount."""
-    inc = _dot_incidence(sp) if sp.q == sp.f.p else _incident_incidence(sp)
+    inc = _hyperplane_masks(sp)
     base = s.bits & ~inc[pi]
     geom = subgeometry(sp, hyperplane_flat(sp, pi))
     out = set()
@@ -663,55 +670,162 @@ def _recount_survivors(sp, s, pi, sections, sizes):
     return out
 
 
-def _kernel_survivors(sp, s, pi, sections, sizes):
-    geom, checks = census._switch_test(sp, s.bits, pi, sizes)
+def _kernel_survivors(sp, s, pi, sections, sizes, card, t_sizes):
+    geom, checks = census._switch_test(sp, s.bits, pi, sizes, card, t_sizes)
     return set(census._survivors(checks, census._columns(sections, geom.sub.n_points), sections))
 
 
-@pytest.mark.parametrize(
-    "fam,m,q",
-    [
-        ("parabolic", 4, 2),
-        ("parabolic", 4, 3),
-        ("elliptic", 5, 2),
-        ("hyperbolic", 3, 3),
-        ("elliptic", 3, 3),
-        ("hermitian", 3, 4),
-    ],
-)
+PLANE_TABLE_SPACES = [
+    ("parabolic", 2, 3),
+    ("parabolic", 2, 4),
+    ("parabolic", 2, 8),
+    ("hermitian", 2, 4),
+    ("hermitian", 2, 9),
+    ("hyperbolic", 3, 3),
+    ("elliptic", 3, 3),
+    ("hyperbolic", 3, 4),
+    ("elliptic", 3, 4),
+    ("hermitian", 3, 4),
+    ("parabolic", 4, 2),
+    ("parabolic", 4, 3),
+    ("elliptic", 5, 2),
+]
+# tables that _switch_test keeps at the census's hyperplane of each section
+# family, out of one per hyperplane of pi plus pi's own; the others allow
+# every size a classical set of the family can have and are dropped
+TABLES_KEPT = {
+    ("parabolic", 4, 2, "elliptic"): 0,
+    ("parabolic", 4, 2, "hyperbolic"): 0,
+    ("parabolic", 4, 3, "elliptic"): 15,
+    ("parabolic", 4, 3, "hyperbolic"): 12,
+    ("hyperbolic", 3, 3, "parabolic"): 13,
+    ("elliptic", 3, 3, "parabolic"): 13,
+    ("hermitian", 3, 4, "hermitian"): 21,
+    ("elliptic", 5, 2, "parabolic"): 31,
+}
+
+
+@pytest.mark.parametrize("fam,m,q", PLANE_TABLE_SPACES)
 def test_plane_table_survivors_match_full_recount(fam, m, q):
+    # the canonical set and two projective images; the kernel runs on the
+    # tables built for the candidates' sizes, and the census reports exactly
+    # what the recount finds
     sp = space_for(m, q)
-    s = canonical(fam, m, q)
-    sizes = set(profile(PolarKind(fam, m, q)).sizes)
-    per = spectrum(s).per_hyperplane
-    for sub_fam in spectra._SECTION_FAMILIES[fam]:
-        sub_kind = PolarKind(sub_fam, m - 1, q)
-        pi = per.index(classical_cardinality(sub_kind))
-        geom = subgeometry(sp, hyperplane_flat(sp, pi))
-        cands = [c.bits for c in enumerate_quadrics(geom.sub, sub_kind)]
-        got = _kernel_survivors(sp, s, pi, cands, sizes)
-        assert got == _recount_survivors(sp, s, pi, cands, sizes)
-        assert s.bits & sp.incidence[pi] in {geom.mask_to_ambient(t) for t in got}
+    kind = PolarKind(fam, m, q)
+    sizes = set(profile(kind).sizes)
+    s0 = canonical(fam, m, q)
+    for s in (s0, projective_image(s0, f"tables {fam}"), projective_image(s0, f"tables {m} {q}")):
+        res = nonsingular_switch_census(s, kind)
+        for sub_fam in spectra._SECTION_FAMILIES[fam]:
+            sub = profile(PolarKind(sub_fam, m - 1, q))
+            pi = res.extra["hyperplanes"][sub_fam]
+            geom, checks = census._switch_test(sp, s.bits, pi, sizes, sub.cardinality, sub.sizes)
+            assert len(checks) == TABLES_KEPT.get((fam, m, q, sub_fam), len(checks))
+            # a hyperplane of pi is a point of its dual, and pi's own table is dropped
+            assert len(checks) <= geom.sub.n_points and sub.cardinality in sizes
+            cands = [c.bits for c in enumerate_quadrics(geom.sub, sub.kind)]
+            got = census._survivors(checks, census._columns(cands, geom.sub.n_points), cands)
+            want = _recount_survivors(sp, s, pi, cands, sizes)
+            assert set(got) == want
+            ident = geom.mask_from_ambient(s.bits)
+            assert ident in want
+            others = sorted(geom.mask_to_ambient(t) for t in want - {ident})
+            assert {k: res.breakdown[f"{sub_fam}_{k}"] for k in ("identity", "other_survivor", "not_quasi_polar")} == {
+                "identity": 1,
+                "other_survivor": len(others),
+                "not_quasi_polar": len(cands) - len(want),
+            }
+            assert res.witnesses[f"{sub_fam}_other_survivor"] == [bits_to_indices(t) for t in others[:10]]
+
+
+def test_plane_table_survivors_match_full_recount_on_switched_sets():
+    # classical-size quasi-polar sets of PG(4,2) other than quadrics, at a
+    # seeded hyperplane of each non-singular size: tables are kept wherever
+    # the base lets a classical set fail
+    sp = space_for(4, 2)
+    sizes = set(profile(PolarKind("parabolic", 4, 2)).sizes)
+    rng = random.Random(19)
+    kept = 0
+    for bits in rng.sample(q42_switched_sets(), 100):
+        s = PointSet(sp, bits)
+        per = spectrum(s).per_hyperplane
+        for sub_fam in ("elliptic", "hyperbolic"):
+            sub = profile(PolarKind(sub_fam, 3, 2))
+            pi = rng.choice([h for h, v in enumerate(per) if v == sub.cardinality])
+            geom, checks = census._switch_test(sp, bits, pi, sizes, sub.cardinality, sub.sizes)
+            cands, cols = census._orbit_columns(sub.kind)
+            got = census._survivors(checks, cols, cands)
+            assert set(got) == _recount_survivors(sp, s, pi, cands, sizes)
+            kept += len(checks)
+    assert kept > 0
 
 
 @pytest.mark.parametrize("size", [5, 7, 9])
 def test_plane_table_survivors_every_subset_of_a_solid(size):
-    # every subset of one solid of each type of Q(4,2), of every size; for
-    # the singular solid these include the 6,435 seven-subsets that the
-    # singular switch walks, survivors and non-survivors alike.  Some
-    # subsets of the elliptic solid pass every plane and fail only |T| in
-    # sizes.
+    # every subset of one solid of each type of Q(4,2), of every size, with
+    # the tables built per size; for the singular solid these include the
+    # 6,435 seven-subsets that the singular switch walks, survivors and
+    # non-survivors alike.  Some subsets of the elliptic solid pass every
+    # plane and fail only |T| in sizes, the table of pi that is kept when
+    # |T| is not in sizes.
     sp = space_for(4, 2)
     s = canonical("parabolic", 4, 2)
     sizes = set(profile(PolarKind("parabolic", 4, 2)).sizes)
     pi = spectrum(s).per_hyperplane.index(size)
     subsets = range(1 << 15)
-    got = _kernel_survivors(sp, s, pi, subsets, sizes)
+    got = set()
+    for card in range(16):
+        group = [t for t in subsets if t.bit_count() == card]
+        got |= _kernel_survivors(sp, s, pi, group, sizes, card, range(8))
     assert got == _recount_survivors(sp, s, pi, subsets, sizes)
     assert {t.bit_count() for t in got} <= sizes
     if size == 7:
         assert sum(t.bit_count() == 7 for t in subsets) == 6435
         assert sum(t.bit_count() == 7 for t in got) == 104
+
+
+@pytest.mark.parametrize(
+    "fam,m,q",
+    sorted({(sub, m - 1, q) for fam, m, q in PLANE_TABLE_SPACES for sub in spectra._SECTION_FAMILIES[fam]}),
+)
+def test_section_kind_sizes_hold_for_every_classical_set(fam, m, q):
+    # what dropping a table rests on: every candidate of a switch census has
+    # the section kind's cardinality and meets each hyperplane of its space
+    # in one of the kind's sizes, counted here from hyperplanes of the test's own
+    sp = space_for(m, q)
+    prof = profile(PolarKind(fam, m, q))
+    inc = _hyperplane_masks(sp)
+    for t in census._orbit(prof.kind):
+        assert t.bit_count() == prof.cardinality
+        assert {(t & h).bit_count() for h in inc} <= set(prof.sizes)
+
+
+def test_nucleus_pivot_census_adds_no_column_on_q42(monkeypatch):
+    # every table of both section families of Q(4,2) allows every size a
+    # classical set of the family has, at every non-singular hyperplane
+    tables = []
+    survivors = census._survivors
+
+    class NoColumns:
+        def __getitem__(self, i):
+            raise AssertionError("a column was read")
+
+    def recorded(checks, cols, cands):
+        tables.append(len(checks))
+        return survivors(checks, NoColumns(), cands)
+
+    monkeypatch.setattr(census, "_survivors", recorded)
+    s = canonical("parabolic", 4, 2)
+    for t in (s, projective_image(s, "no column")):
+        tables.clear()
+        res = nucleus_pivot_census(t)
+        assert res.total_candidates == 448
+        assert res.extra["hyperplanes_checked"] == {"hyperbolic": 10, "elliptic": 6}
+        assert tables == [0] * 16
+        tables.clear()
+        res = nonsingular_switch_census(t, PolarKind("parabolic", 4, 2))
+        assert res.breakdown["elliptic_other_survivor"] == 167
+        assert tables == [0, 0]
 
 
 def _columns_by_loop(cands, n):
@@ -756,6 +870,7 @@ def test_survivors_match_a_per_candidate_loop(m, q):
             got = census._survivors([(mask, ok)], cols, cands)
             assert got == _loop_survivors([(mask, ok)], cands)
         assert census._survivors(checks, cols, cands) == _loop_survivors(checks, cands)
+        assert census._survivors([], cols, cands) == list(cands)
 
 
 def test_orbit_columns_follow_the_orbit_tuple(monkeypatch):

@@ -28,14 +28,11 @@ from qps.gf import build_field
 from qps.pg import (
     PointSet,
     bits_to_indices,
-    dot,
     flat_from_mask,
     flat_from_points,
     hyperplane_flat,
     line_through,
-    normalize_vec,
     point_set_from_indices,
-    rref,
     space_for,
     subgeometry,
 )
@@ -66,7 +63,7 @@ from qps.surgery import (
 )
 
 from cone_helpers import cone_decomposition, tangent_hyperplane
-from switched_sets import q42_switched_sets, q43_switched_sets
+from switched_sets import projective_image, q42_switched_sets, q43_switched_sets
 
 
 def canonical(fam, m, q):
@@ -929,22 +926,6 @@ def test_record_json_shape():
 # ---------------------------------------------------------------------------
 # Replay property over seeded projective images
 # ---------------------------------------------------------------------------
-
-
-def projective_image(s, seed):
-    """Image of s under a seeded random invertible matrix."""
-    sp = s.space
-    f = sp.f
-    d = sp.m + 1
-    rng = random.Random(seed)
-    while True:
-        rows = [tuple(rng.randrange(sp.q) for _ in range(d)) for _ in range(d)]
-        if len(rref(f, rows)) == d:
-            break
-    bits = 0
-    for v in s.vectors():
-        bits |= 1 << sp.point_index[normalize_vec(f, tuple(dot(f, row, v) for row in rows))]
-    return PointSet(sp, bits)
 
 
 def sub_sets(sp, h, family):
