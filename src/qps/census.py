@@ -160,26 +160,15 @@ def _section_kinds(kind: PolarKind) -> list[PolarKind]:
     return subs
 
 
-def _primitive_element(f: FieldTable) -> int:
-    """The least w whose powers run through all of GF(q)*."""
-    for w in range(2, f.q):
-        powers = [w]
-        while powers[-1] != 1:
-            powers.append(f.mul[powers[-1]][w])
-        if len(powers) == f.q - 1:
-            return w
-    raise InvariantViolated(f"GF({f.q}) has no primitive element")
-
-
 def _pgl_generators(d: int, f: FieldTable) -> list[list[list[int]]]:
     """Generators of GL(d, q): the cyclic coordinate shift, the transvection
-    x_0 <- x_0 + x_1 and, for q > 2, diag(w, 1, ..., 1) with w primitive."""
+    x_0 <- x_0 + x_1 and, for q > 2, diag(w, 1, ..., 1) with w the field's
+    primitive element, whose powers run through GF(q)*."""
     shift = [[int(j == (i + 1) % d) for j in range(d)] for i in range(d)]
     trans = [[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)]
     if f.q == 2:
         return [shift, trans]
-    w = _primitive_element(f)
-    diag = [[(w if i == 0 else 1) if i == j else 0 for j in range(d)] for i in range(d)]
+    diag = [[(f.primitive if i == 0 else 1) if i == j else 0 for j in range(d)] for i in range(d)]
     return [shift, trans, diag]
 
 

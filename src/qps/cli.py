@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import census as census_lib
-from .forms import PolarKind, canonical_form, point_set
+from .forms import FAMILIES, PolarKind, canonical_form, point_set
 from .gf import SUPPORTED_ORDERS
 from .pg import (
     Flat,
@@ -409,11 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    fams = ["parabolic", "hyperbolic", "elliptic", "hermitian"]
-
     p = sub.add_parser("construct", help="write a canonical classical point set")
     p.add_argument("what", choices=["canonical"])
-    p.add_argument("--kind", required=True, choices=fams)
+    p.add_argument("--kind", required=True, choices=FAMILIES)
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--q", required=True, type=int, choices=SUPPORTED_ORDERS)
     p.add_argument("--out", required=True)
@@ -421,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="hyperplane intersection spectrum of a file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--kind", choices=fams)
+    p.add_argument("--kind", choices=FAMILIES)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="nucleus condition flags for a point set")
@@ -445,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
-    p.add_argument("--kind", choices=fams)
+    p.add_argument("--kind", choices=FAMILIES)
     p.add_argument("--hyperplane", help="dual vector, comma separated coordinates")
     p.add_argument("--base", help="point set file with the replacement base")
     p.add_argument("--section", help="point set file with the replacement section")
@@ -473,14 +471,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ],
     )
     p.add_argument("--in", dest="infile")
-    p.add_argument("--kind", choices=fams, default="parabolic")
+    p.add_argument("--kind", choices=FAMILIES, default="parabolic")
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--q", type=int, default=2, choices=SUPPORTED_ORDERS)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("roots", help="both roots of the forced cardinality quadratic")
-    p.add_argument("--kind", required=True, choices=fams)
+    p.add_argument("--kind", required=True, choices=FAMILIES)
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--q", required=True, type=int, choices=SUPPORTED_ORDERS)
     p.add_argument("--json", action="store_true")

@@ -16,7 +16,7 @@ Canonical shapes (coordinates x_0 .. x_m):
 
 from __future__ import annotations
 
-from .gf import FieldTable, build_field
+from .gf import FieldTable
 from .pg import (
     Flat,
     PointSet,

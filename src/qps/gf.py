@@ -5,8 +5,9 @@ Elements are encoded as integers: the element with polynomial coordinates
 a_{e-1}*p^(e-1).  0 and 1 always encode the additive and multiplicative
 identities.
 
-Extension fields are built modulo a fixed irreducible polynomial, one per
-order (coefficients listed from the constant term up):
+Extension fields are built modulo a fixed primitive polynomial, one per
+order (coefficients listed from the constant term up), so the powers of x
+run through all of GF(q)*:
 
     GF(4)   x^2 + x + 1            [1, 1, 1]
     GF(8)   x^3 + x + 1            [1, 1, 0, 1]
@@ -16,8 +17,11 @@ order (coefficients listed from the constant term up):
     GF(27)  x^3 + 2x + 1           [1, 2, 0, 1]
     GF(25)  x^2 + 4x + 2           [2, 4, 1]
 
-The conjugation map x -> x^sqrt(q) is available exactly when the order is
-a square.
+Every table is read off the powers w^k of one primitive element w, x for
+an extension field and the least primitive root for GF(p): a*b is
+w^(log a + log b), 1/a is w^(-log a) and the conjugate x -> x^sqrt(q),
+available exactly when the order is a square, is w^(sqrt(q) log a).
+Addition works digit by digit, and -a is (-1)*a, -1 being the constant p - 1.
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 class FieldTable:
     """Lookup tables for one field; treat as immutable."""
 
-    __slots__ = ("q", "p", "e", "modulus", "add", "mul", "neg", "inv", "has_conj", "conj")
+    __slots__ = (
+        "q", "p", "e", "modulus", "add", "mul", "neg", "inv", "has_conj", "conj", "primitive"
+    )
 
     def __init__(
         self,
@@ -86,6 +92,7 @@ class FieldTable:
         inv: tuple[int, ...],
         has_conj: bool,
         conj: tuple[int, ...],
+        primitive: int,
     ):
         self.q = q
         self.p = p
@@ -97,44 +104,31 @@ class FieldTable:
         self.inv = inv
         self.has_conj = has_conj
         self.conj = conj
-
-
-def _digits(n: int, p: int, e: int) -> list[int]:
-    out = []
-    for _ in range(e):
-        out.append(n % p)
-        n //= p
-    return out
-
-
-def _undigits(ds: list[int], p: int) -> int:
-    n = 0
-    for d in reversed(ds):
-        n = n * p + d
-    return n
-
-
-def _poly_mul_mod(a: int, b: int, p: int, e: int, mod: tuple[int, ...]) -> int:
-    da = _digits(a, p, e)
-    db = _digits(b, p, e)
-    prod = [0] * (2 * e - 1)
-    for i, ai in enumerate(da):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(db):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by the monic modulus of degree e
-    for k in range(2 * e - 2, e - 1, -1):
-        c = prod[k]
-        if c == 0:
-            continue
-        prod[k] = 0
-        for j in range(e):
-            prod[k - e + j] = (prod[k - e + j] - c * mod[j]) % p
-    return _undigits(prod[:e], p)
+        self.primitive = primitive
 
 
 _CACHE: dict[int, FieldTable] = {}
+
+
+def _powers(q: int, p: int, e: int, add: list[list[int]]) -> tuple[list[int], int]:
+    """The powers w^0, ..., w^(q-2) of the primitive element w, and w.
+
+    w is x for an extension field: a power times x is a digit shift, and the
+    digit carried past x^(e-1) comes back as a multiple of x^e, which is
+    minus the modulus' lower terms.  For GF(p), w is the least primitive root.
+    """
+    if e == 1:
+        w = next(w for w in range(1, p) if len({pow(w, k, p) for k in range(1, p)}) == p - 1)
+        return [pow(w, k, p) for k in range(p - 1)], w
+    top = q // p
+    carry = [sum((-t * c) % p * p**i for i, c in enumerate(MODULI[q][:e])) for t in range(p)]
+    exp = [1]
+    for _ in range(q - 2):
+        v = exp[-1]
+        exp.append(add[v % top * p][carry[v // top]])
+    if set(exp) != set(range(1, q)):
+        raise ValueError(f"GF({q}): the modulus {MODULI[q]} is not primitive")
+    return exp, p
 
 
 def build_field(q: int) -> FieldTable:
@@ -145,62 +139,41 @@ def build_field(q: int) -> FieldTable:
         raise OrderTooLarge(f"order {q} exceeds {MAX_ORDER}")
     p, e = _factor_prime_power(q)
 
-    if e == 1:
-        add = tuple(tuple((a + b) % p for b in range(p)) for a in range(p))
-        mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
-    else:
-        mod = MODULI[q]
-        add = tuple(
-            tuple(
-                _undigits(
-                    [(x + y) % p for x, y in zip(_digits(a, p, e), _digits(b, p, e))], p
-                )
-                for b in range(q)
-            )
-            for a in range(q)
-        )
-        mul = tuple(
-            tuple(_poly_mul_mod(a, b, p, e, mod) for b in range(q)) for a in range(q)
-        )
+    # digit-wise addition, one more digit per pass: the top digits add mod p
+    add = [[(a + b) % p for b in range(p)] for a in range(p)]
+    n = p
+    while n < q:
+        add = [
+            [add[a % n][b % n] + n * ((a // n + b // n) % p) for b in range(n * p)]
+            for a in range(n * p)
+        ]
+        n *= p
 
-    neg = [0] * q
-    for a in range(q):
-        for b in range(q):
-            if add[a][b] == 0:
-                neg[a] = b
-                break
-
-    inv = [0] * q
-    for a in range(1, q):
-        for b in range(1, q):
-            if mul[a][b] == 1:
-                inv[a] = b
-                break
-
-    root = int(round(q**0.5))
+    exp, w = _powers(q, p, e, add)
+    log = [0] * q
+    for k, v in enumerate(exp):
+        log[v] = k
+    exp2 = exp * 2
+    mul = ((0,) * q,) + tuple(
+        (0,) + tuple(exp2[log[a] + log[b]] for b in range(1, q)) for a in range(1, q)
+    )
+    root = round(q**0.5)
     has_conj = root * root == q
+    conj = tuple(range(q))
     if has_conj:
-        conj = []
-        for a in range(q):
-            x = 1
-            for _ in range(root):
-                x = mul[x][a]
-            conj.append(x)
-        conj = tuple(conj)
-    else:
-        conj = tuple(range(q))
-
+        conj = (0,) + tuple(exp[log[a] * root % (q - 1)] for a in range(1, q))
     table = FieldTable(
         q=q,
         p=p,
         e=e,
-        modulus=MODULI.get(q, (0, 1) if e == 1 else ()),
-        add=add,
+        modulus=MODULI.get(q, (0, 1)),
+        add=tuple(map(tuple, add)),
         mul=mul,
-        neg=tuple(neg),
-        inv=tuple(inv),
+        neg=mul[p - 1],  # -1 is the constant p - 1
+        inv=(0,) + tuple(exp[-log[a]] for a in range(1, q)),
         has_conj=has_conj,
         conj=conj,
+        primitive=w,
     )
     _CACHE[q] = table
     return table

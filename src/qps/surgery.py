@@ -30,6 +30,7 @@ from .pg import (
     hyperplane_flat,
     line_through,
     normalize_vec,
+    null_space,
     rref,
     subgeometry,
 )
@@ -371,16 +372,17 @@ def _greedy_generator(s: PointSet, target_dim: int) -> Flat:
         raise ValueError("empty set has no generator")
     cur = flat_from_points(space, [idx[0]])
     while cur.dim < target_dim:
-        cur = _extend_inside(s, cur.mask(), cur.mask())
+        cur = _extend_inside(s, cur, cur.mask())
         if cur is None:
             raise ValueError("no generator of the required dimension inside the set")
     return cur
 
 
-def _extend_inside(s: PointSet, flat_mask: int, avoid: int) -> Flat | None:
+def _extend_inside(s: PointSet, flat: Flat, avoid: int) -> Flat | None:
     """Span of the flat and the first point of s off avoid whose span lies in s."""
+    space = s.space
     for x in bits_to_indices(s.bits & ~avoid):
-        cand = flat_from_points(s.space, bits_to_indices(flat_mask) + [x])
+        cand = Flat(space, rref(space.f, [*flat.basis, space.points[x]]))
         if not cand.mask() & ~s.bits:
             return cand
     return None
@@ -433,7 +435,8 @@ def repeated_pivot(
             raise NoConeDecomposition(f"no tangent hyperplane found at point {R}")
         return cones[R]
 
-    xi_mask = space.incidence[tangent(p)[0]] & space.incidence[tangent(r)[0]]
+    hp, hr = tangent(p)[0], tangent(r)[0]
+    xi_mask = space.incidence[hp] & space.incidence[hr]
 
     result_bits = 0
     for R in points:
@@ -465,7 +468,7 @@ def repeated_pivot(
                 ",".join(str(c) for c in space.points[k]): _pt_coords(space, cones[k][0])
                 for k in points
             },
-            "xi": _basis_coords(flat_from_mask(space, xi_mask)),
+            "xi": [list(row) for row in null_space(space.f, [space.points[hp], space.points[hr]])],
         },
     )
     return result, rec
@@ -486,7 +489,7 @@ def affine_switch(s: PointSet) -> tuple[PointSet, SurgeryRecord]:
     # the wall is hyperplane 0 of g1's own coordinates, spanned by all but
     # the last row of its basis
     nu_flat = Flat(space, g1.basis[:-1])
-    g2 = _extend_inside(s, nu_flat.mask(), g1.mask())
+    g2 = _extend_inside(s, nu_flat, g1.mask())
     if g2 is None:
         raise ValueError("no second generator through the wall")
     removed_bits = g1.mask() ^ g2.mask()

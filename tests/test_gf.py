@@ -1,5 +1,6 @@
 import pytest
 
+from qps import gf
 from qps.gf import (
     MODULI,
     SUPPORTED_ORDERS,
@@ -51,7 +52,7 @@ def test_build_field_is_cached():
 
 
 def test_documented_moduli():
-    # fixed irreducible polynomials, ascending coefficient order
+    # fixed primitive polynomials, ascending coefficient order
     assert MODULI[4] == (1, 1, 1)  # x^2 + x + 1
     assert MODULI[9] == (2, 2, 1)  # x^2 + 2x + 2
     assert MODULI[8] == (1, 1, 0, 1)  # x^3 + x + 1
@@ -97,6 +98,62 @@ def test_associativity_and_distributivity():
                     assert add[ab_add][c] == add[a][add[b][c]]
                     assert mul[ab_mul][c] == mul[a][mul[b][c]]
                     assert mul[a][add[b][c]] == add[ab_mul][mul[a][c]]
+
+
+def _schoolbook_mul(a, b, p, e, mod):
+    """a·b as polynomials over GF(p), reduced by the monic modulus mod."""
+    da = [a // p**i % p for i in range(e)]
+    db = [b // p**i % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * e - 2, e - 1, -1):
+        c, prod[k] = prod[k], 0
+        for j in range(e):
+            prod[k - e + j] = (prod[k - e + j] - c * mod[j]) % p
+    return sum(c * p**i for i, c in enumerate(prod[:e]))
+
+
+def test_tables_match_their_definitions():
+    """Each table against a computation that shares no code with gf: the
+    schoolbook product mod MODULI[q] (or mod p), a^sqrt(q) by repeated
+    products, and the least element whose powers cover GF(q)*."""
+    for q in SUPPORTED_ORDERS:
+        f = build_field(q)
+        p, e = f.p, f.e
+        for a in range(q):
+            for b in range(q):
+                want = (a * b) % p if e == 1 else _schoolbook_mul(a, b, p, e, MODULI[q])
+                assert f.mul[a][b] == want, (q, a, b)
+                digits = [(a // p**i + b // p**i) % p for i in range(e)]
+                assert f.add[a][b] == sum(d * p**i for i, d in enumerate(digits))
+            assert f.add[a][f.neg[a]] == 0
+            assert a == 0 or f.mul[a][f.inv[a]] == 1
+        assert f.inv[0] == 0
+        r = int(q**0.5)
+        for a in range(q):
+            acc = 1
+            for _ in range(r):
+                acc = f.mul[acc][a]
+            assert f.conj[a] == (acc if r * r == q else a)
+
+        def covers(w):
+            seen, x = set(), 1
+            for _ in range(q - 1):
+                seen.add(x)
+                x = f.mul[x][w]
+            return len(seen) == q - 1
+
+        assert f.primitive == next(w for w in range(1, q) if covers(w))
+
+
+def test_non_primitive_modulus_is_refused(monkeypatch):
+    # x^4 + x^3 + x^2 + x + 1 is irreducible over GF(2), but x^5 = 1 under it
+    monkeypatch.setitem(MODULI, 16, (1, 1, 1, 1, 1))
+    monkeypatch.setattr(gf, "_CACHE", {})
+    with pytest.raises(ValueError, match="not primitive"):
+        build_field(16)
 
 
 def test_unit_group_order():

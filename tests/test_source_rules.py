@@ -13,6 +13,9 @@
 - ``itertools.product`` only in ``ProjSpace.__init__``, where the point list
   is built: every other enumeration of a flat's points goes through
   ``pg.span_points`` and its byte columns.
+- Every name a module imports is read in that module, so no import
+  outlives its last use.  ``__init__.py``, which re-exports names, and
+  ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -84,8 +87,26 @@ def _product_refs(tree: ast.AST, module: str) -> list[str]:
     return out
 
 
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """Names bound by an import that no ``Name`` node of the module reads;
+    ``import a.b`` binds ``a``."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for a in node.names:
+                name = a.asname or a.name.split(".")[0]
+                if name not in read:
+                    out.append(f"line {node.lineno}: {name} imported and never used")
+    return out
+
+
 def violations(tree: ast.AST, module: str = "") -> list[str]:
     out = _all_lines_refs(tree, module) + _product_refs(tree, module)
+    if module != "__init__.py":
+        out += _unused_imports(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             out.append(f"line {node.lineno}: assert statement")
@@ -126,6 +147,11 @@ def test_source_rules(path):
         "def f():\n    import scipy\n",
         "def f(space):\n    return space.all_lines()\n",
         "lines = all_lines",
+        "import itertools",
+        "from .pg import ProjSpace, rref\nrref(f, rows)\n",
+        "from .gf import build_field as bf\nbuild_field(4)\n",
+        "import qps.census as c\nqps.census.x\n",
+        "def f():\n    import math\n    return 0\n",
     ],
 )
 def test_rules_catch(code):
@@ -169,13 +195,23 @@ def test_product_rule_allows_only_the_point_list(module, code, allowed):
 @pytest.mark.parametrize(
     "code",
     [
-        "import itertools",
-        "from collections.abc import Iterator",
+        # each snippet reads what it imports; the id is the import under test
+        pytest.param("import itertools\nitertools.chain()", id="import itertools"),
+        pytest.param(
+            "from collections.abc import Iterator\nx: Iterator",
+            id="from collections.abc import Iterator",
+        ),
         "from __future__ import annotations",
-        "from .pg import ProjSpace",
-        "from . import census",
-        "import qps.census",
+        pytest.param("from .pg import ProjSpace\nspace: ProjSpace", id="from .pg import ProjSpace"),
+        pytest.param("from . import census\ncensus.x", id="from . import census"),
+        pytest.param("import qps.census\nqps.census.x", id="import qps.census"),
+        "from .gf import build_field as bf\nbf(4)\n",
+        "def f():\n    import math\n    return math.pi\n",
     ],
 )
 def test_rules_allow(code):
     assert violations(ast.parse(code)) == []
+
+
+def test_init_may_reexport():
+    assert violations(ast.parse("from .gf import build_field\n"), "__init__.py") == []
