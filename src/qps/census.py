@@ -704,18 +704,18 @@ def classical_dist_census(kind: PolarKind) -> CensusResult:
     """Tally the hyperplane type distributions of all codimension-2 flats.
 
     Hyperplane h is dual point h, so the hyperplanes through a codimension-2
-    flat are the points of one line of ``all_lines()``, and any two of them
-    meet in the flat.  Each flat gets the tally ``classical_distribution``
-    gives it.
+    flat are the indices of one line that ``all_lines()`` streams, and any two
+    of them meet in the flat.  Each flat gets the tally
+    ``classical_distribution`` gives it.
     """
     space = space_for(kind.m, kind.q)
-    inc = space.incidence  # built, or refused, with the lines before the form is evaluated
+    inc = space.incidence  # the incidence guard, then the line cap, before the form is evaluated
     lines = space.all_lines()
     zeros = point_set(canonical_form(kind, space)).bits
     types = [section_type(kind, (zeros & hmask).bit_count()) or "other" for hmask in inc]
     agg: dict[str, int] = {}
-    for line in lines:
-        hyps = bits_to_indices(line)
+    total = 0
+    for total, hyps in enumerate(lines, 1):
         labels: dict[str, int] = {}
         for h in hyps:
             labels[types[h]] = labels.get(types[h], 0) + 1
@@ -726,7 +726,7 @@ def classical_dist_census(kind: PolarKind) -> CensusResult:
         name="classical-dist",
         m=kind.m,
         q=kind.q,
-        total_candidates=len(lines),
+        total_candidates=total,
         breakdown=dict(sorted(agg.items())),
         witnesses={},
     )

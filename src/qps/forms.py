@@ -21,6 +21,7 @@ from .pg import (
     Flat,
     PointSet,
     ProjSpace,
+    _ZERO_TO_ONE,
     bits_to_indices,
     normalize_vec,
     null_space,
@@ -278,13 +279,9 @@ def form_is_nondegenerate(form: Form) -> bool:
 
 def point_set(form: Form) -> PointSet:
     if form._mask is None:
-        bits = 0
-        bit = 1
-        for v in form.space.points:
-            if form.eval_vec(v) == 0:
-                bits |= bit
-            bit <<= 1
-        form._mask = bits
+        # one byte per point, its value; read as the incidence rows are
+        zeros = bytes(map(form.eval_vec, form.space.points)).translate(_ZERO_TO_ONE)
+        form._mask = int(zeros[::-1], 2)
     return PointSet(form.space, form._mask)
 
 

@@ -11,19 +11,21 @@ Field values are widened only by ``_values``, from one table of v + a·c per
 field: incidence row h is the bytes of h·x over all points x, its zero bytes
 the mask's bits, and ``span_points`` reads a span's points off byte columns of
 their coordinates.  ``lines_through(p)`` spans p with each point of one
-coordinate hyperplane, and the points of a line share its mask;
-``all_lines()`` keeps each line once, at its lowest point.  The incidence and every build of line masks, with those the space
-holds, raise ``SpaceTooLarge`` first when over ``MAX_TABLE_BYTES``.
+coordinate hyperplane, and the points of a line share its mask; the space
+holds those masks, and the incidence, under one size cap, ``MAX_TABLE_BYTES``,
+checked before each build.
 
 Hyperplane h is dual point h, so the hyperplanes through a codimension-2 flat
-are, as indices, the points of a line: ``all_lines()`` lists them for every
-such flat at once.
+are, as indices, the points of a line.  ``all_lines()`` streams every line
+once, at its lowest point, as a list of point indices, and holds none of
+them: the number of lines, not their size, is capped, at ``MAX_LINES``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterator
 
 from .gf import FieldTable, build_field
 
@@ -42,8 +44,9 @@ class SamePoint(ValueError):
 
 MAX_POINTS = 10**6
 # cap on the estimated size of the incidence, at one ceil(n/8) byte row per
-# hyperplane, and of the line masks a space holds, at one int object per line
+# hyperplane, and of the lines_through masks a space holds, at one int per line
 MAX_TABLE_BYTES = 256 * 2**20
+MAX_LINES = 2**20  # cap on the lines all_lines() streams, as on the sets a census lists
 
 
 def dot(f: FieldTable, u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -152,9 +155,7 @@ class ProjSpace:
         self._incidence: tuple[int, ...] | None = None
         self._lines: dict[int, tuple[int, ...]] = {}  # p -> lines_through(p)
         self._line_masks: dict[int, int] = {}  # each mask in _lines -> itself, held once
-        self._all_lines: tuple[int, ...] | None = None
         self._line_bytes = 0  # estimated size of the line masks held
-        self._codim2: tuple[Flat, ...] | None = None
         self._flat_masks: dict[tuple, int] = {}
         self._subgeoms: dict[tuple, SubGeometry] = {}
         self._hyperplane_flats: dict[int, Flat] = {}
@@ -189,41 +190,41 @@ class ProjSpace:
         hyperplane x_j = 0, j the pivot (first non-zero coordinate) of p.  x is
         the line's lowest point other than p: the others, x + c·p with c ≠ 0,
         have pivot j if x has a later one, and else agree with x up to
-        coordinate j, where x has 0.  The guard counts one mask per line per
-        point, though the q + 1 points of a line share one.
+        coordinate j, where x has 0.  Of p and x, the higher index has the
+        earlier pivot, so it leads the echelon basis that is spanned.  The
+        guard counts one mask per line per point, though the q + 1 points of
+        a line share one.
         """
         if p not in self._lines:
-            xs = self._coordinate_hyperplane(self.points[p].index(1))
+            pts = self.points
+            xs = self._coordinate_hyperplane(pts[p].index(1))
             self._hold_lines(len(xs))
-            lines = [self._line(p, x) for x in xs]
+            spans = (span_points(self, (pts[max(p, x)], pts[min(p, x)])) for x in xs)
+            lines = [sum(1 << i for i in span) for span in spans]
             # a line met before at another point is held as that point's mask
             self._lines[p] = tuple(map(self._line_masks.setdefault, lines, lines))
         return self._lines[p]
 
-    def all_lines(self) -> tuple[int, ...]:
-        """Bitmasks of all lines, ordered by (lowest point, second-lowest point):
-        for each p, the lines through p whose lowest point other than p is above p."""
-        if self._all_lines is None:
-            self._hold_lines(self.n_points * (self.q**self.m - 1) // (self.q**2 - 1))
-            planes = [self._coordinate_hyperplane(j) for j in range(self.m + 1)]
-            self._all_lines = tuple(
-                self._line(p, x)
-                for p, v in enumerate(self.points)
-                for x in planes[v.index(1)]
-                if x > p
-            )
-        return self._all_lines
+    def all_lines(self) -> Iterator[list[int]]:
+        """The point indices of every line, by (lowest point, second-lowest
+        point): for each p, the span of (x, p) for each x above p on p's
+        coordinate hyperplane.  The count is checked when called, not at the
+        first line."""
+        m, q, pts = self.m, self.q, self.points
+        count = self.n_points * (q**m - 1) // (q**2 - 1)
+        if count > MAX_LINES:
+            raise SpaceTooLarge(f"PG({m},{q}) has {count} lines, over the cap of {MAX_LINES}")
+        planes = [self._coordinate_hyperplane(j) for j in range(m + 1)]
+        return (
+            span_points(self, (pts[x], pts[p]))
+            for p, v in enumerate(pts)
+            for x in planes[v.index(1)]
+            if x > p
+        )
 
     def _coordinate_hyperplane(self, j: int) -> list[int]:
         """The points x with x_j = 0, ascending."""
         return [x for x, v in enumerate(self.points) if not v[j]]
-
-    def _line(self, a: int, b: int) -> int:
-        """Bitmask of the line through points a and b of different pivots: the
-        span of the echelon basis (hi, lo), hi the one with the earlier pivot
-        and so the higher index."""
-        hi_lo = (self.points[max(a, b)], self.points[min(a, b)])
-        return sum(1 << i for i in span_points(self, hi_lo))
 
     def _hold_lines(self, count: int) -> None:
         """Count count more line masks, one int each, against the cap before they are built."""
@@ -369,12 +370,10 @@ def flats_of_codim(space: ProjSpace, c: int) -> tuple[Flat, ...]:
         return tuple(hyperplane_flat(space, h) for h in range(space.n_points))
     if c != 2:
         raise ValueError("only codimension 1 and 2 are supported")
-    if space._codim2 is None:
-        # each codimension-2 flat is cut out by the hyperplanes of one line
-        pairs = (bits_to_indices(line)[:2] for line in space.all_lines())
-        bases = sorted(null_space(space.f, [space.points[h] for h in hs]) for hs in pairs)
-        space._codim2 = tuple(Flat(space, b) for b in bases)
-    return space._codim2
+    # each codimension-2 flat is cut out by the hyperplanes of one line
+    pts = space.points
+    bases = sorted(null_space(space.f, [pts[hs[0]], pts[hs[1]]]) for hs in space.all_lines())
+    return tuple(Flat(space, b) for b in bases)
 
 
 def line_through(space: ProjSpace, p: int, r: int) -> "PointSet":

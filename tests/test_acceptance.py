@@ -48,6 +48,7 @@ from qps.spectra import (
 )
 
 from cone_helpers import cone_decomposition, tangent_hyperplane
+from line_helpers import line_masks
 
 
 def canonical(fam, m, q):
@@ -472,7 +473,7 @@ def test_09_q3_switch_and_internal_counts():
         assert cls.quasi_polar and cls.classical_size
         assert rec.removed.size == rec.added.size == sec_size - sub_singular == 9
         assert any(
-            (line & res.bits).bit_count() == 3 for line in space.all_lines()
+            (line & res.bits).bit_count() == 3 for line in line_masks(space)
         ), "no trisecant, so the output would be a quadric"
 
         if fam == "elliptic":

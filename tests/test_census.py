@@ -52,6 +52,7 @@ from qps.spectra import (
 )
 from qps.surgery import shifted_nucleus_pivot
 
+from line_helpers import forbid_all_lines
 from switched_sets import projective_image, q42_switched_sets
 
 
@@ -625,16 +626,17 @@ def test_nonsingular_switch_census_rejects_non_classical():
         nonsingular_switch_census(PointSet(sp, 0), PolarKind("hyperbolic", 3, 3))
 
 
-def test_nonsingular_switch_census_checks_the_orbit_cap_first():
+def test_nonsingular_switch_census_checks_the_orbit_cap_first(monkeypatch):
     # the parabolic sections of Q-(5,3) are the 4,586,868 quadrics of PG(4,3),
     # over the cap: the census refuses before it builds a subgeometry or lines
+    forbid_all_lines(monkeypatch)
     kind = PolarKind("elliptic", 5, 3)
     sp = pg.ProjSpace(5, build_field(3))
     s = point_set(canonical_form(kind, sp))
     with pytest.raises(SpaceTooLarge, match="enumeration cap"):
         nonsingular_switch_census(s, kind)
     assert sp._subgeoms == {}
-    assert sp._all_lines is None and sp._lines == {}
+    assert sp._lines == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +1053,8 @@ def test_classical_distribution_hermitian_lines():
 @pytest.mark.parametrize("fam,m,q", [("parabolic", 4, 3), ("elliptic", 5, 2), ("hermitian", 3, 4)])
 def test_classical_dist_census_uses_lines_not_flat_spans(fam, m, q, monkeypatch):
     """The census tallies what classical_distribution gives each flat, from
-    the lines and the incidence alone: no flat is spanned point by point."""
+    the lines and the incidence alone: no flat is spanned point by point.
+    The only spans are those of the dual lines, two rows each, one per line."""
     kind = PolarKind(fam, m, q)
     sp = space_for(m, q)
     form = canonical_form(kind, sp)
@@ -1063,8 +1066,15 @@ def test_classical_dist_census_uses_lines_not_flat_spans(fam, m, q, monkeypatch)
     def boom(*args):
         raise AssertionError("per-flat span in the census")
 
+    spans = []
+    span_points = pg.span_points
+
+    def recorded(space, basis):
+        spans.append(len(basis))
+        return span_points(space, basis)
+
+    monkeypatch.setattr(pg, "span_points", recorded)
     for module, name in [
-        (pg, "span_points"),
         (forms, "span_points"),
         (pg, "flats_of_codim"),
         (census, "classical_distribution"),
@@ -1073,7 +1083,20 @@ def test_classical_dist_census_uses_lines_not_flat_spans(fam, m, q, monkeypatch)
         monkeypatch.setattr(module, name, boom)
     res = census.classical_dist_census(kind)
     assert res.breakdown == dict(sorted(expect.items()))
-    assert res.total_candidates == sum(expect.values())
+    # [m+1 choose 2]_q lines, as many as codimension-2 flats
+    lines = (q ** (m + 1) - 1) * (q**m - 1) // ((q**2 - 1) * (q - 1))
+    assert res.total_candidates == sum(expect.values()) == lines
+    assert spans == [2] * lines
+
+
+def test_classical_dist_census_holds_no_line(monkeypatch):
+    # the lines are streamed: after the census a fresh PG(4,3) holds no line
+    # mask and has counted none against its table budget
+    monkeypatch.setattr(pg, "_SPACES", {})
+    res = census.classical_dist_census(PolarKind("parabolic", 4, 3))
+    assert res.total_candidates == 1210
+    sp = space_for(4, 3)
+    assert sp._lines == {} and sp._line_bytes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1126,9 +1149,10 @@ def test_two_secant_count_matches_a_line_walk(m, q):
 
 
 @pytest.mark.parametrize("m,q", [(4, 8), (6, 4)])
-def test_two_secant_census_builds_no_lines(m, q, capsys):
+def test_two_secant_census_builds_no_lines(m, q, capsys, monkeypatch):
     # the counts come from the polar hyperplanes, so the census runs where
-    # the PG(6,4) line table is refused and builds no line through any point
+    # the PG(6,4) line stream is refused and builds no line through any point
+    forbid_all_lines(monkeypatch)
     sp = space_for(m, q)
     held = set(sp._lines)
     argv = ["census", "two-secants", "--kind", "parabolic", "--m", str(m), "--q", str(q), "--json"]
@@ -1142,7 +1166,7 @@ def test_two_secant_census_builds_no_lines(m, q, capsys):
     assert body["total_candidates"] == off
     assert body["breakdown"] == {f"two_secants={expect}": off}
     assert body["extra"] == {"expected": expect}
-    assert sp._all_lines is None and set(sp._lines) == held
+    assert set(sp._lines) == held
 
 
 def test_two_secant_count_rejects_special_points():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qps import pg
+from qps import census, pg
 from qps.cli import (
     BadHeader,
     DuplicatePoint,
@@ -22,6 +22,8 @@ from qps.cli import (
 )
 from qps.forms import PolarKind, canonical_form, nucleus_point, point_set
 from qps.pg import PointSet, line_through, point_set_from_indices, space_for
+
+from line_helpers import forbid_all_lines
 
 
 def canonical(fam, m, q):
@@ -344,12 +346,12 @@ def test_report_format_header_first(tmp_path, capsys):
     [(6, 4, {"exists": True, "point": 1365}), (4, 9, {"exists": False, "point": None})],
     ids=["Q(6,4)", "Q(4,9)"],
 )
-def test_verify_conditions_without_the_line_table(tmp_path, capsys, m, q, nucleus):
-    # the PG(6,4) and PG(4,9) line tables are over the guard (about 1,075 and
-    # 584 MiB); c' reads the incidence only, so verify runs on both and
-    # builds no line through any point.  For q even the quadric has its
-    # nucleus and every flag; for q odd the tangent hyperplanes share no
+def test_verify_conditions_without_the_line_table(tmp_path, capsys, m, q, nucleus, monkeypatch):
+    # c' reads the incidence only, so verify streams no line of PG(6,4) or
+    # PG(4,9) and builds none through any point.  For q even the quadric has
+    # its nucleus and every flag; for q odd the tangent hyperplanes share no
     # point and, forming a dual quadric, miss some pencils
+    forbid_all_lines(monkeypatch)
     sp = space_for(m, q)
     held = set(sp._lines)
     out = tmp_path / "q.qps"
@@ -372,7 +374,7 @@ def test_verify_conditions_without_the_line_table(tmp_path, capsys, m, q, nucleu
         "expected_singular": tangents,
     }
     assert rep["nucleus"] == nucleus
-    assert sp._all_lines is None and set(sp._lines) == held
+    assert set(sp._lines) == held
 
 
 def test_spectrum_verdicts(tmp_path, capsys):
@@ -472,10 +474,10 @@ def test_surgery_oval_swap_cli(tmp_path, capsys):
     assert rep["verdict"] in ("classical_size", "quasi_polar")
 
 
-def test_surgery_repeated_pivot_on_q49_builds_no_line_table(tmp_path, capsys):
-    # the PG(4,9) line table is over the guard (about 584 MiB); the tangent
-    # hyperplanes are found in their own PG(3,9), so the pivot runs and
-    # builds no line through any point of PG(4,9)
+def test_surgery_repeated_pivot_on_q49_builds_no_line_table(tmp_path, capsys, monkeypatch):
+    # the tangent hyperplanes are found in their own PG(3,9), so the pivot
+    # streams no line of PG(4,9) and builds none through any of its points
+    forbid_all_lines(monkeypatch)
     sp = space_for(4, 9)
     held = set(sp._lines)
     out = tmp_path / "q49.qps"
@@ -488,7 +490,7 @@ def test_surgery_repeated_pivot_on_q49_builds_no_line_table(tmp_path, capsys):
     assert rep["verdict"] == "classical_size"
     assert rep["surgery"]["removed"] == rep["surgery"]["added"] == []
     assert len(rep["surgery"]["details"]["tangent_hyperplanes"]) == 10
-    assert sp._all_lines is None and set(sp._lines) == held
+    assert set(sp._lines) == held
 
 
 # refusals no other test reaches: (argv, with {name} for the files that
@@ -632,6 +634,21 @@ def test_census_classical_dist_json(capsys):
     }
 
 
+def test_census_classical_dist_over_the_line_cap(capsys, monkeypatch):
+    # PG(6,4) has 1,490,853 lines, over MAX_LINES = 2^20: the census builds
+    # the incidence (3.6 MiB), then refuses the lines before the form is
+    # evaluated, with one error line that names the count
+    def evaluated(form):
+        raise AssertionError("the form was evaluated before the line cap")
+
+    monkeypatch.setattr(census, "point_set", evaluated)
+    argv = ["census", "classical-dist", "--kind", "parabolic", "--m", "6", "--q", "4", "--json"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: PG(6,4) has 1490853 lines, over the cap of 1048576\n"
+
+
 def test_census_threads_json_identical(capsys):
     c1, r1 = run_json(capsys, ["--threads", "1", "census", "nucleus-pivot", "--json"])
     c2, r2 = run_json(capsys, ["--threads", "8", "census", "nucleus-pivot", "--json"])
@@ -677,7 +694,6 @@ census._q42_shape_families = lambda *a: {
 
 
 def test_invariant_violation_raises_and_exits_four(capsys, monkeypatch):
-    from qps import census
     from qps.spectra import InvariantViolated
 
     families = census._q42_shape_families

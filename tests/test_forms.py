@@ -114,6 +114,22 @@ def test_canonical_conic_points():
     assert set(s.vectors()) == {(0, 1, 0), (0, 0, 1), (1, 1, 1)}
 
 
+@pytest.mark.parametrize(
+    "fam,m,q",
+    [("parabolic", 4, 3), ("hyperbolic", 3, 8), ("elliptic", 3, 8), ("hermitian", 2, 25)],
+)
+def test_point_set_matches_the_per_point_loop(fam, m, q):
+    # the mask read off one byte string of zero tests is the one set bit by bit
+    form = canonical_form(PolarKind(fam, m, q), space_for(m, q))
+    bits = 0
+    for i, v in enumerate(form.space.points):
+        if form.eval_vec(v) == 0:
+            bits |= 1 << i
+    s = point_set(form)
+    assert s.bits == bits
+    assert s.size == classical_cardinality(PolarKind(fam, m, q))
+
+
 def test_canonical_form_space_mismatch():
     with pytest.raises(IncompatibleKind):
         canonical_form(PolarKind("parabolic", 2, 2), space_for(3, 2))

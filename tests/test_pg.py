@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import time
@@ -32,6 +33,8 @@ from qps.pg import (
     span_points,
     subgeometry,
 )
+
+from line_helpers import line_masks
 
 
 def theta(m, q):
@@ -76,62 +79,70 @@ def test_space_too_large_guard():
 
 
 def test_bulk_table_guard_rejects_before_building():
-    # PG(4,16) incidence: 69,905 rows of 8,739 bytes (583 MiB);
-    # PG(6,5) lines: 12,714,681 ints of 2,628 bytes (31 GiB)
-    for build in (lambda: space_for(4, 16).incidence, lambda: space_for(6, 5).all_lines()):
+    # PG(4,16) incidence: 69,905 rows of 8,739 bytes (583 MiB); the lines of
+    # PG(6,4), PG(4,11), PG(3,32) and PG(6,5) are over MAX_LINES = 2^20, and
+    # all_lines() refuses them when called, before any line is spanned
+    start = time.perf_counter()
+    with pytest.raises(SpaceTooLarge, match="incidence"):
+        space_for(4, 16).incidence
+    assert time.perf_counter() - start < 1.0
+    for m, q in [(6, 4), (4, 11), (3, 32), (6, 5)]:
+        sp = space_for(m, q)
+        count = gaussian_binomial_2(m, q)
+        assert count > pg.MAX_LINES == 2**20
         start = time.perf_counter()
-        with pytest.raises(SpaceTooLarge):
-            build()
+        with pytest.raises(SpaceTooLarge) as exc:
+            sp.all_lines()
         assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == f"PG({m},{q}) has {count} lines, over the cap of 1048576"
 
 
 def test_bulk_table_guard_estimates(monkeypatch):
     # PG(3,2): 15 hyperplanes, each a row of ceil(15/8) = 2 bytes, and 35
-    # lines, each one 28-byte int
+    # lines; the incidence counts against MAX_TABLE_BYTES, the line stream
+    # against MAX_LINES alone
     sp = ProjSpace(3, build_field(2))
-    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 979)
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 29)
+    with pytest.raises(SpaceTooLarge, match="incidence"):
+        sp.incidence
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 30)
     assert len(sp.incidence) == 15
-    with pytest.raises(SpaceTooLarge):
+    monkeypatch.setattr(pg, "MAX_LINES", 34)
+    with pytest.raises(SpaceTooLarge, match=r"^PG\(3,2\) has 35 lines, over the cap of 34$"):
         sp.all_lines()
-    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 980)
-    assert len(sp.all_lines()) == 35
-    # under a zero cap every refusal names its estimate, without building
+    monkeypatch.setattr(pg, "MAX_LINES", 35)
     monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 0)
-    mib = {}
-    for m, q, table in [(3, 32, "incidence"), (4, 8, "lines"), (5, 5, "lines"), (6, 4, "lines")]:
-        fresh = ProjSpace(m, build_field(q))
-        with pytest.raises(SpaceTooLarge, match=table) as exc:
-            fresh.incidence if table == "incidence" else fresh.all_lines()
-        mib[m, q] = int(str(exc.value).split("about ")[1].split(" MiB")[0])
-    assert mib == {(3, 32): 136, (4, 8): 189, (5, 5): 266, (6, 4): 1075}
+    assert len(list(sp.all_lines())) == 35
+    assert sp._line_bytes == 0
+    # under a zero cap the incidence refusal names its estimate, without building
+    with pytest.raises(SpaceTooLarge, match="incidence") as exc:
+        ProjSpace(3, build_field(32)).incidence
+    assert str(exc.value) == "PG(3,32) incidence table needs about 136 MiB"
     monkeypatch.undo()
-    # so the cap keeps the PG(3,32) incidence (33,825 rows of 4,229 bytes)
-    # and the PG(4,8) lines (304,265 ints of 24 + 4·⌈4681/30⌉ bytes), and
-    # refuses the PG(5,5) and PG(6,4) lines at once
+    # so the cap keeps the PG(3,32) incidence (33,825 rows of 4,229 bytes),
+    # and the line cap admits the 605,242 lines of PG(4,9) and the 508,431
+    # of PG(5,5): their streams are made, not run
     space_for(3, 32)._check_table("incidence", 33825 * 4229)
-    space_for(4, 8)._check_table("lines", 304265 * (24 + 4 * 157))
-    assert mib[3, 32] * 2**20 <= pg.MAX_TABLE_BYTES
-    assert mib[4, 8] * 2**20 <= pg.MAX_TABLE_BYTES
-    for m, q in [(5, 5), (6, 4)]:
-        with pytest.raises(SpaceTooLarge):
-            space_for(m, q).all_lines()
+    for m, q, count in [(4, 9, 605242), (5, 5, 508431)]:
+        assert gaussian_binomial_2(m, q) == count <= pg.MAX_LINES
+        assert inspect.isgenerator(space_for(m, q).all_lines())
 
 
 def test_line_guard_counts_every_line_mask_held(monkeypatch):
-    # the lines through a point of PG(3,2) are 7 ints of 28 bytes; they and
-    # the 35 lines of all_lines() count against one cap, checked before each
-    # build, and a refused build holds nothing
+    # the lines through a point of PG(3,2) are 7 ints of 28 bytes; they count
+    # against one cap, checked before each build, and a refused build holds
+    # nothing.  Streaming every line holds none and is not counted
     sp = ProjSpace(3, build_field(2))
     monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 2 * 196)
     assert len(sp.lines_through(0)) == 7
     assert len(sp.lines_through(1)) == 7
-    for build in (sp.all_lines, lambda: sp.lines_through(2)):
-        with pytest.raises(SpaceTooLarge, match="lines"):
-            build()
-    assert sp._all_lines is None and set(sp._lines) == {0, 1}
+    with pytest.raises(SpaceTooLarge, match="lines"):
+        sp.lines_through(2)
+    assert set(sp._lines) == {0, 1}
     assert sp._line_bytes == 2 * 196
-    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 980 + 3 * 196)
-    assert len(sp.all_lines()) == 35
+    assert len(list(sp.all_lines())) == 35
+    assert set(sp._lines) == {0, 1} and sp._line_bytes == 2 * 196
+    monkeypatch.setattr(pg, "MAX_TABLE_BYTES", 3 * 196)
     assert len(sp.lines_through(2)) == 7
     with pytest.raises(SpaceTooLarge, match="lines"):
         sp.lines_through(3)
@@ -306,7 +317,7 @@ def _lowest(mask):
 @pytest.mark.parametrize("m,q", LINE_SPACES)
 def test_all_lines_are_the_lines(m, q):
     sp = space_for(m, q)
-    lines = sp.all_lines()
+    lines = line_masks(sp)
     assert len(lines) == len(set(lines)) == gaussian_binomial_2(m, q)
     cover = [0] * sp.n_points
     for line in lines:
@@ -325,7 +336,7 @@ def test_all_lines_are_the_lines(m, q):
 @pytest.mark.parametrize("m,q", LINE_SPACES)
 def test_lines_through_are_the_lines_through_p(m, q):
     sp = space_for(m, q)
-    lines = sp.all_lines()
+    lines = line_masks(sp)
     for p in range(sp.n_points):
         assert set(sp.lines_through(p)) == {line for line in lines if line >> p & 1}
 
@@ -334,7 +345,7 @@ def test_lines_through_are_the_lines_through_p(m, q):
 def test_line_orders(m, q):
     sp = space_for(m, q)
     # all_lines(): by (lowest point, second-lowest point)
-    keys = [(_lowest(line), _lowest(line & (line - 1))) for line in sp.all_lines()]
+    keys = [(_lowest(line), _lowest(line & (line - 1))) for line in line_masks(sp)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     # lines_through(p): by the lowest point other than p
     for p in range(sp.n_points):
@@ -359,7 +370,7 @@ def test_line_orders_match_the_greedy_scan(m, q):
                 expect.append(line)
         assert list(sp.lines_through(p)) == expect
         expect_all += [line for line in expect if line not in expect_all]
-    assert list(sp.all_lines()) == expect_all
+    assert list(line_masks(sp)) == expect_all
 
 
 @pytest.mark.parametrize("m,q", [(2, 32), (4, 3)])
@@ -370,7 +381,7 @@ def test_bulk_tables_use_no_per_pair_arithmetic(m, q, monkeypatch):
     warm = space_for(m, q)
     h = warm.n_points // 3
     expect_inc = warm.incidence
-    expect_lines = warm.all_lines()
+    expect_lines = line_masks(warm)
     expect_to_ambient = subgeometry(warm, hyperplane_flat(warm, h)).to_ambient
     codim2 = flats_of_codim(warm, 2)[-1].basis
     expect_mask = Flat(warm, codim2).mask()
@@ -378,7 +389,7 @@ def test_bulk_tables_use_no_per_pair_arithmetic(m, q, monkeypatch):
     monkeypatch.setattr(pg, "normalize_vec", boom)
     sp = ProjSpace(m, build_field(q))
     assert sp.incidence == expect_inc
-    assert sp.all_lines() == expect_lines
+    assert line_masks(sp) == expect_lines
     assert sp.lines_through(sp.n_points - 1) == warm.lines_through(sp.n_points - 1)
     # flats too: the span of a basis is read off byte columns, not normalized
     assert subgeometry(sp, hyperplane_flat(sp, h)).to_ambient == expect_to_ambient

@@ -10,21 +10,30 @@
   ``pg.flats_of_codim`` and ``census.classical_dist_census``: a question
   about the lines through one point reads ``lines_through(p)``, which builds
   the lines through that point alone.
+- ``ProjSpace.all_lines`` returns a generator and assigns no attribute of
+  the space: the lines are streamed, and no table of them is stored.
 - ``itertools.product`` only in ``ProjSpace.__init__``, where the point list
   is built: every other enumeration of a flat's points goes through
   ``pg.span_points`` and its byte columns.
 - Every name a module imports is read in that module, so no import
   outlives its last use.  ``__init__.py``, which re-exports names, and
   ``from __future__`` imports are exempt.
+
+Apart from the package, every ``qps`` name that ``perfbench/spans.py``
+rebinds to time a layer exists, so that no rename or deletion breaks a
+traced benchmark run.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qps").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "qps").glob("*.py"))
+PERFBENCH_SPANS = ROOT / "perfbench" / "spans.py"
 BANNED_MODULES = ("concurrent.futures", "threading")
 ALL_LINES_READERS = {("pg.py", "flats_of_codim"), ("census.py", "classical_dist_census")}
 PRODUCT_SCOPE = ("pg.py", "ProjSpace", "__init__")
@@ -57,6 +66,38 @@ def _all_lines_refs(tree: ast.AST, module: str) -> list[str]:
             visit(child, inner)
 
     visit(tree, None)
+    return out
+
+
+def _stored_lines(tree: ast.AST) -> list[str]:
+    """An ``all_lines`` method of a ``ProjSpace`` class that assigns an
+    attribute of its space, or that is not a generator function and returns
+    anything but a generator expression."""
+    out = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "ProjSpace"):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name == "all_lines"):
+                continue
+            me = fn.args.args[0].arg if fn.args.args else None
+            returns, yields = [], False
+            for node in ast.walk(fn):
+                targets = []
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                for t in targets:
+                    while isinstance(t, (ast.Attribute, ast.Subscript)):
+                        t = t.value
+                        if isinstance(t, ast.Name) and t.id == me:
+                            out.append(f"line {node.lineno}: all_lines stores on the space")
+                yields |= isinstance(node, (ast.Yield, ast.YieldFrom))
+                if isinstance(node, ast.Return):
+                    returns.append(node.value)
+            if not yields and not (returns and all(isinstance(r, ast.GeneratorExp) for r in returns)):
+                out.append(f"line {fn.lineno}: all_lines returns no generator")
     return out
 
 
@@ -104,7 +145,7 @@ def _unused_imports(tree: ast.AST) -> list[str]:
 
 
 def violations(tree: ast.AST, module: str = "") -> list[str]:
-    out = _all_lines_refs(tree, module) + _product_refs(tree, module)
+    out = _all_lines_refs(tree, module) + _stored_lines(tree) + _product_refs(tree, module)
     if module != "__init__.py":
         out += _unused_imports(tree)
     for node in ast.walk(tree):
@@ -215,3 +256,113 @@ def test_rules_allow(code):
 
 def test_init_may_reexport():
     assert violations(ast.parse("from .gf import build_field\n"), "__init__.py") == []
+
+
+_STREAM = "class ProjSpace:\n    def all_lines(self):\n        if self.n > CAP:\n            raise E\n{}"
+
+
+@pytest.mark.parametrize(
+    "body,allowed",
+    [
+        ("        return (span(self, p) for p in self.points)\n", True),
+        ("        for p in self.points:\n            yield span(self, p)\n", True),
+        ("        lines = [span(self, p) for p in self.points]\n        return iter(lines)\n", False),
+        ("        return tuple(span(self, p) for p in self.points)\n", False),
+        ("        self._all = (span(self, p) for p in self.points)\n        return self._all\n", False),
+        ("        self._held[0] = 1\n        return (p for p in self.points)\n", False),
+        ("        self._bytes += 1\n        yield from self.points\n", False),
+    ],
+)
+def test_all_lines_rule_keeps_the_lines_streamed(body, allowed):
+    assert (violations(ast.parse(_STREAM.format(body)), "pg.py") == []) == allowed
+
+
+def _perfbench_names(tree: ast.AST) -> list[tuple[str, str]]:
+    """(module, attribute path) of each qps name that the string arguments of
+    ``_rebind``, ``_wrap``, ``_patch_class`` and ``__dict__[...]`` name; a
+    loop variable over a module-level tuple of strings stands for each."""
+    modules = {
+        a.asname or a.name: f"qps.{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "qps"
+        for a in node.names
+    }
+    tuples = {
+        t.id: [e.value for e in node.value.elts]
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+        for t in node.targets
+        if isinstance(t, ast.Name) and all(isinstance(e, ast.Constant) for e in node.value.elts)
+    }
+    loops = {
+        node.target.id: tuples[node.iter.id]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+        and isinstance(node.iter, ast.Name) and node.iter.id in tuples
+    }
+
+    def strings(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return [node.value]
+        return loops.get(node.id, []) if isinstance(node, ast.Name) else []
+
+    def owner(node):
+        """("qps.pg", "ProjSpace.") for pg.ProjSpace, pg bound to qps.pg."""
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in modules:
+            return modules[node.id], "".join(p + "." for p in parts)
+        return None
+
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and len(node.args) >= 2:
+            mod, attr = node.args[:2]
+            if node.func.attr in ("_rebind", "_wrap"):
+                out += [(m, a) for m in strings(mod) for a in strings(attr)]
+            elif node.func.attr == "_patch_class" and (cls := owner(mod)):
+                out += [(cls[0], cls[1] + a) for a in strings(attr)]
+        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
+            if node.value.attr == "__dict__" and (cls := owner(node.value.value)):
+                out += [(cls[0], cls[1] + a) for a in strings(node.slice)]
+    return out
+
+
+def _missing(names: list[tuple[str, str]]) -> list[str]:
+    """The names that their module, or the class in it, does not define."""
+    out = []
+    for module, path in names:
+        obj = importlib.import_module(module)
+        *owners, attr = path.split(".")
+        for part in owners:
+            obj = getattr(obj, part, None)
+        if obj is None or attr not in vars(obj):
+            out.append(f"{module}.{path}")
+    return out
+
+
+def test_perfbench_binds_only_names_that_exist():
+    names = _perfbench_names(ast.parse(PERFBENCH_SPANS.read_text(), filename=str(PERFBENCH_SPANS)))
+    assert {
+        ("qps.pg", "ProjSpace.all_lines"),
+        ("qps.pg", "flats_of_codim"),
+        ("qps.surgery", "shifted_nucleus_pivot"),
+        ("qps.census", "nonsingular_switch_census"),
+    } <= set(names)
+    assert _missing(names) == []
+
+
+@pytest.mark.parametrize(
+    "code,missing",
+    [
+        ('from qps import pg\nf = pg.ProjSpace.__dict__["_all_lines"]\n', ["qps.pg.ProjSpace._all_lines"]),
+        ('from qps import pg\nself._patch_class(pg.ProjSpace, "_codim2", f)\n', ["qps.pg.ProjSpace._codim2"]),
+        ('self._rebind("qps.pg", "codim2_flats", f)\n', ["qps.pg.codim2_flats"]),
+        ('OPS = ("pivot", "twist")\nfor op in OPS:\n    self._wrap("qps.surgery", op, "s")\n', ["qps.surgery.twist"]),
+        ('from qps import pg\nf = pg.ProjSpace.__dict__["incidence"]\nself._wrap("qps.pg", "span_points", "s")\n', []),
+    ],
+)
+def test_perfbench_rule_catches_a_missing_name(code, missing):
+    assert _missing(_perfbench_names(ast.parse(code))) == missing

@@ -26,6 +26,8 @@ from qps.spectra import (
     spectrum,
 )
 
+from line_helpers import forbid_all_lines, line_masks
+
 
 def canonical(fam, m, q):
     return point_set(canonical_form(PolarKind(fam, m, q), space_for(m, q)))
@@ -457,13 +459,14 @@ def test_nucleus_conditions_c_prime_matches_pencil_oracle(m, q):
     assert seen == {True, False}
 
 
-def _c_prime_by_lines(sp, bits):
-    """c' by the line walk.  Hyperplane h is dual point h, so the hyperplanes
-    through a codimension-2 flat are the points of one line: every line must
-    hold a hyperplane that meets the set in the cone size theta_{m-2}."""
+def _c_prime_by_lines(sp, lines, bits):
+    """c' by the walk over lines, the masks of every line of sp.  Hyperplane
+    h is dual point h, so the hyperplanes through a codimension-2 flat are
+    the points of one line: every line must hold a hyperplane that meets the
+    set in the cone size theta_{m-2}."""
     cone = theta(sp.m - 2, sp.q)
     singular = sum(1 << h for h, row in enumerate(sp.incidence) if (bits & row).bit_count() == cone)
-    return all(line & singular for line in sp.all_lines())
+    return all(line & singular for line in lines)
 
 
 def _c_prime_sets(m, q):
@@ -487,15 +490,19 @@ def _c_prime_sets(m, q):
 @pytest.mark.parametrize(
     "m,q,n_true", [(2, 16, 13), (4, 2, 15), (4, 3, 10), (4, 4, 15), (6, 2, 16)]
 )
-def test_c_prime_reads_no_lines_and_matches_the_line_walk(m, q, n_true):
-    # c' is read from the incidence alone: a cold space builds no line table
+def test_c_prime_reads_no_lines_and_matches_the_line_walk(m, q, n_true, monkeypatch):
+    # c' is read from the incidence alone: a cold space streams no line and
+    # builds none through a point
+    sp = space_for(m, q)
+    lines = line_masks(sp)
+    cases = [(bits, _c_prime_by_lines(sp, lines, bits)) for bits in _c_prime_sets(m, q)]
+    forbid_all_lines(monkeypatch)
     cold = ProjSpace(m, build_field(q))
     seen = []
-    for bits in _c_prime_sets(m, q):
-        expect = _c_prime_by_lines(space_for(m, q), bits)
+    for bits, expect in cases:
         assert nucleus_conditions(PointSet(cold, bits)).c_prime == expect, (m, q, bits)
         seen.append(expect)
-    assert cold._all_lines is None and cold._lines == {}
+    assert cold._lines == {}
     assert (len(seen), sum(seen)) == (76, n_true)
 
 

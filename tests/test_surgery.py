@@ -63,6 +63,7 @@ from qps.surgery import (
 )
 
 from cone_helpers import cone_decomposition, tangent_hyperplane
+from line_helpers import forbid_all_lines
 from switched_sets import projective_image, q42_switched_sets, q43_switched_sets
 
 
@@ -733,11 +734,12 @@ def test_shifted_nucleus_pivot_rejects_odd_q():
         shifted_nucleus_pivot(canonical("parabolic", 4, 3), 0)
 
 
-def test_nucleus_surgeries_build_no_ambient_line_table():
+def test_nucleus_surgeries_build_no_ambient_line_table(monkeypatch):
     # line nuclei are read from hyperplane section sizes, so the nucleus
     # surgeries on Q(4,4) use the incidence of PG(4,4) and never its lines;
     # repeated pivot finds its tangent hyperplanes in their own coordinates.
     # A fresh space, not the shared one, shows which tables were built
+    forbid_all_lines(monkeypatch)
     sp = pg.ProjSpace(4, build_field(4))
     kind = PolarKind("parabolic", 4, 4)
     s = point_set(canonical_form(kind, sp))
@@ -747,7 +749,6 @@ def test_nucleus_surgeries_build_no_ambient_line_table():
     shifted_nucleus_pivot(s, pi)
     p, r = (sp.point_index[v] for v in [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)])
     assert repeated_pivot(s, kind, p, r)[0].bits == s.bits
-    assert sp._all_lines is None
     assert sp._lines == {}
 
 
@@ -757,6 +758,7 @@ def test_cone_surgeries_cache_lines_only_for_the_points_asked(m, q, monkeypatch)
     # which lines the cone surgeries build: never all_lines(), and the lines
     # through a point only when a surgery asked for them
     monkeypatch.setattr(pg, "_SPACES", {})
+    forbid_all_lines(monkeypatch)
     asked = {}
     lines_through = pg.ProjSpace.lines_through
 
@@ -779,7 +781,6 @@ def test_cone_surgeries_cache_lines_only_for_the_points_asked(m, q, monkeypatch)
     assert {x.m for x in spaces} >= {m, m - 1, m - 2}
     assert asked and sp not in asked
     for space in spaces:
-        assert space._all_lines is None, space
         assert set(space._lines) == asked.get(space, set()), space
 
 
