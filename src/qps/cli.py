@@ -110,8 +110,15 @@ def format_point_set(s: PointSet) -> str:
 
 
 def load_point_set(path: str) -> PointSet:
-    with open(path, encoding="ascii") as fh:
-        return parse_point_set(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the byte's line, with lines split as parse_point_set splits them
+        line = len((raw[: exc.start].decode("ascii") + "x").splitlines())
+        raise ParseError(f"non-ASCII byte 0x{raw[exc.start]:02x}", line) from None
+    return parse_point_set(text)
 
 
 def save_point_set(path: str, s: PointSet) -> None:
@@ -161,6 +168,19 @@ def _hyperplane_types(kind: PolarKind, hist: dict[int, int]) -> dict[str, int]:
     return out
 
 
+def _spectrum_part(rep: dict, hist: dict[int, int], cls=None, kind=None) -> list[str]:
+    """Put the spectrum in rep, with the verdict given a classification and the
+    hyperplane types given its kind too; return the matching human lines."""
+    rep["spectrum"] = _spectrum_entries(hist)
+    human = ["spectrum: " + " ".join(f"{k}:{v}" for k, v in sorted(hist.items()))]
+    if cls is not None:
+        rep["verdict"] = _verdict(cls)
+        human.append(f"verdict: {rep['verdict']}")
+    if kind is not None:
+        rep["hyperplane_types"] = _hyperplane_types(kind, hist)
+    return human
+
+
 def _print(rep: dict, human: list[str], as_json: bool) -> None:
     if as_json:
         print(json.dumps(rep, indent=2))
@@ -180,14 +200,8 @@ def _cmd_construct(args) -> int:
     save_point_set(args.out, s)
     rep = _report("construct", args.m, args.q)
     rep["size"] = s.size
-    rep["spectrum"] = _spectrum_entries(cls.histogram)
-    rep["verdict"] = _verdict(cls)
-    rep["hyperplane_types"] = _hyperplane_types(kind, cls.histogram)
-    human = [
-        f"wrote {s.size} points to {args.out}",
-        "spectrum: " + " ".join(f"{k}:{v}" for k, v in sorted(cls.histogram.items())),
-        f"verdict: {rep['verdict']}",
-    ]
+    human = [f"wrote {s.size} points to {args.out}"]
+    human += _spectrum_part(rep, cls.histogram, cls, kind)
     _print(rep, human, args.json)
     return 0
 
@@ -197,27 +211,16 @@ def _cmd_spectrum(args) -> int:
     space = s.space
     rep = _report("spectrum", space.m, space.q)
     rep["size"] = s.size
-    code = 0
+    human = [f"{s.size} points in PG({space.m},{space.q})"]
     if args.kind:
         kind = PolarKind(args.kind, space.m, space.q)
         cls = classify(s, kind)
-        rep["spectrum"] = _spectrum_entries(cls.histogram)
-        rep["verdict"] = _verdict(cls)
-        rep["hyperplane_types"] = _hyperplane_types(kind, cls.histogram)
-        if not cls.quasi_polar:
-            code = 1
-        hist = cls.histogram
+        human += _spectrum_part(rep, cls.histogram, cls, kind)
     else:
-        hist = spectrum(s).histogram
-        rep["spectrum"] = _spectrum_entries(hist)
-    human = [
-        f"{s.size} points in PG({space.m},{space.q})",
-        "spectrum: " + " ".join(f"{k}:{v}" for k, v in sorted(hist.items())),
-    ]
-    if "verdict" in rep:
-        human.append(f"verdict: {rep['verdict']}")
+        cls = None
+        human += _spectrum_part(rep, spectrum(s).histogram)
     _print(rep, human, args.json)
-    return code
+    return 1 if cls is not None and not cls.quasi_polar else 0
 
 
 def _cmd_verify(args) -> int:
@@ -242,8 +245,22 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+# each surgery operation: the flags it requires, and the family its result is
+# classified as (None: the --kind given)
+_SURGERY_OPS = {
+    "pivot": (("kind", "hyperplane", "base"), None),
+    "cone-swap": (("hyperplane",), "parabolic"),
+    "repeated-pivot": (("kind", "p", "r"), None),
+    "affine-switch": ((), "elliptic"),
+    "q2-switch": (("hyperplane", "section"), "parabolic"),
+    "q3-switch": (("sub",), "parabolic"),
+    "oval-swap": (("tangent",), "parabolic"),
+    "shifted-nucleus": (("hyperplane",), "parabolic"),
+}
+
+
 def _surgery_dispatch(args, s: PointSet):
-    """Run the chosen operation; returns (result, record, kind to verify)."""
+    """Run the chosen operation; returns (result, record)."""
     space = s.space
     op = args.op
     if op == "pivot":
@@ -252,12 +269,10 @@ def _surgery_dispatch(args, s: PointSet):
         if base.space is not space:
             raise ValueError("base file lives in a different space")
         pi = _parse_vec(args.hyperplane, space)
-        res, rec = surgery_lib.pivot(s, kind, pi, base)
-        return res, rec, kind
+        return surgery_lib.pivot(s, kind, pi, base)
     if op == "cone-swap":
         pi = _parse_vec(args.hyperplane, space)
-        res, rec = surgery_lib.cone_swap(s, pi)
-        return res, rec, PolarKind("parabolic", space.m, space.q)
+        return surgery_lib.cone_swap(s, pi)
     if op == "repeated-pivot":
         kind = PolarKind(args.kind, space.m, space.q)
         p = _parse_vec(args.p, space)
@@ -272,18 +287,15 @@ def _surgery_dispatch(args, s: PointSet):
             if ch.space is not space:
                 raise ValueError("base file lives in a different space")
             choices[rr] = ch
-        res, rec = surgery_lib.repeated_pivot(s, kind, p, r, choices)
-        return res, rec, kind
+        return surgery_lib.repeated_pivot(s, kind, p, r, choices)
     if op == "affine-switch":
-        res, rec = surgery_lib.affine_switch(s)
-        return res, rec, PolarKind("elliptic", space.m, space.q)
+        return surgery_lib.affine_switch(s)
     if op == "q2-switch":
         pi = _parse_vec(args.hyperplane, space)
         sec = load_point_set(args.section)
         if sec.space is not space:
             raise ValueError("section file lives in a different space")
-        res, rec = surgery_lib.nonsingular_switch_q2(s, pi, sec)
-        return res, rec, PolarKind("parabolic", space.m, space.q)
+        return surgery_lib.nonsingular_switch_q2(s, pi, sec)
     if op == "q3-switch":
         first, _, second = args.sub.partition(";")
         if not second:
@@ -294,37 +306,32 @@ def _surgery_dispatch(args, s: PointSet):
             raise ValueError("--sub needs two distinct hyperplanes")
         basis = null_space(space.f, [space.points[xi], space.points[h2]])
         pi_sub = Flat(space, basis)
-        res, rec = surgery_lib.internal_switch_q3(s, xi, pi_sub)
-        return res, rec, PolarKind("parabolic", space.m, space.q)
+        return surgery_lib.internal_switch_q3(s, xi, pi_sub)
     if op == "oval-swap":
         tangent = _parse_vec(args.tangent, space)
-        res, rec = surgery_lib.oval_nucleus_swap(s, tangent)
-        return res, rec, PolarKind("parabolic", space.m, space.q)
+        return surgery_lib.oval_nucleus_swap(s, tangent)
     if op == "shifted-nucleus":
         pi = _parse_vec(args.hyperplane, space)
-        res, rec = surgery_lib.shifted_nucleus_pivot(s, pi)
-        return res, rec, PolarKind("parabolic", space.m, space.q)
+        return surgery_lib.shifted_nucleus_pivot(s, pi)
     raise ValueError(f"unknown operation {op}")
 
 
 def _cmd_surgery(args) -> int:
     s = load_point_set(args.infile)
     space = s.space
-    res, rec, kind = _surgery_dispatch(args, s)
+    res, rec = _surgery_dispatch(args, s)
+    kind = PolarKind(_SURGERY_OPS[args.op][1] or args.kind, space.m, space.q)
     if args.out:
         save_point_set(args.out, res)
     cls = classify(res, kind)
     rep = _report("surgery", space.m, space.q)
     rep["size"] = res.size
-    rep["spectrum"] = _spectrum_entries(cls.histogram)
-    rep["verdict"] = _verdict(cls)
-    rep["surgery"] = rec.to_dict()
     human = [
         f"{rec.kind}: removed {rec.removed.size}, added {rec.added.size}",
         f"result: {res.size} points",
-        "spectrum: " + " ".join(f"{k}:{v}" for k, v in sorted(cls.histogram.items())),
-        f"verdict: {rep['verdict']}",
+        *_spectrum_part(rep, cls.histogram, cls),
     ]
+    rep["surgery"] = rec.to_dict()
     if args.out:
         human.append(f"wrote result to {args.out}")
     _print(rep, human, args.json)
@@ -428,19 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("surgery", help="switching operations")
-    p.add_argument(
-        "op",
-        choices=[
-            "pivot",
-            "cone-swap",
-            "repeated-pivot",
-            "affine-switch",
-            "q2-switch",
-            "q3-switch",
-            "oval-swap",
-            "shifted-nucleus",
-        ],
-    )
+    p.add_argument("op", choices=list(_SURGERY_OPS))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
     p.add_argument("--kind", choices=FAMILIES)
@@ -485,18 +480,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_REQUIRED = {
-    "pivot": ("kind", "hyperplane", "base"),
-    "cone-swap": ("hyperplane",),
-    "repeated-pivot": ("kind", "p", "r"),
-    "affine-switch": (),
-    "q2-switch": ("hyperplane", "section"),
-    "q3-switch": ("sub",),
-    "oval-swap": ("tangent",),
-    "shifted-nucleus": ("hyperplane",),
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     try:
@@ -504,7 +487,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "surgery":
-        missing = [a for a in _REQUIRED[args.op] if getattr(args, a) is None]
+        missing = [a for a in _SURGERY_OPS[args.op][0] if getattr(args, a) is None]
         if missing:
             print(
                 f"error: {args.op} requires --" + ", --".join(missing),

@@ -1,8 +1,13 @@
 """Switching surgeries: local edits of a point set that preserve quasi-polarity.
 
-Every operation returns (result, record).  The record names the geometric
-inputs it committed to (hyperplane, vertex, carrier flats, replaced pieces)
-so a run can be audited or replayed.  Deterministic tie-breaks everywhere:
+Every surgery is a switch: it works out which points to remove and which to
+add, inside one hyperplane (repeated pivoting, which switches in several,
+names none), and hands them to one routine, ``_switched``, which checks the
+definition, composes the result and builds the record.  So every operation
+returns (result, record) with result = input - removed + added: a record
+always replays.  The record also names the geometric inputs the surgery
+committed to (hyperplane, vertex, carrier flats) so a run can be audited.
+Deterministic tie-breaks everywhere:
 scans go in index order and take the first admissible object.  The four
 cone surgeries (pivot, repeated pivot, cone swap, shifted-nucleus pivot) work
 on masks of the switched hyperplane's own PG(m-1, q), and on the base's
@@ -34,7 +39,14 @@ from .pg import (
     rref,
     subgeometry,
 )
-from .spectra import classify, find_line_nucleus, profile, section_type, spectrum
+from .spectra import (
+    InvariantViolated,
+    classify,
+    find_line_nucleus,
+    profile,
+    section_type,
+    spectrum,
+)
 
 
 class RemovedNotInSet(ValueError):
@@ -149,11 +161,7 @@ class SurgeryRecord:
         space = self.removed.space
         return {
             "construction": self.kind,
-            "hyperplane": (
-                None
-                if self.hyperplane is None
-                else _pt_coords(space, self.hyperplane)
-            ),
+            "hyperplane": None if self.hyperplane is None else _pt_coords(space, self.hyperplane),
             "vertex": None if self.vertex is None else _pt_coords(space, self.vertex),
             "removed": _pts_coords(space, self.removed.indices()),
             "added": _pts_coords(space, self.added.indices()),
@@ -178,32 +186,59 @@ def _carrier(sub: ProjSpace, v: int, inside: int) -> int:
     raise BaseWrongType("no carrier hyperplane avoids the vertex")
 
 
-def _cone_bits(sub: ProjSpace, v: int, base: int) -> int:
-    """Cone with vertex v over base (v off base): v and the lines through v meeting base."""
+def _cone_bits(geom: SubGeometry, v: int, base: int) -> int:
+    """Cone with vertex v over base (v off base, both in geom.sub's coordinates):
+    v and the lines of geom.sub through v meeting base, as an ambient mask."""
     bits = 1 << v
-    for line in sub.lines_through(v):
+    for line in geom.sub.lines_through(v):
         if line & base:
             bits |= line
-    return bits
+    return geom.mask_to_ambient(bits)
+
+
+def _switched(
+    name: str,
+    s: PointSet,
+    pi: int | None,
+    removed_bits: int,
+    added_bits: int,
+    vertex: int | None = None,
+    details: dict | None = None,
+) -> tuple[PointSet, SurgeryRecord]:
+    """The switch of s that drops removed_bits and takes added_bits, and its record.
+
+    The one place a surgery's result is composed and its record built.  The
+    pieces must meet the definition of a switch: the removed points lie in
+    s and, given a hyperplane pi, both pieces lie in pi.  Each surgery works
+    its pieces out from valid input, so a piece off the set or the
+    hyperplane is a bug in qps.
+    """
+    space = s.space
+    if removed_bits & ~s.bits:
+        raise InvariantViolated(f"{name} removes points that are not in the set")
+    if pi is not None and (removed_bits | added_bits) & ~space.incidence[pi]:
+        raise InvariantViolated(f"{name} switches points off its hyperplane")
+    result = PointSet(space, (s.bits & ~removed_bits) | added_bits)
+    removed, added = PointSet(space, removed_bits), PointSet(space, added_bits)
+    return result, SurgeryRecord(name, pi, vertex, removed, added, details)
 
 
 def switch(
     s: PointSet, pi: int, removed: PointSet, added: PointSet
 ) -> tuple[PointSet, SurgeryRecord]:
-    """Replace removed by added inside hyperplane pi."""
-    space = s.space
-    hmask = space.incidence[pi]
+    """Replace removed by added inside hyperplane pi.
+
+    The bare switch: every other surgery of this module is one too, built by
+    the same routine, so its record replays the same way.
+    """
+    hmask = s.space.incidence[pi]
     if removed.bits & ~s.bits:
         raise RemovedNotInSet("removed points must lie in the set")
     if removed.bits & ~hmask or added.bits & ~hmask:
         raise SetsNotInHyperplane("removed and added must lie in the hyperplane")
     if removed.bits & added.bits:
         raise ValueError("added points overlap removed points")
-    result = PointSet(space, (s.bits & ~removed.bits) | added.bits)
-    rec = SurgeryRecord(
-        kind="switch", hyperplane=pi, vertex=None, removed=removed, added=added
-    )
-    return result, rec
+    return _switched("switch", s, pi, removed.bits, added.bits)
 
 
 def _decompose(sub: ProjSpace, section: int, vertices, inside: int = 0) -> tuple[int, int, int]:
@@ -258,21 +293,13 @@ def pivot(
     base = geom.mask_from_ambient(new_base.bits)
     carrier = _carrier(sub, v, base)
     _validate_base(sub, kind, carrier, base)
-    added = PointSet(space, geom.mask_to_ambient(_cone_bits(sub, v, base)))
-    removed = PointSet(space, s.bits & space.incidence[pi])
-    result = PointSet(space, (s.bits & ~removed.bits) | added.bits)
-    rec = SurgeryRecord(
-        kind="pivot",
-        hyperplane=pi,
-        vertex=geom.to_ambient[v],
-        removed=removed,
-        added=added,
-        details={
-            "mu": _basis_coords(_sub_hyperplane(geom, mu)),
-            "carrier": _basis_coords(_sub_hyperplane(geom, carrier)),
-        },
-    )
-    return result, rec
+    removed = s.bits & space.incidence[pi]
+    added = _cone_bits(geom, v, base)
+    details = {
+        "mu": _basis_coords(_sub_hyperplane(geom, mu)),
+        "carrier": _basis_coords(_sub_hyperplane(geom, carrier)),
+    }
+    return _switched("pivot", s, pi, removed, added, geom.to_ambient[v], details)
 
 
 def _nucleus_in_singular_section(s: PointSet, pi: int) -> tuple[PolarKind, int]:
@@ -321,8 +348,8 @@ def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
     tangent_flat = Flat(sub_mu, rref(space.f, [*gen.basis, sub_mu.points[base_nucleus]]))
     # P dot nu_P is the cone with vertex P over nu_P
     nu_p = carrier.mask_to_ambient(gen.mask())
-    cone_p = _cone_bits(sub, v, nu_p)
-    trunc = section & ~cone_p
+    cone_p = _cone_bits(geom, v, nu_p)
+    trunc = s.bits & space.incidence[pi] & ~cone_p
     n_sub = geom.from_ambient[nucleus]
 
     for cand in _flat_hyperplanes(sub_mu, tangent_flat):
@@ -331,29 +358,17 @@ def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
         # it would not gain a dimension
         if nu_n == nu_p or nu_n >> n_sub & 1:
             continue
-        cone_n = _cone_bits(sub, n_sub, nu_n)
+        cone_n = _cone_bits(geom, n_sub, nu_n)
         if cone_n & trunc:
             continue
-        added = PointSet(space, geom.mask_to_ambient(cone_n))
-        removed = PointSet(space, geom.mask_to_ambient(cone_p))
-        result = PointSet(space, (s.bits & ~removed.bits) | added.bits)
-        rec = SurgeryRecord(
-            kind="cone-swap",
-            hyperplane=pi,
-            vertex=geom.to_ambient[v],
-            removed=removed,
-            added=added,
-            details={
-                "nucleus": _pt_coords(space, nucleus),
-                "base_nucleus": _pt_coords(
-                    space, geom.to_ambient[carrier.to_ambient[base_nucleus]]
-                ),
-                "mu": _basis_coords(_sub_hyperplane(geom, mu)),
-                "nu_p": _basis_coords(flat_from_mask(space, geom.mask_to_ambient(nu_p))),
-                "nu_n": _basis_coords(flat_from_mask(space, geom.mask_to_ambient(nu_n))),
-            },
-        )
-        return result, rec
+        details = {
+            "nucleus": _pt_coords(space, nucleus),
+            "base_nucleus": _pt_coords(space, geom.to_ambient[carrier.to_ambient[base_nucleus]]),
+            "mu": _basis_coords(_sub_hyperplane(geom, mu)),
+            "nu_p": _basis_coords(flat_from_mask(space, geom.mask_to_ambient(nu_p))),
+            "nu_n": _basis_coords(flat_from_mask(space, geom.mask_to_ambient(nu_n))),
+        }
+        return _switched("cone-swap", s, pi, cone_p, cone_n, geom.to_ambient[v], details)
     raise NoDisjointFlat("no nucleus-cone flat avoids the truncated cone")
 
 
@@ -448,30 +463,22 @@ def repeated_pivot(
                 raise BaseWrongType("replacement base must lie in the carrier flat")
             base = geom.mask_from_ambient(choice.bits)
             _validate_base(sub, kind, sigma, base)
-        new_cone = geom.mask_to_ambient(_cone_bits(sub, r_sub, base))
+        new_cone = _cone_bits(geom, r_sub, base)
         if (new_cone ^ s.bits) & xi_mask & space.incidence[hR]:
             raise ConstraintViolated(R)
         result_bits |= new_cone
 
-    result = PointSet(space, result_bits)
-    removed = PointSet(space, s.bits & ~result_bits)
-    added = PointSet(space, result_bits & ~s.bits)
-    rec = SurgeryRecord(
-        kind="repeated-pivot",
-        hyperplane=None,
-        vertex=None,
-        removed=removed,
-        added=added,
-        details={
-            "line": _pts_coords(space, points),
-            "tangent_hyperplanes": {
-                ",".join(str(c) for c in space.points[k]): _pt_coords(space, cones[k][0])
-                for k in points
-            },
-            "xi": [list(row) for row in null_space(space.f, [space.points[hp], space.points[hr]])],
+    details = {
+        "line": _pts_coords(space, points),
+        "tangent_hyperplanes": {
+            ",".join(str(c) for c in space.points[k]): _pt_coords(space, cones[k][0])
+            for k in points
         },
-    )
-    return result, rec
+        "xi": [list(row) for row in null_space(space.f, [space.points[hp], space.points[hr]])],
+    }
+    removed = s.bits & ~result_bits
+    added = result_bits & ~s.bits
+    return _switched("repeated-pivot", s, None, removed, added, details=details)
 
 
 def affine_switch(s: PointSet) -> tuple[PointSet, SurgeryRecord]:
@@ -492,25 +499,14 @@ def affine_switch(s: PointSet) -> tuple[PointSet, SurgeryRecord]:
     g2 = _extend_inside(s, nu_flat, g1.mask())
     if g2 is None:
         raise ValueError("no second generator through the wall")
-    removed_bits = g1.mask() ^ g2.mask()
     union = g1.mask() | g2.mask()
     pi = next(h for h, hmask in enumerate(space.incidence) if not union & ~hmask)
-    removed = PointSet(space, removed_bits)
-    added = PointSet(space, 0)
-    result = PointSet(space, s.bits & ~removed_bits)
-    rec = SurgeryRecord(
-        kind="affine-switch",
-        hyperplane=pi,
-        vertex=None,
-        removed=removed,
-        added=added,
-        details={
-            "generator_1": _basis_coords(g1),
-            "generator_2": _basis_coords(g2),
-            "wall": _basis_coords(nu_flat),
-        },
-    )
-    return result, rec
+    details = {
+        "generator_1": _basis_coords(g1),
+        "generator_2": _basis_coords(g2),
+        "wall": _basis_coords(nu_flat),
+    }
+    return _switched("affine-switch", s, pi, g1.mask() ^ g2.mask(), 0, details=details)
 
 
 def nonsingular_switch_q2(
@@ -522,8 +518,8 @@ def nonsingular_switch_q2(
         raise NotQ2("operation requires field order 2")
     if space.m % 2 != 0:
         raise IncompatibleKind("ambient dimension must be even")
-    section = PointSet(space, s.bits & space.incidence[pi])
-    family = section_type(PolarKind("parabolic", space.m, 2), section.size)
+    section = s.bits & space.incidence[pi]
+    family = section_type(PolarKind("parabolic", space.m, 2), section.bit_count())
     if family == "singular":
         raise SingularHyperplane("hyperplane is singular for the set")
     if family is None:
@@ -537,16 +533,8 @@ def nonsingular_switch_q2(
     # section size at pi itself leaves the admissible range
     if not cls.quasi_polar or not cls.classical_size:
         raise SectionWrongType("replacement section is not quasi-polar of the type")
-    result = PointSet(space, (s.bits & ~section.bits) | new_section.bits)
-    rec = SurgeryRecord(
-        kind="q2-switch",
-        hyperplane=pi,
-        vertex=None,
-        removed=section,
-        added=new_section,
-        details={"section_type": family},
-    )
-    return result, rec
+    details = {"section_type": family}
+    return _switched("q2-switch", s, pi, section, new_section.bits, details=details)
 
 
 def internal_switch_q3(
@@ -565,19 +553,18 @@ def internal_switch_q3(
         raise IncompatibleKind("ambient dimension must be even")
     kind = PolarKind("parabolic", space.m, 3)
     xi_mask = space.incidence[xi]
-    section = PointSet(space, s.bits & xi_mask)
-    family = section_type(kind, section.size)
+    section = s.bits & xi_mask
+    family = section_type(kind, section.bit_count())
     if family not in ("elliptic", "hyperbolic"):
         raise BadHyperplanes("xi must be non-singular for the set")
     if pi_sub.dim != space.m - 2 or pi_sub.mask() & ~xi_mask:
         raise BadHyperplanes("pi_sub must be a hyperplane of xi")
     sec_kind = PolarKind(family, space.m - 1, 3)
     sub_prof = profile(sec_kind)
-    if (pi_sub.mask() & section.bits).bit_count() != sub_prof.singular_size:
+    if (pi_sub.mask() & section).bit_count() != sub_prof.singular_size:
         raise BadHyperplanes("pi_sub must be singular for the section")
 
     zone = xi_mask & ~pi_sub.mask()
-    removed_bits = s.bits & zone
     # replacement points share the class of the pole of xi: internal points
     # (elliptic perp section) for an elliptic section, external (hyperbolic
     # perp section) for a hyperbolic one
@@ -591,19 +578,8 @@ def internal_switch_q3(
                 t += 1
         if t == tangent_count:
             added_bits |= 1 << p_
-    result = PointSet(space, (s.bits & ~removed_bits) | added_bits)
-    rec = SurgeryRecord(
-        kind="q3-switch",
-        hyperplane=xi,
-        vertex=None,
-        removed=PointSet(space, removed_bits),
-        added=PointSet(space, added_bits),
-        details={
-            "pi_sub": _basis_coords(pi_sub),
-            "section_type": family,
-        },
-    )
-    return result, rec
+    details = {"pi_sub": _basis_coords(pi_sub), "section_type": family}
+    return _switched("q3-switch", s, xi, s.bits & zone, added_bits, details=details)
 
 
 def oval_nucleus_swap(s: PointSet, tangent: int) -> tuple[PointSet, SurgeryRecord]:
@@ -621,18 +597,8 @@ def oval_nucleus_swap(s: PointSet, tangent: int) -> tuple[PointSet, SurgeryRecor
     nucleus = find_line_nucleus(s)
     if nucleus is None:
         raise NotOval("oval has no nucleus-like point")
-    removed = PointSet(space, sec)
-    added = PointSet(space, 1 << nucleus)
-    result = PointSet(space, (s.bits & ~sec) | added.bits)
-    rec = SurgeryRecord(
-        kind="oval-swap",
-        hyperplane=tangent,
-        vertex=None,
-        removed=removed,
-        added=added,
-        details={"nucleus": _pt_coords(space, nucleus)},
-    )
-    return result, rec
+    details = {"nucleus": _pt_coords(space, nucleus)}
+    return _switched("oval-swap", s, tangent, sec, 1 << nucleus, details=details)
 
 
 def shifted_nucleus_pivot(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
@@ -654,14 +620,11 @@ def shifted_nucleus_pivot(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord
     new_base = PointSet(space, geom.mask_to_ambient(carrier.mask_to_ambient(new_base_sub.bits)))
     result, rec = pivot(s, kind, pi, new_base)
     rec.kind = "shifted-nucleus-pivot"
+    after = geom.to_ambient[carrier.to_ambient[find_line_nucleus(new_base_sub)]]
     rec.details.update(
-        {
-            "nucleus": _pt_coords(space, nucleus),
-            "base_nucleus_before": _pt_coords(space, nucleus),
-            "base_nucleus_after": _pt_coords(
-                space, geom.to_ambient[carrier.to_ambient[find_line_nucleus(new_base_sub)]]
-            ),
-        }
+        nucleus=_pt_coords(space, nucleus),
+        base_nucleus_before=_pt_coords(space, nucleus),
+        base_nucleus_after=_pt_coords(space, after),
     )
     return result, rec
 

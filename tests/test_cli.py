@@ -320,6 +320,32 @@ def test_exit_three_on_io_and_format_errors(tmp_path, capsys):
     assert capsys.readouterr().err == "error: expected a 'PG m q' line\n"
 
 
+@pytest.mark.parametrize(
+    "text,line,byte",
+    [
+        (b"QPS 1\nPG 4 2\n1 0 0 0 0 # caf\xc3\xa9\n", 3, 0xC3),
+        (b"QPS 1\nPG 4 2\n1 0 0 0 0\n0 1 \xb2 0 0\n", 4, 0xB2),
+        (b"QPS 1\xff\nPG 4 2\n1 0 0 0 0\n", 1, 0xFF),
+        (b"QPS 1\r\nPG 4 2\r\n\r\n1 0 0 0 0 \xe9\r\n", 4, 0xE9),
+    ],
+    ids=["comment", "coordinates", "header", "crlf"],
+)
+def test_non_ascii_byte_is_a_format_error(tmp_path, capsys, text, line, byte):
+    bad = tmp_path / "bad.qps"
+    bad.write_bytes(text)
+    with pytest.raises(ParseError) as exc:
+        load_point_set(str(bad))
+    assert exc.value.line == line
+    src = tmp_path / "q42.qps"
+    save_point_set(str(src), canonical("parabolic", 4, 2))
+    pivot = ["surgery", "pivot", "--in", str(src), "--kind", "parabolic", "--base", str(bad)]
+    for argv in (["spectrum", "--in", str(bad)], [*pivot, "--hyperplane", "0,0,0,0,1"]):
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line {line}: non-ASCII byte 0x{byte:02x}\n"
+
+
 # ---------------------------------------------------------------------------
 # Report schema
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@
 - Every name a module imports is read in that module, so no import
   outlives its last use.  ``__init__.py``, which re-exports names, and
   ``from __future__`` imports are exempt.
+- ``SurgeryRecord(...)`` is called only in ``surgery._switched``, the one
+  routine that checks a switch and composes its result, so no surgery can
+  return a record that does not replay.
 
 Apart from the package, every ``qps`` name that ``perfbench/spans.py``
 rebinds to time a layer exists, so that no rename or deletion breaks a
@@ -37,6 +40,7 @@ PERFBENCH_SPANS = ROOT / "perfbench" / "spans.py"
 BANNED_MODULES = ("concurrent.futures", "threading")
 ALL_LINES_READERS = {("pg.py", "flats_of_codim"), ("census.py", "classical_dist_census")}
 PRODUCT_SCOPE = ("pg.py", "ProjSpace", "__init__")
+RECORD_BUILDER = ("surgery.py", "_switched")
 
 
 def _banned(module: str) -> bool:
@@ -128,6 +132,27 @@ def _product_refs(tree: ast.AST, module: str) -> list[str]:
     return out
 
 
+def _record_calls(tree: ast.AST, module: str) -> list[str]:
+    """Calls of SurgeryRecord, by name or attribute, outside the top-level
+    function surgery._switched."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = func
+            if func is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name
+            if isinstance(child, ast.Call) and (module, func) != RECORD_BUILDER:
+                callee = child.func
+                name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+                if name == "SurgeryRecord":
+                    out.append(f"line {child.lineno}: SurgeryRecord built outside surgery._switched")
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
+
+
 def _unused_imports(tree: ast.AST) -> list[str]:
     """Names bound by an import that no ``Name`` node of the module reads;
     ``import a.b`` binds ``a``."""
@@ -146,6 +171,7 @@ def _unused_imports(tree: ast.AST) -> list[str]:
 
 def violations(tree: ast.AST, module: str = "") -> list[str]:
     out = _all_lines_refs(tree, module) + _stored_lines(tree) + _product_refs(tree, module)
+    out += _record_calls(tree, module)
     if module != "__init__.py":
         out += _unused_imports(tree)
     for node in ast.walk(tree):
@@ -193,6 +219,7 @@ def test_source_rules(path):
         "from .gf import build_field as bf\nbuild_field(4)\n",
         "import qps.census as c\nqps.census.x\n",
         "def f():\n    import math\n    return 0\n",
+        "rec = SurgeryRecord('switch', 0, None, removed, added)\n",
     ],
 )
 def test_rules_catch(code):
@@ -248,6 +275,10 @@ def test_product_rule_allows_only_the_point_list(module, code, allowed):
         pytest.param("import qps.census\nqps.census.x", id="import qps.census"),
         "from .gf import build_field as bf\nbf(4)\n",
         "def f():\n    import math\n    return math.pi\n",
+        pytest.param(
+            "from .surgery import SurgeryRecord\ndef f(r) -> SurgeryRecord:\n    return isinstance(r, SurgeryRecord)\n",
+            id="SurgeryRecord named, not called",
+        ),
     ],
 )
 def test_rules_allow(code):
@@ -256,6 +287,24 @@ def test_rules_allow(code):
 
 def test_init_may_reexport():
     assert violations(ast.parse("from .gf import build_field\n"), "__init__.py") == []
+
+
+_BUILD = "    return r, SurgeryRecord(name, pi, None, removed, added)\n"
+
+
+@pytest.mark.parametrize(
+    "module,code,allowed",
+    [
+        ("surgery.py", "def _switched(name, s, pi, removed, added):\n" + _BUILD, True),
+        ("surgery.py", "def pivot(s, kind, pi, base):\n" + _BUILD, False),
+        ("surgery.py", "def pivot(s, kind, pi, base):\n    return r, surgery.SurgeryRecord('pivot')\n", False),
+        ("surgery.py", "class C:\n    def _switched(self):\n    " + _BUILD, False),
+        ("surgery.py", "def _switched(name):\n    def g():\n    " + _BUILD, True),
+        ("census.py", "def _switched(name, s, pi, removed, added):\n" + _BUILD, False),
+    ],
+)
+def test_record_rule_allows_only_the_switch_builder(module, code, allowed):
+    assert (violations(ast.parse(code), module) == []) == allowed
 
 
 _STREAM = "class ProjSpace:\n    def all_lines(self):\n        if self.n > CAP:\n            raise E\n{}"

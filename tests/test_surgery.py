@@ -82,6 +82,11 @@ def first_hyperplane_of_size(s, size):
 
 def check_record(s, result, rec):
     assert result.bits == (s.bits & ~rec.removed.bits) | rec.added.bits
+    # the definition of a switch: the removed points lie in the input, and
+    # both pieces lie in the switching hyperplane when the record names one
+    assert not rec.removed.bits & ~s.bits
+    if rec.hyperplane is not None:
+        assert not (rec.removed.bits | rec.added.bits) & ~s.space.incidence[rec.hyperplane]
     d = rec.to_dict()
     assert d["construction"] == rec.kind
     json.dumps(d)
@@ -137,6 +142,34 @@ def test_pivot_identity():
     assert result.bits == s.bits
     assert rec.kind == "pivot"
     check_record(s, result, rec)
+
+
+def test_a_switch_off_its_hyperplane_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
+    from qps.cli import run, save_point_set
+    from qps.spectra import InvariantViolated
+
+    s = canonical("parabolic", 4, 2)
+    sp = s.space
+    kind = PolarKind("parabolic", 4, 2)
+    pi = first_hyperplane_of_size(s, 7)
+    _v, _mu, base = cone_decomposition(s, pi)
+    off_pi = bits_to_indices(~sp.incidence[pi] & ((1 << sp.n_points) - 1))[0]
+    cone_bits = surgery._cone_bits
+    monkeypatch.setattr(surgery, "_cone_bits", lambda *a: cone_bits(*a) | 1 << off_pi)
+    with pytest.raises(InvariantViolated, match="pivot switches points off its hyperplane"):
+        pivot(s, kind, pi, base)
+
+    src, base_file = tmp_path / "q42.qps", tmp_path / "base.qps"
+    save_point_set(str(src), s)
+    save_point_set(str(base_file), base)
+    argv = ["surgery", "pivot", "--in", str(src), "--kind", "parabolic", "--base", str(base_file)]
+    out = tmp_path / "out.qps"
+    hyperplane = ",".join(map(str, sp.points[pi]))
+    assert run([*argv, "--hyperplane", hyperplane, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invariant violated: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_pivot_new_base_stays_quasi_polar():
