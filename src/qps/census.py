@@ -66,7 +66,7 @@ from . import spectra
 from .spectra import (
     InvariantViolated,
     SpectrumProfile,
-    classify,
+    _profile_for,
     find_line_nucleus,
     profile,
     section_type,
@@ -238,12 +238,14 @@ def enumerate_quadrics(space: ProjSpace, kind: PolarKind) -> list[PointSet]:
     return [PointSet(space, b) for b in _orbit(kind, space)]
 
 
-def _classical_profile(s: PointSet, kind: PolarKind) -> SpectrumProfile:
-    """Profile of the kind, after checking that s is a classical-size quasi-polar set."""
-    cls = classify(s, kind)
-    if not cls.quasi_polar or not cls.classical_size:
+def _classical_profile(s: PointSet, kind: PolarKind) -> tuple[SpectrumProfile, tuple[int, ...]]:
+    """Profile of the kind and the section size of s per hyperplane, after
+    checking that s is a classical-size quasi-polar set."""
+    prof = _profile_for(s, kind)
+    spec = spectrum(s)
+    if not set(spec.histogram) <= set(prof.sizes) or s.size != prof.cardinality:
         raise ValueError("census needs a classical-size quasi-polar set")
-    return profile(kind)
+    return prof, spec.per_hyperplane
 
 
 def _switch_test(space: ProjSpace, s_bits: int, pi: int, sizes, card: int, t_sizes):
@@ -377,10 +379,9 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
     space = s.space
     if (space.m, space.q) != (4, 2):
         raise ValueError("census is defined for PG(4,2)")
-    prof = _classical_profile(s, PolarKind("parabolic", 4, 2))
+    prof, per = _classical_profile(s, PolarKind("parabolic", 4, 2))
     sizes = set(prof.sizes)
     ell, cone_size, hyp = prof.sizes
-    per = spectrum(s).per_hyperplane
     breakdown: dict[str, int] = {}
     witnesses: dict[str, list[list[int]]] = {}
     checked: dict[str, int] = {}
@@ -436,9 +437,8 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     space = s.space
     if (space.m, space.q) != (4, 2):
         raise ValueError("census is defined for PG(4,2)")
-    prof = _classical_profile(s, PolarKind("parabolic", 4, 2))
+    prof, per = _classical_profile(s, PolarKind("parabolic", 4, 2))
     sizes = set(prof.sizes)
-    per = spectrum(s).per_hyperplane
     pi = next(h for h, v in enumerate(per) if v == prof.singular_size)
     geom, checks = _switch_test(space, s.bits, pi, sizes, 7, range(8))
     vertex, nucleus = _q42_frame(s, geom)
@@ -507,12 +507,15 @@ def _q42_shape_families(sub: ProjSpace, vertex: int, nucleus: int) -> dict[str, 
     lines_n = sub.lines_through(nucleus)
     pn_line = next(l for l in lines_p if l >> nucleus & 1)
 
+    planes = set(sub.incidence)
+
     def cones(lines) -> set[int]:
-        # three lines through a point are non-coplanar when no plane holds them
+        # three lines through a point are coplanar exactly when their 7-point
+        # union is a plane
         out = set()
         for trip in itertools.combinations(lines, 3):
             m = trip[0] | trip[1] | trip[2]
-            if all(m & ~plane for plane in sub.incidence):
+            if m not in planes:
                 out.add(m)
         return out
 
@@ -589,9 +592,8 @@ def nonsingular_switch_census(
     with no classical section is refused with ``ValueError``.
     """
     space = s.space
-    prof = _classical_profile(s, kind)
+    prof, per = _classical_profile(s, kind)
     sizes = set(prof.sizes)
-    per = spectrum(s).per_hyperplane
 
     breakdown: dict[str, int] = {}
     witnesses: dict[str, list[list[int]]] = {}

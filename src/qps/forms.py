@@ -16,12 +16,17 @@ Canonical shapes (coordinates x_0 .. x_m):
 
 from __future__ import annotations
 
+import functools
+from operator import or_
+
 from .gf import FieldTable
 from .pg import (
     Flat,
     PointSet,
     ProjSpace,
     _ZERO_TO_ONE,
+    _image,
+    _planes,
     bits_to_indices,
     normalize_vec,
     null_space,
@@ -279,10 +284,38 @@ def form_is_nondegenerate(form: Form) -> bool:
 
 def point_set(form: Form) -> PointSet:
     if form._mask is None:
-        # one byte per point, its value; read as the incidence rows are
-        zeros = bytes(map(form.eval_vec, form.space.points)).translate(_ZERO_TO_ONE)
-        form._mask = int(zeros[::-1], 2)
+        space = form.space
+        if space.f.p == 2:
+            # the points where no bit-plane of the form's value is set
+            form._mask = space.all_mask ^ functools.reduce(or_, _value_planes(form))
+        else:
+            # one byte per point, its value; read as the incidence rows are
+            zeros = bytes(map(form.eval_vec, space.points)).translate(_ZERO_TO_ONE)
+            form._mask = int(zeros[::-1], 2)
     return PointSet(form.space, form._mask)
+
+
+def _value_planes(form: Form) -> list[int]:
+    """The bit-planes of the form's value over all points of PG(m, 2^e).
+
+    Each term a·u·x_k, with u = x_i, or conj(x_i) for a Hermitian form, is
+    the sum over the bits c of u of u_c·(a·2^c)·x_k: plane j gains the AND of
+    u's plane c and plane j of (a·2^c)·x_k, read off ``pg._planes``.
+    """
+    f = form.space.f
+    planes = _planes(form.space)
+    hermitian = form.kind.family == "hermitian"
+    out = [0] * f.e
+    for i, row in enumerate(form.matrix):
+        u = _image(planes[i][1], f.conj) if hermitian else planes[i][1]
+        for k in range(0 if hermitian else i, len(row)):
+            a = row[k]
+            if not a:
+                continue
+            for c, u_c in enumerate(u):
+                for j, w_j in enumerate(planes[k][f.mul[a][1 << c]]):
+                    out[j] ^= u_c & w_j
+    return out
 
 
 def perp(form: Form, p: int) -> int:

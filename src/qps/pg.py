@@ -8,12 +8,20 @@ points[h].  Point sets are plain int bitmasks: bit i set means point i is in
 the set.
 
 Field values are widened only by ``_values``, from one table of v + a·c per
-field: incidence row h is the bytes of h·x over all points x, its zero bytes
-the mask's bits, and ``span_points`` reads a span's points off byte columns of
-their coordinates.  ``lines_through(p)`` spans p with each point of one
-coordinate hyperplane, and the points of a line share its mask; the space
-holds those masks, and the incidence, under one size cap, ``MAX_TABLE_BYTES``,
-checked before each build.
+field: ``_dots(space, h)`` is the bytes of h·x over all points x, and
+``span_points`` reads a span's points off byte columns of their coordinates.
+For odd q, incidence row h is the zero bytes of ``_dots``.  Over GF(2^e),
+whose addition is XOR of the encodings, a whole space is held as bit-planes
+instead: ``_planes(space)[i][a]`` holds, for each bit j, the mask of points x
+with bit j of a·x_i set, read off ``_dots`` of the coordinate vectors and
+mapped by ``_image``, as x -> a·x is GF(2)-linear.  A zero set is then the
+complement of the OR of its value's planes, each an XOR of such masks: row h
+XORs the planes of h_i·x_i, and ``forms.point_set`` ANDs pairs of them.
+
+``lines_through(p)`` spans p with each point of one coordinate hyperplane,
+and the points of a line share its mask; the space holds those masks, and
+the incidence, under one size cap, ``MAX_TABLE_BYTES``, checked before each
+build.
 
 Hyperplane h is dual point h, so the hyperplanes through a codimension-2 flat
 are, as indices, the points of a line.  ``all_lines()`` streams every line
@@ -26,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator
+from operator import or_, xor
 
 from .gf import FieldTable, build_field
 
@@ -86,6 +95,56 @@ def _values(steps, head: int, col) -> bytes:
     for a in col[1:]:
         vals = b"".join(map(steps[a].__getitem__, vals))
     return vals
+
+
+def _dots(space: "ProjSpace", h: tuple[int, ...]) -> bytes:
+    """The bytes of h·x over all points x: one ``_values`` block per point
+    (0, ..., 0, 1, tail), by lead."""
+    steps = _steps(space.f)
+    return b"".join([_values(steps, h[lead], h[lead + 1 :]) for lead in range(space.m, -1, -1)])
+
+
+def _image(planes, table) -> tuple[int, ...]:
+    """The bit-planes of L(x) from those of x, for a GF(2)-linear map L given
+    by its table of values: plane j is the XOR of the planes c with bit j of
+    L(2^c) set."""
+    images = [table[1 << c] for c in range(len(planes))]
+    return tuple(
+        functools.reduce(xor, [pl for pl, v in zip(planes, images) if v >> j & 1], 0)
+        for j in range(len(planes))
+    )
+
+
+def _planes(space: "ProjSpace") -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """planes[i][a][j]: the mask of points x with bit j of a·x_i set, over GF(2^e)."""
+    if space._planes is None:
+        f = space.f
+        planes = []
+        for i in range(space.m + 1):
+            col = _dots(space, (0,) * i + (1,) + (0,) * (space.m - i))
+            bits = [int(col.translate(_BIT_TO_ONE[c])[::-1], 2) for c in range(f.e)]
+            planes.append(tuple(_image(bits, row) for row in f.mul))
+        space._planes = tuple(planes)
+    return space._planes
+
+
+def _char2_rows(space: "ProjSpace") -> list[int]:
+    """The incidence rows of PG(m, 2^e), in point order: row h is the points
+    where no plane of h·x = Σ h_i·x_i is set.  The sums over h's coordinates
+    before the last are shared, depth first, by the hyperplanes they lead."""
+    planes, m, full = _planes(space), space.m, space.all_mask
+    rows = [full ^ functools.reduce(or_, planes[m][1])]  # h = (0, ..., 0, 1)
+
+    def extend(acc: tuple[int, ...], i: int) -> None:
+        if i == m:
+            rows.extend([full ^ functools.reduce(or_, map(xor, acc, pl)) for pl in planes[m]])
+            return
+        for pl in planes[i]:
+            extend(tuple(map(xor, acc, pl)), i + 1)
+
+    for lead in range(m - 1, -1, -1):
+        extend(planes[lead][1], lead + 1)
+    return rows
 
 
 def rref(f: FieldTable, rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -153,6 +212,7 @@ class ProjSpace:
         self.point_index: dict[tuple[int, ...], int] = dict(zip(self.points, self._ids))
         self.all_mask = (1 << n_points) - 1
         self._incidence: tuple[int, ...] | None = None
+        self._planes: tuple | None = None  # _planes(self), for q even
         self._lines: dict[int, tuple[int, ...]] = {}  # p -> lines_through(p)
         self._line_masks: dict[int, int] = {}  # each mask in _lines -> itself, held once
         self._line_bytes = 0  # estimated size of the line masks held
@@ -169,18 +229,16 @@ class ProjSpace:
 
     @property
     def incidence(self) -> tuple[int, ...]:
-        """incidence[h] = bitmask of points on hyperplane h, from byte rows of h·x."""
+        """incidence[h] = bitmask of points on hyperplane h: the zeros of h·x,
+        from bit-planes for q even and from the bytes of h·x for q odd."""
         if self._incidence is None:
             self._check_table("incidence", self.n_points * ((self.n_points + 7) // 8))
-            steps = _steps(self.f)
-            rows = []
-            for h in self.points:
-                # h·x over the points (0, ..., 0, 1, tail), one block per lead
-                row = b"".join(
-                    [_values(steps, h[lead], h[lead + 1 :]) for lead in range(self.m, -1, -1)]
+            if self.f.p == 2:
+                self._incidence = tuple(_char2_rows(self))
+            else:
+                self._incidence = tuple(
+                    int(_dots(self, h).translate(_ZERO_TO_ONE)[::-1], 2) for h in self.points
                 )
-                rows.append(int(row.translate(_ZERO_TO_ONE)[::-1], 2))
-            self._incidence = tuple(rows)
         return self._incidence
 
     def lines_through(self, p: int) -> tuple[int, ...]:
@@ -241,6 +299,13 @@ class ProjSpace:
 
 # incidence rows: field value 0 becomes bit 1, any other value bit 0
 _ZERO_TO_ONE = bytes([ord("1")] + [ord("0")] * 255)
+# _planes: field value v becomes the digit of bit c of v, for c < 8
+_BIT_TO_ONE = [(b"0" * (1 << c) + b"1" * (1 << c)) * (128 >> c) for c in range(8)]
+# bits_to_indices: the positions of the set bits of each byte value; bytes
+# b and b + 2^c, b < 2^c, differ in bit c alone
+_BYTE_BITS: list[tuple[int, ...]] = [()]
+for _c in range(8):
+    _BYTE_BITS += [bits + (_c,) for bits in _BYTE_BITS]
 # span_points: field value v becomes the digit int(_, q) reads as v (q <= 36)
 _DIGITS = b"0123456789abcdefghijklmnopqrstuvwxyz".ljust(256, b"0")
 
@@ -384,12 +449,9 @@ def line_through(space: ProjSpace, p: int, r: int) -> "PointSet":
 
 
 def bits_to_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The set bits of a non-negative mask, ascending, read byte by byte."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [k + c for k, byte in zip(range(0, 8 * len(raw), 8), raw) if byte for c in _BYTE_BITS[byte]]
 
 
 class PointSet:

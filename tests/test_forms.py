@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qps.forms import (
@@ -114,20 +116,60 @@ def test_canonical_conic_points():
     assert set(s.vectors()) == {(0, 1, 0), (0, 0, 1), (1, 1, 1)}
 
 
-@pytest.mark.parametrize(
-    "fam,m,q",
-    [("parabolic", 4, 3), ("hyperbolic", 3, 8), ("elliptic", 3, 8), ("hermitian", 2, 25)],
-)
-def test_point_set_matches_the_per_point_loop(fam, m, q):
-    # the mask read off one byte string of zero tests is the one set bit by bit
-    form = canonical_form(PolarKind(fam, m, q), space_for(m, q))
+def _zeros_by_eval(form):
+    """The zero set of a form, one point at a time."""
     bits = 0
     for i, v in enumerate(form.space.points):
         if form.eval_vec(v) == 0:
             bits |= 1 << i
+    return bits
+
+
+# the characteristic-2 kinds a query stream reads, and some of odd order
+@pytest.mark.parametrize(
+    "fam,m,q",
+    [("parabolic", 4, 3), ("hermitian", 2, 25)]
+    + [("parabolic", 4, 2), ("parabolic", 4, 4), ("parabolic", 6, 2), ("parabolic", 2, 16)]
+    + [("hyperbolic", 5, 2), ("elliptic", 5, 2), ("hermitian", 3, 4), ("elliptic", 3, 4)]
+    + [("hyperbolic", 3, 4), ("elliptic", 3, 8), ("hyperbolic", 3, 8)],
+)
+def test_point_set_matches_the_per_point_loop(fam, m, q):
+    # the mask read off bit-planes (q even) or one byte string of zero tests
+    # (q odd) is the one set bit by bit
+    form = canonical_form(PolarKind(fam, m, q), space_for(m, q))
     s = point_set(form)
-    assert s.bits == bits
+    assert s.bits == _zeros_by_eval(form)
     assert s.size == classical_cardinality(PolarKind(fam, m, q))
+
+
+def _random_matrix(rng, f, d, hermitian, rank):
+    """A seeded matrix: upper-triangular (quadratic) or Hermitian, in the
+    first rank coordinates only, so rank < d gives a degenerate form."""
+    A = [[0] * d for _ in range(d)]
+    for i in range(rank):
+        for k in range(i, rank):
+            a = rng.randrange(f.q)
+            if hermitian and i == k:
+                a = rng.choice([x for x in range(f.q) if f.conj[x] == x])
+            A[i][k] = a
+            if hermitian and i != k:
+                A[k][i] = f.conj[a]
+    return tuple(map(tuple, A))
+
+
+@pytest.mark.parametrize(
+    "family,m,q",
+    [("parabolic", 2, 2), ("hyperbolic", 3, 2), ("parabolic", 4, 2), ("parabolic", 2, 4)]
+    + [("hyperbolic", 3, 4), ("parabolic", 2, 8), ("hyperbolic", 3, 8), ("parabolic", 2, 16)]
+    + [("hermitian", 2, 4), ("hermitian", 3, 4), ("hermitian", 2, 16)],
+)
+def test_point_set_of_random_forms_matches_eval_vec(family, m, q):
+    # seeded forms, degenerate ones and the zero form included, point by point
+    sp = space_for(m, q)
+    rng = random.Random(f"{family}{m},{q}")
+    for rank in [0, 1, m, m + 1, m + 1, m + 1]:
+        form = Form(PolarKind(family, m, q), sp, _random_matrix(rng, sp.f, m + 1, family == "hermitian", rank))
+        assert point_set(form).bits == _zeros_by_eval(form)
 
 
 def test_canonical_form_space_mismatch():

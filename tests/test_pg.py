@@ -234,12 +234,28 @@ def _sampled_rows(n, count=48):
     return sorted({0, n - 1, *random.Random(n).sample(range(n), count)})
 
 
-@pytest.mark.parametrize("m,q", [(1, 9), (2, 9), (3, 9), (1, 25), (2, 25), (1, 27), (2, 27), (1, 32), (2, 32)])
+@pytest.mark.parametrize(
+    "m,q",
+    [(1, 9), (2, 9), (3, 9), (1, 25), (2, 25), (1, 27), (2, 27), (1, 32), (2, 32)]
+    + [(3, 4), (4, 4), (3, 8), (2, 16), (3, 16)],
+)
 def test_incidence_matches_incident(m, q):
     sp = space_for(m, q)
     for h in _sampled_rows(sp.n_points):
         row = sum(1 << p for p in range(sp.n_points) if incident(sp, h, p))
         assert sp.incidence[h] == row
+
+
+@pytest.mark.parametrize(
+    "m,q",
+    [(m, q) for q in (2, 4, 8, 16, 32) for m in (1, 2)] + [(3, 4), (4, 4), (6, 2), (3, 8), (3, 16)],
+)
+def test_bit_plane_rows_match_the_byte_rows(m, q):
+    # over GF(2^e) every row read off bit-planes is the zero bytes of h·x,
+    # the rows odd q builds
+    sp = ProjSpace(m, build_field(q))
+    rows = tuple(int(pg._dots(sp, h).translate(pg._ZERO_TO_ONE)[::-1], 2) for h in sp.points)
+    assert sp.incidence == rows
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +539,19 @@ def test_point_set_algebra():
 def test_bits_to_indices():
     assert bits_to_indices(0) == []
     assert bits_to_indices(0b101001) == [0, 3, 5]
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 13_888, 69_905])
+@pytest.mark.parametrize("density", [0.5, 0.03])
+def test_bits_to_indices_matches_the_binary_digits(width, density):
+    # the set bits, read off the mask's binary digits, lowest first
+    rng = random.Random(width * 7 + int(density * 100))
+    masks = [sum(1 << i for i in range(width) if rng.random() < density) for _ in range(3)]
+    if width:
+        masks.append(1 << (width - 1) | 1)
+    for mask in masks:
+        expect = [i for i, d in enumerate(reversed(bin(mask)[2:])) if d == "1"]
+        assert bits_to_indices(mask) == expect
 
 
 # ---------------------------------------------------------------------------
