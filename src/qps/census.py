@@ -5,8 +5,9 @@ The classical sets of one kind are all projectively equivalent, so
 set: a breadth-first search over bitmasks under a fixed generating set, each
 generator applied through per-byte point tables.  The closed-form orbit size
 bounds the search before it starts and checks it when it ends.  The orbit
-depends only on the space and the family, so each space keeps it as a sorted
-tuple of bitmasks, which the censuses read directly.
+depends only on the kind, so the census keeps one entry per kind: the orbit
+as a sorted tuple of bitmasks, which the censuses read directly, and its
+columns once a switch census has built them.
 
 The switch censuses replace the section of s in one hyperplane pi by a
 candidate T and ask whether s stays quasi-polar.  They work in the
@@ -189,23 +190,22 @@ def _byte_tables(space: ProjSpace, g: list[list[int]]) -> list[list[int]]:
     return tables
 
 
-def _orbit(kind: PolarKind, space: ProjSpace | None = None) -> tuple[int, ...]:
-    """Bitmasks of all classical sets of the kind, sorted, searched once per space.
+# kind -> (orbit, its columns or None), filled by one search per kind
+_ORBITS: dict[PolarKind, tuple[tuple[int, ...], list[int] | None]] = {}
 
-    A given space is checked against the kind; without one, ``space_for``
-    builds the kind's space once the closed-form orbit size has passed
-    ``ORBIT_CAP``, which is checked before any table is read.  So the family
-    alone keys ``space._orbits``; a search whose count is wrong raises and
-    stores nothing.
+
+def _orbit(kind: PolarKind) -> tuple[int, ...]:
+    """Bitmasks of all classical sets of the kind, sorted, searched once per kind.
+
+    The closed-form orbit size is checked against ``ORBIT_CAP`` before the
+    cache is read or the kind's space is built; a search whose count is wrong
+    raises and stores nothing.
     """
-    if space is not None and (space.m != kind.m or space.q != kind.q):
-        raise IncompatibleKind("kind does not match the space")
     total = _orbit_size(kind)
-    if space is None:
-        space = space_for(kind.m, kind.q)
-    orbit = space._orbits.get(kind.family)
-    if orbit is not None:
-        return orbit
+    hit = _ORBITS.get(kind)
+    if hit is not None:
+        return hit[0]
+    space = space_for(kind.m, kind.q)
     gens = [_byte_tables(space, g) for g in _pgl_generators(space.m + 1, space.f)]
     nbytes = (space.n_points + 7) // 8
     start = point_set(canonical_form(kind, space)).bits
@@ -224,8 +224,8 @@ def _orbit(kind: PolarKind, space: ProjSpace | None = None) -> tuple[int, ...]:
         frontier = new
     if len(seen) != total:
         raise InvariantViolated(f"orbit search found {len(seen)} of {total} sets")
-    orbit = space._orbits[kind.family] = tuple(sorted(seen))
-    return orbit
+    _ORBITS[kind] = (tuple(sorted(seen)), None)
+    return _ORBITS[kind][0]
 
 
 def enumerate_quadrics(space: ProjSpace, kind: PolarKind) -> list[PointSet]:
@@ -233,9 +233,11 @@ def enumerate_quadrics(space: ProjSpace, kind: PolarKind) -> list[PointSet]:
 
     The sets of one kind form a single PGL(m+1, q) orbit, found by a
     breadth-first search from the canonical set.  Each call returns a new
-    list; the search runs once per space and family.
+    list; the search runs once per kind.
     """
-    return [PointSet(space, b) for b in _orbit(kind, space)]
+    if (space.m, space.q) != (kind.m, kind.q):
+        raise IncompatibleKind("kind does not match the space")
+    return [PointSet(space, b) for b in _orbit(kind)]
 
 
 def _classical_profile(s: PointSet, kind: PolarKind) -> tuple[SpectrumProfile, tuple[int, ...]]:
@@ -299,13 +301,13 @@ def _columns(cands, n: int) -> list[int]:
 
 
 def _orbit_columns(kind: PolarKind) -> tuple[tuple[int, ...], list[int]]:
-    """The orbit of the kind and its columns, cached while ``_orbit`` returns that tuple."""
-    cands = _orbit(kind)
-    space = space_for(kind.m, kind.q)
-    hit = space._columns.get(kind.family)
-    if hit is None or hit[0] is not cands:
-        hit = space._columns[kind.family] = (cands, _columns(cands, space.n_points))
-    return hit
+    """The orbit of the kind and its columns, built once per kind."""
+    orbit = _orbit(kind)
+    cols = _ORBITS[kind][1]
+    if cols is None:
+        cols = _columns(orbit, space_for(kind.m, kind.q).n_points)
+        _ORBITS[kind] = (orbit, cols)
+    return orbit, cols
 
 
 def _survivors(checks, cols: list[int], cands) -> list[int]:
@@ -396,7 +398,7 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
             if len(_survivors(checks, cols, cands)) != len(cands):
                 # all switches of the quadric survive; the orbit is searched on a failure
                 msg = f"a {label} switch at {h} is not quasi-polar"
-                if s.bits in _orbit(PolarKind("parabolic", 4, 2), space):
+                if s.bits in _orbit(PolarKind("parabolic", 4, 2)):
                     raise InvariantViolated(msg)
                 raise ValueError(f"census needs the quadric: {msg}")
             # the candidates have 5 or 9 points, never theta_2 = 7
@@ -670,15 +672,18 @@ def classical_distribution(form: Form, flat: Flat) -> dict:
 
 def two_secant_count(form: Form, p: int) -> int:
     """Number of 2-secant lines through an off point (parabolic, q even)."""
-    space = form.space
-    if form.kind.family != "parabolic" or space.f.p != 2:
-        raise IncompatibleKind("two-secant count needs a parabolic form, q even")
+    _two_secant_kind(form.kind)
     zeros = point_set(form)
     if zeros.contains(p):
         raise PointOnQuadric(f"point {p} lies on the set")
     if p == nucleus_point(form):
         raise PointIsNucleus("two-secant count is not defined at the nucleus")
     return _two_secants(form, zeros.bits, p)
+
+
+def _two_secant_kind(kind: PolarKind) -> None:
+    if kind.family != "parabolic" or kind.q % 2:
+        raise IncompatibleKind("two-secant count needs a parabolic form, q even")
 
 
 def _two_secants(form: Form, zeros: int, p: int) -> int:
@@ -736,6 +741,7 @@ def classical_dist_census(kind: PolarKind) -> CensusResult:
 
 def two_secant_census(kind: PolarKind) -> CensusResult:
     """Tally the 2-secant counts of the off points other than the nucleus."""
+    _two_secant_kind(kind)
     space = space_for(kind.m, kind.q)
     space.incidence  # built, or refused, before the form is evaluated
     form = canonical_form(kind, space)

@@ -219,10 +219,6 @@ class ProjSpace:
         self._flat_masks: dict[tuple, int] = {}
         self._subgeoms: dict[tuple, SubGeometry] = {}
         self._hyperplane_flats: dict[int, Flat] = {}
-        # family -> sorted bitmasks of its classical sets, at most
-        # census.ORBIT_CAP of them, filled by one orbit search per family
-        self._orbits: dict[str, tuple[int, ...]] = {}
-        self._columns: dict[str, tuple] = {}  # family -> (orbit, census._columns of it)
 
     def __repr__(self) -> str:
         return f"ProjSpace(m={self.m}, q={self.q})"

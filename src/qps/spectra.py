@@ -10,6 +10,7 @@ three-size parabolic kind does not force cardinality.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from .forms import (
@@ -126,10 +127,7 @@ def spectrum(s: PointSet) -> Spectrum:
     """Section size of s for every hyperplane, plus the size histogram."""
     bits = s.bits
     per = [(bits & hmask).bit_count() for hmask in s.space.incidence]
-    hist: dict[int, int] = {}
-    for v in per:
-        hist[v] = hist.get(v, 0) + 1
-    return Spectrum(histogram=dict(sorted(hist.items())), per_hyperplane=tuple(per))
+    return Spectrum(histogram=dict(sorted(Counter(per).items())), per_hyperplane=tuple(per))
 
 
 class Classification:

@@ -12,7 +12,8 @@ scans go in index order and take the first admissible object.  The four
 cone surgeries (pivot, repeated pivot, cone swap, shifted-nucleus pivot) work
 on masks of the switched hyperplane's own PG(m-1, q), and on the base's
 carrier hyperplane as a subgeometry of that, whose lines and incidence are
-cached; ambient flats are built only for the records.
+cached; ambient flats are built only for the records.  Pivot and
+shifted-nucleus pivot share one core, and the nucleus surgeries one frame.
 """
 
 from __future__ import annotations
@@ -169,12 +170,11 @@ class SurgeryRecord:
         }
 
 
-def _sub_hyperplane(geom: SubGeometry, h_sub: int) -> Flat:
-    """Hyperplane h_sub of a subgeometry, as a flat of the ambient space."""
-    sub = geom.sub
-    rows = hyperplane_flat(sub, h_sub).basis
-    return flat_from_points(
-        geom.flat.space, [geom.to_ambient[sub.point_index[row]] for row in rows]
+def _ambient_rows(geom: SubGeometry, flat: Flat) -> list[list[int]]:
+    """Basis of a flat of geom.sub, as coordinate rows of the ambient space."""
+    index = geom.sub.point_index
+    return _basis_coords(
+        flat_from_points(geom.flat.space, [geom.to_ambient[index[row]] for row in flat.basis])
     )
 
 
@@ -281,33 +281,39 @@ def pivot(
     s: PointSet, kind: PolarKind, pi: int, new_base: PointSet
 ) -> tuple[PointSet, SurgeryRecord]:
     """Replace the cone section in a singular hyperplane by a cone over a new base."""
-    space = s.space
-    prof = profile(kind)
     geom, section = _pi_geometry(s, pi)
-    if section.bit_count() != prof.singular_size:
+    if section.bit_count() != profile(kind).singular_size:
         raise NotSingular("hyperplane section does not have the singular size")
     sub = geom.sub
-    v, mu, _base = _decompose(sub, section, range(sub.n_points))
-    if new_base.bits & ~space.incidence[pi]:
+    v = _decompose(sub, section, range(sub.n_points))[0]
+    if new_base.bits & ~s.space.incidence[pi]:
         raise BaseWrongType("base is not contained in the hyperplane")
-    base = geom.mask_from_ambient(new_base.bits)
+    return _pivot("pivot", s, kind, pi, geom, v, geom.mask_from_ambient(new_base.bits), {})
+
+
+def _pivot(
+    name: str, s: PointSet, kind: PolarKind, pi: int, geom: SubGeometry, v: int, base: int, details
+) -> tuple[PointSet, SurgeryRecord]:
+    """Pivot at pi onto the cone with vertex v over base, in pi's coordinates
+    geom: the core of every pivot.  The base must be quasi-polar on its
+    carrier, the first hyperplane of pi avoiding v and holding it; the record
+    gives that and mu, the first one avoiding v, then the caller's details."""
+    sub = geom.sub
     carrier = _carrier(sub, v, base)
     _validate_base(sub, kind, carrier, base)
-    removed = s.bits & space.incidence[pi]
-    added = _cone_bits(geom, v, base)
-    details = {
-        "mu": _basis_coords(_sub_hyperplane(geom, mu)),
-        "carrier": _basis_coords(_sub_hyperplane(geom, carrier)),
-    }
-    return _switched("pivot", s, pi, removed, added, geom.to_ambient[v], details)
+    rows = [_ambient_rows(geom, hyperplane_flat(sub, h)) for h in (_carrier(sub, v, 0), carrier)]
+    details = {"mu": rows[0], "carrier": rows[1], **details}
+    removed = s.bits & s.space.incidence[pi]
+    return _switched(name, s, pi, removed, _cone_bits(geom, v, base), geom.to_ambient[v], details)
 
 
-def _nucleus_in_singular_section(s: PointSet, pi: int) -> tuple[PolarKind, int]:
-    """Parabolic kind and line nucleus for the two nucleus surgeries.
-
-    Requires q even, even ambient dimension >= 4, a singular-size section at
-    pi and a line nucleus of s inside pi.
-    """
+def _nucleus_frame(
+    s: PointSet, pi: int, through_nucleus: bool
+) -> tuple[PolarKind, int, SubGeometry, int, SubGeometry, PointSet]:
+    """(parabolic kind, nucleus, pi's geometry, vertex, carrier, base) of the
+    nucleus surgeries, from one decomposition in pi's coordinates: q even,
+    even m >= 4, pi singular and holding a line nucleus of s.  The carrier,
+    a subgeometry of pi, holds the nucleus when through_nucleus."""
     space = s.space
     if space.f.p != 2:
         raise NotEvenQ("operation requires even field order")
@@ -321,7 +327,12 @@ def _nucleus_in_singular_section(s: PointSet, pi: int) -> tuple[PolarKind, int]:
         raise ValueError("set has no nucleus-like point")
     if not space.incidence[pi] >> nucleus & 1:
         raise ValueError("nucleus does not lie in the hyperplane")
-    return kind, nucleus
+    geom, section = _pi_geometry(s, pi)
+    sub = geom.sub
+    inside = 1 << geom.from_ambient[nucleus] if through_nucleus else 0
+    v, mu, base = _decompose(sub, section, range(sub.n_points), inside)
+    carrier = subgeometry(sub, hyperplane_flat(sub, mu))
+    return kind, nucleus, geom, v, carrier, PointSet(carrier.sub, carrier.mask_from_ambient(base))
 
 
 def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
@@ -333,12 +344,7 @@ def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
     not a cone over a quasi-polar base.
     """
     space = s.space
-    _kind, nucleus = _nucleus_in_singular_section(s, pi)
-    geom, section = _pi_geometry(s, pi)
-    sub = geom.sub
-    v, mu, base = _decompose(sub, section, range(sub.n_points))
-    carrier = subgeometry(sub, hyperplane_flat(sub, mu))
-    base_sub = PointSet(carrier.sub, carrier.mask_from_ambient(base))
+    _kind, nucleus, geom, v, carrier, base_sub = _nucleus_frame(s, pi, through_nucleus=False)
     base_nucleus = find_line_nucleus(base_sub)
     if base_nucleus is None:
         raise ValueError("base has no nucleus-like point")
@@ -364,7 +370,7 @@ def cone_swap(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
         details = {
             "nucleus": _pt_coords(space, nucleus),
             "base_nucleus": _pt_coords(space, geom.to_ambient[carrier.to_ambient[base_nucleus]]),
-            "mu": _basis_coords(_sub_hyperplane(geom, mu)),
+            "mu": _ambient_rows(geom, carrier.flat),
             "nu_p": _basis_coords(flat_from_mask(space, geom.mask_to_ambient(nu_p))),
             "nu_n": _basis_coords(flat_from_mask(space, geom.mask_to_ambient(nu_n))),
         }
@@ -602,31 +608,22 @@ def oval_nucleus_swap(s: PointSet, tangent: int) -> tuple[PointSet, SurgeryRecor
 
 
 def shifted_nucleus_pivot(s: PointSet, pi: int) -> tuple[PointSet, SurgeryRecord]:
-    """Pivot onto a collineation image of the base that moves the base nucleus."""
+    """Pivot onto a collineation image of the base that moves the base nucleus,
+    through the core of ``pivot``."""
     space = s.space
-    kind, nucleus = _nucleus_in_singular_section(s, pi)
-    geom, section = _pi_geometry(s, pi)
-    sub = geom.sub
-    _v, mu, base = _decompose(
-        sub, section, range(sub.n_points), 1 << geom.from_ambient[nucleus]
-    )
-    carrier = subgeometry(sub, hyperplane_flat(sub, mu))
-    base_sub = PointSet(carrier.sub, carrier.mask_from_ambient(base))
+    kind, nucleus, geom, v, carrier, base = _nucleus_frame(s, pi, through_nucleus=True)
     n_mu = carrier.from_ambient[geom.from_ambient[nucleus]]
-    if find_line_nucleus(base_sub) != n_mu:
+    if find_line_nucleus(base) != n_mu:
         raise ValueError("base nucleus does not match the set nucleus")
-
-    new_base_sub = _shift_by_elation(base_sub, n_mu)
-    new_base = PointSet(space, geom.mask_to_ambient(carrier.mask_to_ambient(new_base_sub.bits)))
-    result, rec = pivot(s, kind, pi, new_base)
-    rec.kind = "shifted-nucleus-pivot"
-    after = geom.to_ambient[carrier.to_ambient[find_line_nucleus(new_base_sub)]]
-    rec.details.update(
-        nucleus=_pt_coords(space, nucleus),
-        base_nucleus_before=_pt_coords(space, nucleus),
-        base_nucleus_after=_pt_coords(space, after),
-    )
-    return result, rec
+    new_base = _shift_by_elation(base, n_mu)
+    after = geom.to_ambient[carrier.to_ambient[find_line_nucleus(new_base)]]
+    details = {
+        "nucleus": _pt_coords(space, nucleus),
+        "base_nucleus_before": _pt_coords(space, nucleus),
+        "base_nucleus_after": _pt_coords(space, after),
+    }
+    new_bits = carrier.mask_to_ambient(new_base.bits)
+    return _pivot("shifted-nucleus-pivot", s, kind, pi, geom, v, new_bits, details)
 
 
 def _shift_by_elation(base: PointSet, moved_point: int) -> PointSet:

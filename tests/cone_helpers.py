@@ -4,7 +4,7 @@ flats and lines of the whole space."""
 
 from qps import surgery
 from qps.forms import is_cone_vertex
-from qps.pg import PointSet
+from qps.pg import PointSet, flat_from_mask
 from qps.spectra import spectrum
 
 
@@ -13,7 +13,8 @@ def cone_decomposition(s, pi):
     pi, from the decomposition in pi's own coordinates."""
     geom, section = surgery._pi_geometry(s, pi)
     v, mu, base = surgery._decompose(geom.sub, section, range(geom.sub.n_points))
-    return geom.to_ambient[v], surgery._sub_hyperplane(geom, mu), PointSet(s.space, geom.mask_to_ambient(base))
+    carrier = flat_from_mask(s.space, geom.mask_to_ambient(geom.sub.incidence[mu]))
+    return geom.to_ambient[v], carrier, PointSet(s.space, geom.mask_to_ambient(base))
 
 
 def tangent_hyperplane(s, singular_size, p):

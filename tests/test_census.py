@@ -301,11 +301,23 @@ def test_table_censuses_check_the_guard_before_the_form(name, m, q, guard, monke
     assert capsys.readouterr().err == f"error: {guard}\n"
 
 
+@pytest.mark.parametrize("fam,m,q", [("hyperbolic", 5, 4), ("parabolic", 4, 9), ("elliptic", 5, 9)])
+def test_two_secant_census_checks_the_kind_before_any_space(fam, m, q, monkeypatch, capsys):
+    # 2-secant counts need a parabolic form over a field of even order: any
+    # other kind is refused before its space, incidence or form is built
+    monkeypatch.setattr(pg, "_SPACES", {})
+    argv = ["census", "two-secants", "--kind", fam, "--m", str(m), "--q", str(q)]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr() == ("", "error: two-secant count needs a parabolic form, q even\n")
+    assert (m, q) not in pg._SPACES
+
+
 @pytest.fixture
 def empty_conic_table(monkeypatch):
-    """PG(2,4) with no orbit table, so that a test sees the search run, not a
-    table an earlier test filled; the table comes back after the test."""
-    monkeypatch.setattr(space_for(2, 4), "_orbits", {})
+    """No cached orbit of the conics of PG(2,4), so that a test sees the search
+    run, not an orbit an earlier test stored; the entry comes back after the
+    test."""
+    monkeypatch.delitem(census._ORBITS, PolarKind("parabolic", 2, 4), raising=False)
 
 
 @pytest.mark.parametrize("drop", [0, 1, 2])
@@ -333,7 +345,7 @@ def test_failed_search_stores_nothing(monkeypatch, empty_conic_table):
     monkeypatch.setattr(census, "_pgl_generators", lambda d, f: gens(d, f)[1:])
     with pytest.raises(InvariantViolated, match="orbit"):
         enumerate_quadrics(sp, kind)
-    assert sp._orbits == {}
+    assert kind not in census._ORBITS
     monkeypatch.setattr(census, "_pgl_generators", gens)
     assert [s.bits for s in enumerate_quadrics(sp, kind)] == _form_scan(sp, kind)
 
@@ -350,20 +362,16 @@ def test_enumerate_returns_a_new_list_each_call():
 
 
 def test_warm_orbit_table_keeps_the_checks(monkeypatch):
-    # tables of the same families, filled by real searches
+    # orbits of the same kinds, stored by real searches
     for fam, m, q in [("parabolic", 2, 2), ("hyperbolic", 3, 2), ("parabolic", 4, 2)]:
         enumerate_quadrics(space_for(m, q), PolarKind(fam, m, q))
     with pytest.raises(IncompatibleKind):
         enumerate_quadrics(space_for(3, 2), PolarKind("parabolic", 2, 2))
     with pytest.raises(IncompatibleKind):
         enumerate_quadrics(space_for(2, 2), PolarKind("hyperbolic", 3, 2))
-    # a table stored under the family of a kind of another space
-    monkeypatch.setitem(space_for(3, 2)._orbits, "parabolic", (0,))
-    with pytest.raises(IncompatibleKind):
-        enumerate_quadrics(space_for(3, 2), PolarKind("parabolic", 2, 2))
-    # the cap: a table for the 4,586,868 parabolic quadrics of PG(4,3) is
-    # never read, and a real table is not read once the cap is below its size
-    monkeypatch.setitem(space_for(4, 3)._orbits, "parabolic", (0,))
+    # the cap: an entry for the 4,586,868 parabolic quadrics of PG(4,3) is
+    # never read, and a real one is not read once the cap is below its size
+    monkeypatch.setitem(census._ORBITS, PolarKind("parabolic", 4, 3), ((0,), None))
     with pytest.raises(SpaceTooLarge):
         enumerate_quadrics(space_for(4, 3), PolarKind("parabolic", 4, 3))
     with pytest.raises(SpaceTooLarge):
@@ -876,9 +884,9 @@ def test_survivors_match_a_per_candidate_loop(m, q):
 
 
 def test_orbit_columns_follow_the_orbit_tuple(monkeypatch):
-    sp = space_for(3, 2)
     kind = PolarKind("elliptic", 3, 2)
-    monkeypatch.setattr(sp, "_columns", {})
+    cands = census._orbit(kind)
+    monkeypatch.setitem(census._ORBITS, kind, (cands, None))
     built = []
     columns = census._columns
 
@@ -887,30 +895,31 @@ def test_orbit_columns_follow_the_orbit_tuple(monkeypatch):
         return columns(cands, n)
 
     monkeypatch.setattr(census, "_columns", counted)
-    cands, cols = census._orbit_columns(kind)
-    assert cands is census._orbit(kind) and built == [cands]
+    got, cols = census._orbit_columns(kind)
+    assert got is cands and built == [cands]
     assert cols == _columns_by_loop(cands, 15)
     # about n * N / 8 bytes: one N-bit int per point
     assert sum(c.bit_length() for c in cols) <= 15 * len(cands)
     assert census._orbit_columns(kind) == (cands, cols) and built == [cands]
-    # another tuple stored under the family gets its own columns
+    assert census._ORBITS[kind] == (cands, cols)
+    # another orbit tuple held for the kind gets its own columns
     half = cands[::2]
-    monkeypatch.setitem(sp._orbits, "elliptic", half)
+    monkeypatch.setitem(census._ORBITS, kind, (half, None))
     got, got_cols = census._orbit_columns(kind)
     assert got is half and got_cols == _columns_by_loop(half, 15)
     assert built == [cands, half]
-    # a cleared table is searched again: equal sets, a new tuple, new columns
-    monkeypatch.setattr(sp, "_orbits", {})
+    # a cleared entry is searched again: equal sets, a new tuple, new columns
+    monkeypatch.delitem(census._ORBITS, kind)
     fresh, fresh_cols = census._orbit_columns(kind)
     assert fresh == cands and fresh is not cands and fresh_cols == cols
     assert built == [cands, half, fresh]
-    assert sp._columns["elliptic"][0] is fresh
-    # a census switches in the sets of the tuple that the table holds
-    monkeypatch.setitem(sp._orbits, "elliptic", half)
+    assert census._ORBITS[kind][0] is fresh
+    # a census switches in the sets of the tuple that the entry holds
+    monkeypatch.setitem(census._ORBITS, kind, (half, None))
     res = nonsingular_switch_census(canonical("parabolic", 4, 2), PolarKind("parabolic", 4, 2))
     assert res.extra["candidates"]["elliptic"] == len(half)
     assert res.breakdown["elliptic_other_survivor"] == len(half) - 1
-    assert sp._columns["elliptic"][0] is half
+    assert census._ORBITS[kind][0] is half
 
 
 def test_subgeometry_nucleus_test_matches_find_line_nucleus():

@@ -21,6 +21,10 @@
 - ``SurgeryRecord(...)`` is called only in ``surgery._switched``, the one
   routine that checks a switch and composes its result, so no surgery can
   return a record that does not replay.
+- No record is changed once ``_switched`` has built it: an attribute named
+  like a record field (kind, hyperplane, vertex, removed, added, details) is
+  assigned or deleted only as ``self.<field>`` in an ``__init__``, and no
+  ``details`` dict reached through an attribute is changed.
 
 Apart from the package, every ``qps`` name that ``perfbench/spans.py``
 rebinds to time a layer exists, so that no rename or deletion breaks a
@@ -41,6 +45,8 @@ BANNED_MODULES = ("concurrent.futures", "threading")
 ALL_LINES_READERS = {("pg.py", "flats_of_codim"), ("census.py", "classical_dist_census")}
 PRODUCT_SCOPE = ("pg.py", "ProjSpace", "__init__")
 RECORD_BUILDER = ("surgery.py", "_switched")
+RECORD_FIELDS = frozenset({"kind", "hyperplane", "vertex", "removed", "added", "details"})
+DICT_MUTATORS = frozenset({"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"})
 
 
 def _banned(module: str) -> bool:
@@ -153,6 +159,40 @@ def _record_calls(tree: ast.AST, module: str) -> list[str]:
     return out
 
 
+def _record_writes(tree: ast.AST) -> list[str]:
+    """Assignments and deletions of a record field other than ``self.<field>``
+    directly in an ``__init__``, ``setattr`` and ``delattr`` of one, and
+    stores into or mutating calls on an attribute named ``details``."""
+    out = []
+
+    def is_details(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "details"
+
+    def visit(node, me):
+        for child in ast.iter_child_nodes(node):
+            inner = me
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                init = isinstance(child, ast.FunctionDef) and child.name == "__init__" and child.args.args
+                inner = child.args.args[0].arg if init else None
+            stored = isinstance(getattr(child, "ctx", None), (ast.Store, ast.Del))
+            if stored and isinstance(child, ast.Attribute) and child.attr in RECORD_FIELDS:
+                if not (isinstance(child.value, ast.Name) and child.value.id == me):
+                    out.append(f"line {child.lineno}: record field {child.attr} written")
+            elif stored and isinstance(child, ast.Subscript) and is_details(child.value):
+                out.append(f"line {child.lineno}: record details written")
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Attribute) and f.attr in DICT_MUTATORS and is_details(f.value):
+                    out.append(f"line {child.lineno}: record details changed")
+                named = [a.value for a in child.args[1:2] if isinstance(a, ast.Constant)]
+                if getattr(f, "id", None) in ("setattr", "delattr") and set(named) & RECORD_FIELDS:
+                    out.append(f"line {child.lineno}: record field {named[0]} written")
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
+
+
 def _unused_imports(tree: ast.AST) -> list[str]:
     """Names bound by an import that no ``Name`` node of the module reads;
     ``import a.b`` binds ``a``."""
@@ -171,7 +211,7 @@ def _unused_imports(tree: ast.AST) -> list[str]:
 
 def violations(tree: ast.AST, module: str = "") -> list[str]:
     out = _all_lines_refs(tree, module) + _stored_lines(tree) + _product_refs(tree, module)
-    out += _record_calls(tree, module)
+    out += _record_calls(tree, module) + _record_writes(tree)
     if module != "__init__.py":
         out += _unused_imports(tree)
     for node in ast.walk(tree):
@@ -220,6 +260,15 @@ def test_source_rules(path):
         "import qps.census as c\nqps.census.x\n",
         "def f():\n    import math\n    return 0\n",
         "rec = SurgeryRecord('switch', 0, None, removed, added)\n",
+        "result, rec = pivot(s, kind, pi, new_base)\nrec.kind = 'shifted-nucleus-pivot'\n",
+        "rec.details.update(nucleus=n, base_nucleus_before=n, base_nucleus_after=a)\n",
+        "rec.details['nucleus'] = n\n",
+        "del rec.details['mu']\n",
+        "rec.details |= extra\n",
+        "out[1].vertex = v\n",
+        "setattr(rec, 'kind', name)\n",
+        "class SurgeryRecord:\n    def rename(self, kind):\n        self.kind = kind\n",
+        "def __init__(self, rec):\n    rec.added = added\n",
     ],
 )
 def test_rules_catch(code):
@@ -279,6 +328,12 @@ def test_product_rule_allows_only_the_point_list(module, code, allowed):
             "from .surgery import SurgeryRecord\ndef f(r) -> SurgeryRecord:\n    return isinstance(r, SurgeryRecord)\n",
             id="SurgeryRecord named, not called",
         ),
+        "class SurgeryRecord:\n    def __init__(self, kind, details):\n        self.kind = kind\n"
+        "        self.details = {} if details is None else details\n",
+        "class Classification:\n    def __init__(self, kind):\n        self.kind = kind\n",
+        "details = {'mu': mu, **extra}\ndetails.update(more)\ndetails['nucleus'] = n\n",
+        "mu, kind = rec.details['mu'], rec.kind\n",
+        "setattr(args, 'out', path)\n",
     ],
 )
 def test_rules_allow(code):

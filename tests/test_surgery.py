@@ -767,6 +767,62 @@ def test_shifted_nucleus_pivot_rejects_odd_q():
         shifted_nucleus_pivot(canonical("parabolic", 4, 3), 0)
 
 
+@pytest.mark.parametrize("m,q", [(4, 2), (4, 4), (6, 2)])
+def test_nucleus_surgeries_decompose_once_through_one_frame(m, q, monkeypatch):
+    # shifted-nucleus pivot switches through the core of pivot, never through
+    # the public pivot, which would decompose pi's section a second time; it
+    # and cone swap decompose the section once, in the one nucleus frame
+    kind = PolarKind("parabolic", m, q)
+    s = canonical("parabolic", m, q)
+    pi = singular_hyperplanes(s, kind)[0]
+
+    def refuse(*args):
+        raise AssertionError("shifted-nucleus pivot called the public pivot")
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(surgery, name, wrapped)
+
+    monkeypatch.setattr(surgery, "pivot", refuse)
+    counted("_decompose", surgery._decompose)
+    result, rec = shifted_nucleus_pivot(s, pi)
+    assert calls == ["_decompose"]
+    assert rec.kind == "shifted-nucleus-pivot"
+    assert list(rec.details) == ["mu", "carrier", "nucleus", "base_nucleus_before", "base_nucleus_after"]
+    assert classify(result, kind).quasi_polar
+    check_record(s, result, rec)
+    counted("_nucleus_frame", surgery._nucleus_frame)
+    for op in (shifted_nucleus_pivot, cone_swap):
+        calls.clear()
+        op(s, pi)
+        assert calls == ["_nucleus_frame", "_decompose"]
+
+
+def test_shifted_nucleus_pivot_is_a_pivot_onto_its_new_base():
+    # every shifted pivot of the sweep below is the public pivot onto the
+    # points it adds on its carrier: same result, vertex and flats
+    sp = space_for(4, 2)
+    kind = PolarKind("parabolic", 4, 2)
+    done = 0
+    for bits in random.Random(12).sample(q42_switched_sets(), 300):
+        s = PointSet(sp, bits)
+        for pi in singular_hyperplanes(s, kind):
+            try:
+                result, rec = shifted_nucleus_pivot(s, pi)
+            except ValueError:
+                continue
+            carrier = flat_from_points(sp, [sp.point_index[tuple(r)] for r in rec.details["carrier"]])
+            got, prec = pivot(s, kind, pi, PointSet(sp, rec.added.bits & carrier.mask()))
+            assert got.bits == result.bits and prec.vertex == rec.vertex
+            assert [prec.details[k] for k in ("mu", "carrier")] == [rec.details[k] for k in ("mu", "carrier")]
+            done += 1
+    assert done == 180
+
+
 def test_nucleus_surgeries_build_no_ambient_line_table(monkeypatch):
     # line nuclei are read from hyperplane section sizes, so the nucleus
     # surgeries on Q(4,4) use the incidence of PG(4,4) and never its lines;
