@@ -6,8 +6,9 @@ set: a breadth-first search over bitmasks under a fixed generating set, each
 generator applied through per-byte point tables.  The closed-form orbit size
 bounds the search before it starts and checks it when it ends.  The orbit
 depends only on the kind, so the census keeps one entry per kind: the orbit
-as a sorted tuple of bitmasks, which the censuses read directly, and its
-columns once a switch census has built them.
+as a sorted tuple of bitmasks, which the censuses read directly, and, once a
+switch census has used it, the orbit as a candidate family with its columns
+and size classes.
 
 The switch censuses replace the section of s in one hyperplane pi by a
 candidate T and ask whether s stays quasi-polar.  They work in the
@@ -22,9 +23,14 @@ sizes (a classical set's of the section kind, or 0..7 for the 7-subsets of
 the singular switch), so a hyperplane admitting all of those is skipped, and
 pi's own table, |T| in sizes, is dropped when the candidates' size is in
 sizes.  On Q(4,2) no table is left at a non-singular hyperplane.  All
-candidates are checked against the tables left at once: a bit-sliced counter
-sums the columns of tau's points, one int per point with a bit per
-candidate.  The line-nucleus test of the nucleus-pivot census and the Q(4,2)
+candidates are checked against the tables left at once, through the family's
+size classes at tau: one candidate bitmask per value of |T ∩ tau|, summed by
+a bit-sliced counter from the columns of tau's points (one int per point,
+with a bit per candidate), so a table is one OR of the allowed classes and
+one AND with the candidates left.  The classes depend only on the family and
+tau, so a family keeps those of a tau it is asked for a second time, and a
+cold census, which meets each tau once, keeps none.  The line-nucleus test of
+the nucleus-pivot census and the Q(4,2)
 shape families of the singular-switch census are built in the same
 coordinates; only survivors are mapped to ambient point indices.
 The nucleus-pivot test looks off pi only, as a nucleus inside pi needs
@@ -190,8 +196,8 @@ def _byte_tables(space: ProjSpace, g: list[list[int]]) -> list[list[int]]:
     return tables
 
 
-# kind -> (orbit, its columns or None), filled by one search per kind
-_ORBITS: dict[PolarKind, tuple[tuple[int, ...], list[int] | None]] = {}
+# kind -> (orbit, the orbit as a candidate family or None), filled by one search per kind
+_ORBITS: dict[PolarKind, tuple[tuple[int, ...], _Family | None]] = {}
 
 
 def _orbit(kind: PolarKind) -> tuple[int, ...]:
@@ -300,28 +306,36 @@ def _columns(cands, n: int) -> list[int]:
     return [int(rows[i >> 3 :: nb].translate(digits[i & 7])[::-1], 2) for i in range(n)]
 
 
-def _orbit_columns(kind: PolarKind) -> tuple[tuple[int, ...], list[int]]:
-    """The orbit of the kind and its columns, built once per kind."""
-    orbit = _orbit(kind)
-    cols = _ORBITS[kind][1]
-    if cols is None:
-        cols = _columns(orbit, space_for(kind.m, kind.q).n_points)
-        _ORBITS[kind] = (orbit, cols)
-    return orbit, cols
+class _Family:
+    """The candidates of a switch census, as masks of one space, with their
+    columns and their size classes.
 
+    The size classes at a mask tau split the candidates by |T ∩ tau|: one
+    candidate bitmask per value in sizes that some candidate has, sizes being
+    every value a candidate can have.  They depend on the family and tau
+    only, so they are kept the second time tau is asked for; a family that
+    meets each tau once, as in one cold census, keeps none.
+    """
 
-def _survivors(checks, cols: list[int], cands) -> list[int]:
-    """The candidates, given also as columns, that pass every (mask, allowed)
-    table.  Per table a bit-sliced adder sums the columns of the mask's points
-    into planes[j], bit j of each count; a count wider than planes matches
-    nothing.  With no table every candidate survives, and no column is read."""
-    if not checks:
-        return list(cands)
-    alive = (1 << len(cands)) - 1
-    for mask, ok in checks:
+    __slots__ = ("cands", "cols", "sizes", "_classes", "_seen")
+
+    def __init__(self, cands, n: int, sizes):
+        self.cands = cands
+        self.cols = _columns(cands, n)
+        self.sizes = tuple(sizes)
+        self._classes: dict[int, dict[int, int]] = {}
+        self._seen: set[int] = set()
+
+    def classes(self, tau: int) -> dict[int, int]:
+        """Size -> candidates with |T ∩ tau| = size.  A bit-sliced adder sums
+        the columns of tau's points into planes[j], bit j of each count; the
+        classes are checked to be disjoint and to cover every candidate."""
+        kept = self._classes.get(tau)
+        if kept is not None:
+            return kept
         planes: list[int] = []
-        for i in bits_to_indices(mask):
-            carry = cols[i]
+        for i in bits_to_indices(tau):
+            carry = self.cols[i]
             for j, plane in enumerate(planes):
                 planes[j] = plane ^ carry
                 carry &= plane
@@ -329,18 +343,59 @@ def _survivors(checks, cols: list[int], cands) -> list[int]:
                     break
             if carry:
                 planes.append(carry)
-        match = 0
-        for k in ok:
+        everyone = (1 << len(self.cands)) - 1
+        classes = {}
+        for k in self.sizes:
             if k >> len(planes):
-                continue
-            hit = alive
+                continue  # wider than every count
+            hit = everyone
             for j, plane in enumerate(planes):
                 hit &= plane if k >> j & 1 else ~plane
-            match |= hit
-        alive = match
+            if hit:
+                classes[k] = hit
+        union = count = 0
+        for hit in classes.values():
+            union |= hit
+            count += hit.bit_count()
+        if union != everyone or count != len(self.cands):
+            raise InvariantViolated(f"the size classes at {tau:#x} do not partition the candidates")
+        if tau in self._seen:
+            self._classes[tau] = classes
+        else:
+            self._seen.add(tau)
+        return classes
+
+
+def _orbit_family(kind: PolarKind) -> _Family:
+    """The orbit of the kind as a candidate family, built once per kind; a
+    candidate meets each hyperplane of its space in one of the kind's sizes."""
+    orbit = _orbit(kind)
+    family = _ORBITS[kind][1]
+    if family is None:
+        family = _Family(orbit, space_for(kind.m, kind.q).n_points, profile(kind).sizes)
+        _ORBITS[kind] = (orbit, family)
+    return family
+
+
+def _survivors(checks, fam: _Family) -> list[int]:
+    """The candidates of fam that pass every (mask, allowed) table: per table
+    the candidates left keep those in the size classes allowed at the mask.
+    A table that allows nothing, as pi's own does, rejects every candidate
+    without classes: its mask, all of pi, is no hyperplane of pi, and the
+    candidates' size there is none of the family's sizes.  With no table
+    every candidate survives."""
+    if not checks:
+        return list(fam.cands)
+    alive = (1 << len(fam.cands)) - 1
+    for mask, ok in checks:
+        classes = fam.classes(mask) if ok else {}
+        match = 0
+        for k in ok:
+            match |= classes.get(k, 0)
+        alive &= match
         if not alive:
             break
-    return [cands[c] for c in bits_to_indices(alive)]
+    return [fam.cands[c] for c in bits_to_indices(alive)]
 
 
 def _nucleus_test(space: ProjSpace, geom: SubGeometry, s_bits: int, pi: int) -> set[int]:
@@ -391,11 +446,12 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
     for label, size in (("hyperbolic", hyp), ("elliptic", ell)):
         hyps = [h for h, v in enumerate(per) if v == size]
         sub = profile(PolarKind(label, 3, 2))
-        cands, cols = _orbit_columns(sub.kind)
+        family = _orbit_family(sub.kind)
+        cands = family.cands
         per_hyp: list[tuple[int, int]] = []
         for h in hyps:
             geom, checks = _switch_test(space, s.bits, h, sizes, sub.cardinality, sub.sizes)
-            if len(_survivors(checks, cols, cands)) != len(cands):
+            if len(_survivors(checks, family)) != len(cands):
                 # all switches of the quadric survive; the orbit is searched on a failure
                 msg = f"a {label} switch at {h} is not quasi-polar"
                 if s.bits in _orbit(PolarKind("parabolic", 4, 2)):
@@ -445,8 +501,8 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     geom, checks = _switch_test(space, s.bits, pi, sizes, 7, range(8))
     vertex, nucleus = _q42_frame(s, geom)
     sub = geom.sub
-    sevens, cols = _seven_subsets()
-    survivors = _survivors(checks, cols, sevens)
+    family = _seven_subsets()
+    survivors = _survivors(checks, family)
 
     families = _q42_shape_families(sub, vertex, nucleus)
     labels = list(families)
@@ -456,7 +512,7 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     # a set can admit several shape descriptions; the breakdown uses the
     # first matching label so the counts sum to the survivor count.  Masks
     # sort in pi's coordinates as their ambient images do (to_ambient rises).
-    breakdown = {"not_quasi_polar": len(sevens) - len(survivors)}
+    breakdown = {"not_quasi_polar": len(family.cands) - len(survivors)}
     witnesses: dict[str, list[list[int]]] = {}
     multi = 0
     grouped: dict[str, list[int]] = {key: [] for key in labels}
@@ -467,12 +523,14 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
         grouped[matches[0]].append(t)
     for key in labels:
         breakdown[key] = len(grouped[key])
-        witnesses[key] = [bits_to_indices(geom.mask_to_ambient(t)) for t in grouped[key][:10]]
+        witnesses[key] = [
+            [geom.to_ambient[i] for i in bits_to_indices(t)] for t in grouped[key][:10]
+        ]
     return CensusResult(
         name="singular-switch",
         m=4,
         q=2,
-        total_candidates=len(sevens),
+        total_candidates=len(family.cands),
         breakdown=breakdown,
         witnesses=witnesses,
         extra={
@@ -485,10 +543,11 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
 
 
 @functools.cache
-def _seven_subsets() -> tuple[tuple[int, ...], list[int]]:
-    """The 7-point subsets of PG(3, 2), in combination order, and their columns."""
+def _seven_subsets() -> _Family:
+    """The 7-point subsets of PG(3, 2), in combination order, as a candidate
+    family: a plane holds 0 to 7 of their points."""
     sevens = tuple(sum(1 << i for i in c) for c in itertools.combinations(range(15), 7))
-    return sevens, _columns(sevens, 15)
+    return _Family(sevens, 15, range(8))
 
 
 def _q42_frame(s: PointSet, geom: SubGeometry) -> tuple[int, int]:
@@ -605,14 +664,15 @@ def nonsingular_switch_census(
         fam = sub_kind.family
         sub = profile(sub_kind)
         target = sub.cardinality
-        cands, cols = _orbit_columns(sub_kind)
+        family = _orbit_family(sub_kind)
+        cands = family.cands
         pi = _classical_section(space, s.bits, per, target, cands)
         if pi is None:
             raise ValueError(f"no section of size {target} is a classical {fam} set")
         geom, checks = _switch_test(space, s.bits, pi, sizes, target, sub.sizes)
         # in pi's coordinates, kept in cands' order, which is also ambient order
         ident = geom.mask_from_ambient(s.bits)
-        survivors = _survivors(checks, cols, cands)
+        survivors = _survivors(checks, family)
         if ident not in survivors:
             raise InvariantViolated("the identity section did not survive")
         others = [t for t in survivors if t != ident]
@@ -620,7 +680,7 @@ def nonsingular_switch_census(
         breakdown[f"{fam}_other_survivor"] = len(others)
         breakdown[f"{fam}_not_quasi_polar"] = len(cands) - len(survivors)
         witnesses[f"{fam}_other_survivor"] = [
-            bits_to_indices(geom.mask_to_ambient(t)) for t in others[:10]
+            [geom.to_ambient[i] for i in bits_to_indices(t)] for t in others[:10]
         ]
         extra["hyperplanes"][fam] = pi
         extra["candidates"][fam] = len(cands)

@@ -504,9 +504,10 @@ def point_set_from_indices(space: ProjSpace, indices) -> PointSet:
 
 
 class SubGeometry:
-    """A flat viewed as its own PG(k, q), with index maps to the ambient."""
+    """A flat viewed as its own PG(k, q), with index maps to the ambient and
+    the flat's ambient mask."""
 
-    __slots__ = ("flat", "sub", "to_ambient", "from_ambient")
+    __slots__ = ("flat", "sub", "to_ambient", "from_ambient", "ambient_mask")
 
     def __init__(
         self,
@@ -514,11 +515,13 @@ class SubGeometry:
         sub: ProjSpace,
         to_ambient: tuple[int, ...],
         from_ambient: dict[int, int],
+        ambient_mask: int,
     ):
         self.flat = flat
         self.sub = sub
         self.to_ambient = to_ambient
         self.from_ambient = from_ambient
+        self.ambient_mask = ambient_mask
 
     def mask_to_ambient(self, bits: int) -> int:
         out = 0
@@ -527,10 +530,11 @@ class SubGeometry:
         return out
 
     def mask_from_ambient(self, bits: int) -> int:
+        """The points of bits inside the flat, in the flat's coordinates."""
+        from_amb = self.from_ambient
         out = 0
-        for a, s in self.from_ambient.items():
-            if bits >> a & 1:
-                out |= 1 << s
+        for a in bits_to_indices(bits & self.ambient_mask):
+            out |= 1 << from_amb[a]
         return out
 
 
@@ -543,6 +547,7 @@ def subgeometry(space: ProjSpace, flat: Flat) -> SubGeometry:
         raise ValueError("subgeometry needs projective dimension >= 1")
     to_amb = span_points(space, flat.basis)
     sub = build_space(flat.dim, space.f)
-    geom = SubGeometry(flat, sub, tuple(to_amb), {a: s for s, a in enumerate(to_amb)})
+    mask = point_set_from_indices(space, to_amb).bits
+    geom = SubGeometry(flat, sub, tuple(to_amb), {a: s for s, a in enumerate(to_amb)}, mask)
     space._subgeoms[key] = geom
     return geom

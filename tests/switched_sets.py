@@ -62,7 +62,7 @@ def q43_switched_sets() -> tuple[int, ...]:
         geom, checks = census._switch_test(sp, s.bits, pi, sizes, sub.cardinality, sub.sizes)
         base = s.bits & ~sp.incidence[pi]
         cands = [t.bits for t in enumerate_quadrics(geom.sub, sub.kind)]
-        for t in census._survivors(checks, census._columns(cands, geom.sub.n_points), cands):
+        for t in census._survivors(checks, census._Family(cands, geom.sub.n_points, sub.sizes)):
             out.append(base | geom.mask_to_ambient(t))
     # the identity survives at both hyperplanes
     out.remove(s.bits)

@@ -682,7 +682,7 @@ def _recount_survivors(sp, s, pi, sections, sizes):
 
 def _kernel_survivors(sp, s, pi, sections, sizes, card, t_sizes):
     geom, checks = census._switch_test(sp, s.bits, pi, sizes, card, t_sizes)
-    return set(census._survivors(checks, census._columns(sections, geom.sub.n_points), sections))
+    return set(census._survivors(checks, census._Family(sections, geom.sub.n_points, t_sizes)))
 
 
 PLANE_TABLE_SPACES = [
@@ -734,7 +734,7 @@ def test_plane_table_survivors_match_full_recount(fam, m, q):
             # a hyperplane of pi is a point of its dual, and pi's own table is dropped
             assert len(checks) <= geom.sub.n_points and sub.cardinality in sizes
             cands = [c.bits for c in enumerate_quadrics(geom.sub, sub.kind)]
-            got = census._survivors(checks, census._columns(cands, geom.sub.n_points), cands)
+            got = census._survivors(checks, census._Family(cands, geom.sub.n_points, sub.sizes))
             want = _recount_survivors(sp, s, pi, cands, sizes)
             assert set(got) == want
             ident = geom.mask_from_ambient(s.bits)
@@ -763,9 +763,9 @@ def test_plane_table_survivors_match_full_recount_on_switched_sets():
             sub = profile(PolarKind(sub_fam, 3, 2))
             pi = rng.choice([h for h, v in enumerate(per) if v == sub.cardinality])
             geom, checks = census._switch_test(sp, bits, pi, sizes, sub.cardinality, sub.sizes)
-            cands, cols = census._orbit_columns(sub.kind)
-            got = census._survivors(checks, cols, cands)
-            assert set(got) == _recount_survivors(sp, s, pi, cands, sizes)
+            family = census._orbit_family(sub.kind)
+            got = census._survivors(checks, family)
+            assert set(got) == _recount_survivors(sp, s, pi, family.cands, sizes)
             kept += len(checks)
     assert kept > 0
 
@@ -810,19 +810,21 @@ def test_section_kind_sizes_hold_for_every_classical_set(fam, m, q):
         assert {(t & h).bit_count() for h in inc} <= set(prof.sizes)
 
 
+class NoColumns:
+    def __getitem__(self, i):
+        raise AssertionError("a column was read")
+
+
 def test_nucleus_pivot_census_adds_no_column_on_q42(monkeypatch):
     # every table of both section families of Q(4,2) allows every size a
     # classical set of the family has, at every non-singular hyperplane
     tables = []
     survivors = census._survivors
 
-    class NoColumns:
-        def __getitem__(self, i):
-            raise AssertionError("a column was read")
-
-    def recorded(checks, cols, cands):
+    def recorded(checks, family):
         tables.append(len(checks))
-        return survivors(checks, NoColumns(), cands)
+        monkeypatch.setattr(family, "cols", NoColumns())
+        return survivors(checks, family)
 
     monkeypatch.setattr(census, "_survivors", recorded)
     s = canonical("parabolic", 4, 2)
@@ -861,8 +863,8 @@ def test_survivors_match_a_per_candidate_loop(m, q):
             sum(1 << i for i in range(n) if rng.random() < density)
             for _ in range(rng.randint(1, 400))
         ]
-        cols = census._columns(cands, n)
-        assert cols == _columns_by_loop(cands, n)
+        family = census._Family(cands, n, range(n + 1))
+        assert family.cols == _columns_by_loop(cands, n)
         checks = []
         for _ in range(rng.randint(1, 6)):
             mask = rng.choice([rng.choice(sp.incidence), rng.getrandbits(n), sp.all_mask])
@@ -877,10 +879,11 @@ def test_survivors_match_a_per_candidate_loop(m, q):
             ])
             checks.append((mask, ok))
             # each table alone, so that an early stop hides no table
-            got = census._survivors([(mask, ok)], cols, cands)
+            got = census._survivors([(mask, ok)], family)
             assert got == _loop_survivors([(mask, ok)], cands)
-        assert census._survivors(checks, cols, cands) == _loop_survivors(checks, cands)
-        assert census._survivors([], cols, cands) == list(cands)
+        # the masks asked for again are read from their kept classes
+        assert census._survivors(checks, family) == _loop_survivors(checks, cands)
+        assert census._survivors([], family) == list(cands)
 
 
 def test_orbit_columns_follow_the_orbit_tuple(monkeypatch):
@@ -895,31 +898,182 @@ def test_orbit_columns_follow_the_orbit_tuple(monkeypatch):
         return columns(cands, n)
 
     monkeypatch.setattr(census, "_columns", counted)
-    got, cols = census._orbit_columns(kind)
-    assert got is cands and built == [cands]
-    assert cols == _columns_by_loop(cands, 15)
+    family = census._orbit_family(kind)
+    assert family.cands is cands and built == [cands]
+    assert family.cols == _columns_by_loop(cands, 15)
+    assert family.sizes == profile(kind).sizes
     # about n * N / 8 bytes: one N-bit int per point
-    assert sum(c.bit_length() for c in cols) <= 15 * len(cands)
-    assert census._orbit_columns(kind) == (cands, cols) and built == [cands]
-    assert census._ORBITS[kind] == (cands, cols)
-    # another orbit tuple held for the kind gets its own columns
+    assert sum(c.bit_length() for c in family.cols) <= 15 * len(cands)
+    assert census._orbit_family(kind) is family and built == [cands]
+    assert census._ORBITS[kind] == (cands, family)
+    # another orbit tuple held for the kind gets its own family and columns
     half = cands[::2]
     monkeypatch.setitem(census._ORBITS, kind, (half, None))
-    got, got_cols = census._orbit_columns(kind)
-    assert got is half and got_cols == _columns_by_loop(half, 15)
+    got = census._orbit_family(kind)
+    assert got.cands is half and got.cols == _columns_by_loop(half, 15)
     assert built == [cands, half]
     # a cleared entry is searched again: equal sets, a new tuple, new columns
     monkeypatch.delitem(census._ORBITS, kind)
-    fresh, fresh_cols = census._orbit_columns(kind)
-    assert fresh == cands and fresh is not cands and fresh_cols == cols
-    assert built == [cands, half, fresh]
-    assert census._ORBITS[kind][0] is fresh
+    fresh = census._orbit_family(kind)
+    assert fresh.cands == cands and fresh.cands is not cands and fresh.cols == family.cols
+    assert built == [cands, half, fresh.cands]
+    assert census._ORBITS[kind][0] is fresh.cands
     # a census switches in the sets of the tuple that the entry holds
     monkeypatch.setitem(census._ORBITS, kind, (half, None))
     res = nonsingular_switch_census(canonical("parabolic", 4, 2), PolarKind("parabolic", 4, 2))
     assert res.extra["candidates"]["elliptic"] == len(half)
     assert res.breakdown["elliptic_other_survivor"] == len(half) - 1
     assert census._ORBITS[kind][0] is half
+
+
+def _fresh_family(monkeypatch, kind):
+    """The census entry of the kind with no family yet, so that a test sees
+    size classes kept from none; the entry comes back after the test."""
+    monkeypatch.setitem(census._ORBITS, kind, (census._orbit(kind), None))
+
+
+# the switch censuses whose section families keep tables, with the section
+# kinds of each
+KEPT_CLASS_CASES = [
+    ("parabolic", 4, 3),
+    ("elliptic", 5, 2),
+    ("hermitian", 3, 4),
+    ("hyperbolic", 3, 3),
+    ("elliptic", 3, 3),
+]
+
+
+@pytest.mark.parametrize("fam,m,q", KEPT_CLASS_CASES)
+def test_kept_size_classes_match_a_per_candidate_loop(fam, m, q, monkeypatch):
+    # 20 seeded images, each switched at a hyperplane of its own: the classes
+    # a family keeps at one pi are read again at the next, and the survivors
+    # stay those of a per-candidate loop
+    sp = space_for(m, q)
+    kind = PolarKind(fam, m, q)
+    sizes = set(profile(kind).sizes)
+    subs = [profile(PolarKind(f, m - 1, q)) for f in spectra._SECTION_FAMILIES[fam]]
+    for sub in subs:
+        _fresh_family(monkeypatch, sub.kind)
+    s0 = canonical(fam, m, q)
+    pis = {sub.kind.family: set() for sub in subs}
+    for i in range(20):
+        s = projective_image(s0, f"kept classes {i}")
+        res = nonsingular_switch_census(s, kind)
+        for sub in subs:
+            pi = res.extra["hyperplanes"][sub.kind.family]
+            pis[sub.kind.family].add(pi)
+            _, checks = census._switch_test(sp, s.bits, pi, sizes, sub.cardinality, sub.sizes)
+            family = census._orbit_family(sub.kind)
+            want = _loop_survivors(checks, family.cands)
+            assert census._survivors(checks, family) == want
+            assert res.breakdown[f"{sub.kind.family}_other_survivor"] == len(want) - 1
+    for sub in subs:
+        assert len(pis[sub.kind.family]) > 1
+        assert census._orbit_family(sub.kind)._classes
+
+
+def test_kept_seven_subset_classes_match_a_per_candidate_loop(monkeypatch):
+    # the singular switch's 7-subsets at the singular hyperplanes of switched
+    # Q(4,2) sets, two per set, through one family of their own
+    sp = space_for(4, 2)
+    sizes = set(profile(PolarKind("parabolic", 4, 2)).sizes)
+    family = census._Family(census._seven_subsets().cands, 15, range(8))
+    monkeypatch.setattr(census, "_seven_subsets", lambda: family)
+    rng = random.Random(25)
+    for bits in rng.sample(q42_switched_sets(), 20):
+        per = spectrum(PointSet(sp, bits)).per_hyperplane
+        for pi in rng.sample([h for h, v in enumerate(per) if v == 7], 2):
+            _, checks = census._switch_test(sp, bits, pi, sizes, 7, range(8))
+            assert census._survivors(checks, family) == _loop_survivors(checks, family.cands)
+    assert family._classes
+    res = singular_switch_census(projective_image(canonical("parabolic", 4, 2), "kept sevens"))
+    assert res.breakdown == {
+        "not_quasi_polar": 6331,
+        "cone_vertex": 28,
+        "cone_nucleus": 28,
+        "truncated_vertex_plus_nucleus_line": 24,
+        "truncated_nucleus_plus_vertex_line": 24,
+    }
+
+
+def test_size_classes_asked_for_twice_read_no_column_again(monkeypatch):
+    # Q-(5,2) has a table at every hyperplane of pi: two censuses ask for
+    # each class twice, and a third on a fresh image reads no column
+    kind = PolarKind("elliptic", 5, 2)
+    sub_kind = PolarKind("parabolic", 4, 2)
+    _fresh_family(monkeypatch, sub_kind)
+    s0 = canonical("elliptic", 5, 2)
+    first = nonsingular_switch_census(projective_image(s0, "twice 0"), kind)
+    family = census._orbit_family(sub_kind)
+    assert not family._classes
+    nonsingular_switch_census(projective_image(s0, "twice 1"), kind)
+    assert len(family._classes) == 31
+    monkeypatch.setattr(family, "cols", NoColumns())
+    res = nonsingular_switch_census(projective_image(s0, "twice 2"), kind)
+    assert res.breakdown == first.breakdown
+    assert res.breakdown["parabolic_other_survivor"] == 447
+    # on Q(4,3) only some classes are asked for twice: exactly those are
+    # kept, and a fresh image builds none of them again
+    kind = PolarKind("parabolic", 4, 3)
+    asked = Counter()
+    classes = census._Family.classes
+
+    def counted(family, tau):
+        if tau in family._classes:
+            cols, family.cols = family.cols, NoColumns()
+            try:
+                return classes(family, tau)
+            finally:
+                family.cols = cols
+        asked[(id(family), tau)] += 1
+        return classes(family, tau)
+
+    monkeypatch.setattr(census._Family, "classes", counted)
+    subs = [PolarKind(f, 3, 3) for f in ("elliptic", "hyperbolic")]
+    for sub_kind in subs:
+        _fresh_family(monkeypatch, sub_kind)
+    s0 = canonical("parabolic", 4, 3)
+    for i in range(4):
+        nonsingular_switch_census(projective_image(s0, f"twice q43 {i}"), kind)
+    kept = {(id(fam), tau) for fam in map(census._orbit_family, subs) for tau in fam._classes}
+    assert kept and kept == {key for key, n in asked.items() if n > 1}
+    assert max(asked.values()) == 2
+    nonsingular_switch_census(projective_image(s0, "twice q43 fresh"), kind)
+    assert max(asked.values()) == 2
+
+
+def test_cold_census_keeps_no_size_class(monkeypatch):
+    # a census meets each hyperplane of pi once per family, so a family used
+    # by one census keeps no class; its classes were built all the same
+    kind = PolarKind("parabolic", 4, 3)
+    subs = [PolarKind(f, 3, 3) for f in ("elliptic", "hyperbolic")]
+    for sub_kind in subs:
+        _fresh_family(monkeypatch, sub_kind)
+    nonsingular_switch_census(canonical("parabolic", 4, 3), kind)
+    for sub_kind in subs:
+        family = census._orbit_family(sub_kind)
+        assert family._seen and not family._classes
+    family = census._Family(census._seven_subsets().cands, 15, range(8))
+    monkeypatch.setattr(census, "_seven_subsets", lambda: family)
+    singular_switch_census(canonical("parabolic", 4, 2))
+    assert family._seen and not family._classes
+
+
+@pytest.mark.parametrize("fam,m,q", [("elliptic", 3, 3), ("parabolic", 4, 2), ("hermitian", 2, 4)])
+def test_corrupted_column_breaks_the_size_classes(fam, m, q):
+    # one candidate's point flipped in one column: at a hyperplane through
+    # that point it meets one point more or fewer, a size no set of the kind
+    # has there, so the classes no longer cover every candidate
+    kind = PolarKind(fam, m, q)
+    sp = space_for(m, q)
+    family = census._Family(census._orbit(kind), sp.n_points, profile(kind).sizes)
+    family.cols[0] ^= 1
+    tau = next(h for h in sp.incidence if h & 1)
+    with pytest.raises(InvariantViolated, match="size classes"):
+        family.classes(tau)
+    # a hyperplane off the point still partitions the candidates
+    tau = next(h for h in sp.incidence if not h & 1)
+    assert sum(c.bit_count() for c in family.classes(tau).values()) == len(family.cands)
 
 
 def test_subgeometry_nucleus_test_matches_find_line_nucleus():
@@ -1001,7 +1155,14 @@ def test_switch_censuses_do_no_per_candidate_ambient_work(monkeypatch):
         v for k, v in res.breakdown.items() if k.endswith(("_identity", "_other_survivor"))
     )
     assert survivors == 28
-    assert calls["mask_to_ambient"] <= survivors
+    # the witnesses are read from to_ambient bit by bit
+    assert calls["mask_to_ambient"] == 0
+
+    calls.clear()
+    monkeypatch.setattr(census, "find_line_nucleus", find_line_nucleus)
+    res = singular_switch_census(canonical("parabolic", 4, 2))
+    assert sum(map(len, res.witnesses.values())) == 40
+    assert calls["mask_to_ambient"] == 0
 
 
 # ---------------------------------------------------------------------------
