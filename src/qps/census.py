@@ -64,6 +64,7 @@ from .pg import (
     dot,
     hyperplane_flat,
     hyperplanes_containing,
+    indices_to_bits,
     normalize_point,
     point_set_from_indices,
     space_for,
@@ -256,12 +257,13 @@ def _classical_profile(s: PointSet, kind: PolarKind) -> tuple[SpectrumProfile, t
     return prof, spec.per_hyperplane
 
 
-def _switch_test(space: ProjSpace, s_bits: int, pi: int, sizes, card: int, t_sizes):
+def _switch_test(space: ProjSpace, s_bits: int, pi: int, sizes, family: _Family):
     """Subgeometry of hyperplane pi, and the tables (mask, allowed values of
     |T ∩ mask|) that a section T of pi, in its coordinates, must pass for
     base ∪ T to meet every hyperplane in one of sizes, most restrictive first.
-    Each candidate T has card points and meets every hyperplane of pi in one
-    of t_sizes; a table that allows all of those rejects none and is not built.
+    The candidates T of family all have card points, read off the first, and
+    meet every hyperplane of pi in one of t_sizes, the family's sizes; a
+    table that allows all of those rejects none and is not built.
 
     base is s_bits off pi; pi itself meets the result in |T| = card points,
     so its table is built only when card is not in sizes, and then rejects
@@ -277,7 +279,7 @@ def _switch_test(space: ProjSpace, s_bits: int, pi: int, sizes, card: int, t_siz
     inc = space.incidence
     hmask = inc[pi]
     base = s_bits & ~hmask
-    t_sizes = frozenset(t_sizes)
+    card, t_sizes = family.cands[0].bit_count(), frozenset(family.sizes)
     allowed: dict[int, frozenset[int]] = {} if card in sizes else {hmask: frozenset()}
     by_count: dict[int, frozenset[int] | None] = {}  # |base ∩ H| -> values, None to skip
     for h, mask in enumerate(inc):
@@ -445,16 +447,15 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
     total = 0
     for label, size in (("hyperbolic", hyp), ("elliptic", ell)):
         hyps = [h for h, v in enumerate(per) if v == size]
-        sub = profile(PolarKind(label, 3, 2))
-        family = _orbit_family(sub.kind)
+        family = _orbit_family(PolarKind(label, 3, 2))
         cands = family.cands
         per_hyp: list[tuple[int, int]] = []
         for h in hyps:
-            geom, checks = _switch_test(space, s.bits, h, sizes, sub.cardinality, sub.sizes)
+            geom, checks = _switch_test(space, s.bits, h, sizes, family)
             if len(_survivors(checks, family)) != len(cands):
                 # all switches of the quadric survive; the orbit is searched on a failure
                 msg = f"a {label} switch at {h} is not quasi-polar"
-                if s.bits in _orbit(PolarKind("parabolic", 4, 2)):
+                if _in_sorted(_orbit(PolarKind("parabolic", 4, 2)), s.bits):
                     raise InvariantViolated(msg)
                 raise ValueError(f"census needs the quadric: {msg}")
             # the candidates have 5 or 9 points, never theta_2 = 7
@@ -498,10 +499,10 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
     prof, per = _classical_profile(s, PolarKind("parabolic", 4, 2))
     sizes = set(prof.sizes)
     pi = next(h for h, v in enumerate(per) if v == prof.singular_size)
-    geom, checks = _switch_test(space, s.bits, pi, sizes, 7, range(8))
+    family = _seven_subsets()
+    geom, checks = _switch_test(space, s.bits, pi, sizes, family)
     vertex, nucleus = _q42_frame(s, geom)
     sub = geom.sub
-    family = _seven_subsets()
     survivors = _survivors(checks, family)
 
     families = _q42_shape_families(sub, vertex, nucleus)
@@ -546,7 +547,7 @@ def singular_switch_census(s: PointSet, threads: int = 1) -> CensusResult:
 def _seven_subsets() -> _Family:
     """The 7-point subsets of PG(3, 2), in combination order, as a candidate
     family: a plane holds 0 to 7 of their points."""
-    sevens = tuple(sum(1 << i for i in c) for c in itertools.combinations(range(15), 7))
+    sevens = tuple(map(indices_to_bits, itertools.combinations(range(15), 7)))
     return _Family(sevens, 15, range(8))
 
 
@@ -662,14 +663,13 @@ def nonsingular_switch_census(
     total = 0
     for sub_kind in _section_kinds(kind):
         fam = sub_kind.family
-        sub = profile(sub_kind)
-        target = sub.cardinality
+        target = profile(sub_kind).cardinality
         family = _orbit_family(sub_kind)
         cands = family.cands
         pi = _classical_section(space, s.bits, per, target, cands)
         if pi is None:
             raise ValueError(f"no section of size {target} is a classical {fam} set")
-        geom, checks = _switch_test(space, s.bits, pi, sizes, target, sub.sizes)
+        geom, checks = _switch_test(space, s.bits, pi, sizes, family)
         # in pi's coordinates, kept in cands' order, which is also ambient order
         ident = geom.mask_from_ambient(s.bits)
         survivors = _survivors(checks, family)

@@ -245,82 +245,87 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-# each surgery operation: the flags it requires, and the family its result is
-# classified as (None: the --kind given)
-_SURGERY_OPS = {
-    "pivot": (("kind", "hyperplane", "base"), None),
-    "cone-swap": (("hyperplane",), "parabolic"),
-    "repeated-pivot": (("kind", "p", "r"), None),
-    "affine-switch": ((), "elliptic"),
-    "q2-switch": (("hyperplane", "section"), "parabolic"),
-    "q3-switch": (("sub",), "parabolic"),
-    "oval-swap": (("tangent",), "parabolic"),
-    "shifted-nucleus": (("hyperplane",), "parabolic"),
-}
+def _file_in(path: str, space: ProjSpace, what: str) -> PointSet:
+    """The point set in the file at path, which must live in space."""
+    s = load_point_set(path)
+    if s.space is not space:
+        raise ValueError(f"{what} file lives in a different space")
+    return s
 
 
-def _surgery_dispatch(args, s: PointSet):
-    """Run the chosen operation; returns (result, record)."""
+def _pivot(args, s: PointSet):
     space = s.space
-    op = args.op
-    if op == "pivot":
-        kind = PolarKind(args.kind, space.m, space.q)
-        base = load_point_set(args.base)
-        if base.space is not space:
-            raise ValueError("base file lives in a different space")
-        pi = _parse_vec(args.hyperplane, space)
-        return surgery_lib.pivot(s, kind, pi, base)
-    if op == "cone-swap":
-        pi = _parse_vec(args.hyperplane, space)
-        return surgery_lib.cone_swap(s, pi)
-    if op == "repeated-pivot":
-        kind = PolarKind(args.kind, space.m, space.q)
-        p = _parse_vec(args.p, space)
-        r = _parse_vec(args.r, space)
-        choices: dict[int, PointSet] = {}
-        for entry in args.at or []:
-            coords, _, path = entry.partition(":")
-            if not path:
-                raise ValueError("--at expects COORDS:PATH")
-            rr = _parse_vec(coords, space)
-            ch = load_point_set(path)
-            if ch.space is not space:
-                raise ValueError("base file lives in a different space")
-            choices[rr] = ch
-        return surgery_lib.repeated_pivot(s, kind, p, r, choices)
-    if op == "affine-switch":
-        return surgery_lib.affine_switch(s)
-    if op == "q2-switch":
-        pi = _parse_vec(args.hyperplane, space)
-        sec = load_point_set(args.section)
-        if sec.space is not space:
-            raise ValueError("section file lives in a different space")
-        return surgery_lib.nonsingular_switch_q2(s, pi, sec)
-    if op == "q3-switch":
-        first, _, second = args.sub.partition(";")
-        if not second:
-            raise ValueError("--sub expects two dual vectors joined by ';'")
-        xi = _parse_vec(first, space)
-        h2 = _parse_vec(second, space)
-        if xi == h2:
-            raise ValueError("--sub needs two distinct hyperplanes")
-        basis = null_space(space.f, [space.points[xi], space.points[h2]])
-        pi_sub = Flat(space, basis)
-        return surgery_lib.internal_switch_q3(s, xi, pi_sub)
-    if op == "oval-swap":
-        tangent = _parse_vec(args.tangent, space)
-        return surgery_lib.oval_nucleus_swap(s, tangent)
-    if op == "shifted-nucleus":
-        pi = _parse_vec(args.hyperplane, space)
-        return surgery_lib.shifted_nucleus_pivot(s, pi)
-    raise ValueError(f"unknown operation {op}")
+    kind = PolarKind(args.kind, space.m, space.q)
+    base = _file_in(args.base, space, "base")
+    return surgery_lib.pivot(s, kind, _parse_vec(args.hyperplane, space), base)
+
+
+def _repeated_pivot(args, s: PointSet):
+    space = s.space
+    kind = PolarKind(args.kind, space.m, space.q)
+    p = _parse_vec(args.p, space)
+    r = _parse_vec(args.r, space)
+    choices: dict[int, PointSet] = {}
+    for entry in args.at or []:
+        coords, _, path = entry.partition(":")
+        if not path:
+            raise ValueError("--at expects COORDS:PATH")
+        rr = _parse_vec(coords, space)
+        choices[rr] = _file_in(path, space, "base")
+    return surgery_lib.repeated_pivot(s, kind, p, r, choices)
+
+
+def _q2_switch(args, s: PointSet):
+    pi = _parse_vec(args.hyperplane, s.space)
+    return surgery_lib.nonsingular_switch_q2(s, pi, _file_in(args.section, s.space, "section"))
+
+
+def _q3_switch(args, s: PointSet):
+    space = s.space
+    first, _, second = args.sub.partition(";")
+    if not second:
+        raise ValueError("--sub expects two dual vectors joined by ';'")
+    xi = _parse_vec(first, space)
+    h2 = _parse_vec(second, space)
+    if xi == h2:
+        raise ValueError("--sub needs two distinct hyperplanes")
+    pi_sub = Flat(space, null_space(space.f, [space.points[xi], space.points[h2]]))
+    return surgery_lib.internal_switch_q3(s, xi, pi_sub)
+
+
+# each surgery operation: the flags it requires, the family its result is
+# classified as (None: the --kind given), and the handler that parses those
+# flags, in order, and returns (result, record)
+_SURGERY_OPS = {
+    "pivot": (("kind", "hyperplane", "base"), None, _pivot),
+    "cone-swap": (
+        ("hyperplane",),
+        "parabolic",
+        lambda args, s: surgery_lib.cone_swap(s, _parse_vec(args.hyperplane, s.space)),
+    ),
+    "repeated-pivot": (("kind", "p", "r"), None, _repeated_pivot),
+    "affine-switch": ((), "elliptic", lambda args, s: surgery_lib.affine_switch(s)),
+    "q2-switch": (("hyperplane", "section"), "parabolic", _q2_switch),
+    "q3-switch": (("sub",), "parabolic", _q3_switch),
+    "oval-swap": (
+        ("tangent",),
+        "parabolic",
+        lambda args, s: surgery_lib.oval_nucleus_swap(s, _parse_vec(args.tangent, s.space)),
+    ),
+    "shifted-nucleus": (
+        ("hyperplane",),
+        "parabolic",
+        lambda args, s: surgery_lib.shifted_nucleus_pivot(s, _parse_vec(args.hyperplane, s.space)),
+    ),
+}
 
 
 def _cmd_surgery(args) -> int:
     s = load_point_set(args.infile)
     space = s.space
-    res, rec = _surgery_dispatch(args, s)
-    kind = PolarKind(_SURGERY_OPS[args.op][1] or args.kind, space.m, space.q)
+    _, family, handler = _SURGERY_OPS[args.op]
+    res, rec = handler(args, s)
+    kind = PolarKind(family or args.kind, space.m, space.q)
     if args.out:
         save_point_set(args.out, res)
     cls = classify(res, kind)
@@ -338,25 +343,6 @@ def _cmd_surgery(args) -> int:
     return 0 if cls.quasi_polar else 1
 
 
-def _census_result(args) -> census_lib.CensusResult:
-    name = args.name
-    if name == "nucleus-pivot":
-        return census_lib.nucleus_pivot_census(_census_input(args, PolarKind("parabolic", 4, 2)))
-    if name == "singular-switch":
-        return census_lib.singular_switch_census(_census_input(args, PolarKind("parabolic", 4, 2)))
-    kind = PolarKind(args.kind, args.m, args.q)
-    if name == "nonsingular-switch":
-        census_lib._section_kinds(kind)  # the cap, before any space is built
-        return census_lib.nonsingular_switch_census(_census_input(args, kind), kind)
-    if name == "quadrics":
-        return census_lib.quadrics_census(kind)
-    if name == "classical-dist":
-        return census_lib.classical_dist_census(kind)
-    if name == "two-secants":
-        return census_lib.two_secant_census(kind)
-    raise ValueError(f"unknown census {name}")
-
-
 def _census_input(args, kind: PolarKind) -> PointSet:
     """The --in point set, which must live in the kind's space, else the canonical set."""
     if args.infile:
@@ -367,8 +353,31 @@ def _census_input(args, kind: PolarKind) -> PointSet:
     return point_set(canonical_form(kind, space_for(kind.m, kind.q)))
 
 
+def _kind(args) -> PolarKind:
+    return PolarKind(args.kind, args.m, args.q)
+
+
+def _nonsingular_switch(args) -> census_lib.CensusResult:
+    kind = _kind(args)
+    census_lib._section_kinds(kind)  # the cap, before any space is built
+    return census_lib.nonsingular_switch_census(_census_input(args, kind), kind)
+
+
+_Q42 = PolarKind("parabolic", 4, 2)
+# each census by name, run from the parsed arguments; the two Q(4,2)
+# censuses read no --kind, --m or --q
+_CENSUSES = {
+    "nucleus-pivot": lambda args: census_lib.nucleus_pivot_census(_census_input(args, _Q42)),
+    "singular-switch": lambda args: census_lib.singular_switch_census(_census_input(args, _Q42)),
+    "nonsingular-switch": _nonsingular_switch,
+    "quadrics": lambda args: census_lib.quadrics_census(_kind(args)),
+    "classical-dist": lambda args: census_lib.classical_dist_census(_kind(args)),
+    "two-secants": lambda args: census_lib.two_secant_census(_kind(args)),
+}
+
+
 def _cmd_census(args) -> int:
-    result = _census_result(args)
+    result = _CENSUSES[args.name](args)
     rep = _report("census", result.m, result.q)
     rep["census"] = result.to_dict()
     human = [f"census {result.name} over PG({result.m},{result.q})"]
@@ -454,17 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("census", help="exhaustive desk-scale censuses")
-    p.add_argument(
-        "name",
-        choices=[
-            "nucleus-pivot",
-            "singular-switch",
-            "nonsingular-switch",
-            "quadrics",
-            "classical-dist",
-            "two-secants",
-        ],
-    )
+    p.add_argument("name", choices=list(_CENSUSES))
     p.add_argument("--in", dest="infile")
     p.add_argument("--kind", choices=FAMILIES, default="parabolic")
     p.add_argument("--m", type=int, default=4)

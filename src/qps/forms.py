@@ -28,6 +28,7 @@ from .pg import (
     _image,
     _planes,
     bits_to_indices,
+    indices_to_bits,
     normalize_vec,
     null_space,
     rref,
@@ -168,31 +169,23 @@ class Form:
         self._bilinear: tuple[tuple[int, ...], ...] | None = None
 
     def eval_vec(self, x: tuple[int, ...]) -> int:
+        """f(x) = Σᵢ uᵢ·Σₖ aᵢₖxₖ, with u = x, or conj(x) for a Hermitian form,
+        and k running from i over the upper-triangular quadratic matrix and
+        from 0 over the Gram matrix, as ``_value_planes`` reads it."""
         f = self.space.f
-        if self.kind.family == "hermitian":
-            s = 0
-            for i, xi in enumerate(x):
-                ci = f.conj[xi]
-                if ci == 0:
-                    continue
-                row = self.matrix[i]
-                t = 0
-                for j, xj in enumerate(x):
-                    a = row[j]
-                    if a and xj:
-                        t = f.add[t][f.mul[a][xj]]
-                if t:
-                    s = f.add[s][f.mul[ci][t]]
-            return s
+        add, mul, conj = f.add, f.mul, f.conj
+        hermitian = self.kind.family == "hermitian"
         s = 0
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.matrix[i]
-            for j in range(i, len(x)):
-                a = row[j]
-                if a and x[j]:
-                    s = f.add[s][f.mul[f.mul[a][xi]][x[j]]]
+        for i, row in enumerate(self.matrix):
+            u = conj[x[i]] if hermitian else x[i]
+            if u:
+                t = 0
+                for k in range(0 if hermitian else i, len(x)):
+                    a = row[k]
+                    if a and x[k]:
+                        t = add[t][mul[a][x[k]]]
+                if t:
+                    s = add[s][mul[u][t]]
         return s
 
     def bilinear(self) -> tuple[tuple[int, ...], ...]:
@@ -367,8 +360,7 @@ def cone(vertex: Flat, base: PointSet) -> PointSet:
         raise VertexMeetsBase("vertex flat meets the base")
     bits = vmask
     for b in bits_to_indices(base.bits):
-        for i in span_points(space, rref(space.f, [*vertex.basis, space.points[b]])):
-            bits |= 1 << i
+        bits |= indices_to_bits(span_points(space, rref(space.f, [*vertex.basis, space.points[b]])))
     return PointSet(space, bits)
 
 

@@ -5,7 +5,8 @@ entries encoded as field integers) listed in lexicographic order; a point's
 index is its position in that list.  Hyperplanes use dual coordinates under
 the same normalization, so hyperplane index h corresponds to the dual vector
 points[h].  Point sets are plain int bitmasks: bit i set means point i is in
-the set.
+the set.  ``indices_to_bits`` builds a mask from point indices and
+``bits_to_indices`` reads them back.
 
 Field values are widened only by ``_values``, from one table of v + a·c per
 field: ``_dots(space, h)`` is the bytes of h·x over all points x, and
@@ -254,7 +255,7 @@ class ProjSpace:
             xs = self._coordinate_hyperplane(pts[p].index(1))
             self._hold_lines(len(xs))
             spans = (span_points(self, (pts[max(p, x)], pts[min(p, x)])) for x in xs)
-            lines = [sum(1 << i for i in span) for span in spans]
+            lines = list(map(indices_to_bits, spans))
             # a line met before at another point is held as that point's mask
             self._lines[p] = tuple(map(self._line_masks.setdefault, lines, lines))
         return self._lines[p]
@@ -377,7 +378,7 @@ class Flat:
         masks = self.space._flat_masks
         mask = masks.get(self.basis)
         if mask is None:
-            mask = masks[self.basis] = sum(1 << i for i in span_points(self.space, self.basis))
+            mask = masks[self.basis] = indices_to_bits(span_points(self.space, self.basis))
         return mask
 
     def contains_point(self, p: int) -> bool:
@@ -450,6 +451,14 @@ def bits_to_indices(mask: int) -> list[int]:
     return [k + c for k, byte in zip(range(0, 8 * len(raw), 8), raw) if byte for c in _BYTE_BITS[byte]]
 
 
+def indices_to_bits(indices) -> int:
+    """The mask with the given bits set: the inverse of ``bits_to_indices``."""
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return bits
+
+
 class PointSet:
     """A set of points of one space, stored as an int bitmask.
 
@@ -497,10 +506,7 @@ class PointSet:
 
 
 def point_set_from_indices(space: ProjSpace, indices) -> PointSet:
-    bits = 0
-    for i in indices:
-        bits |= 1 << i
-    return PointSet(space, bits)
+    return PointSet(space, indices_to_bits(indices))
 
 
 class SubGeometry:
@@ -524,18 +530,12 @@ class SubGeometry:
         self.ambient_mask = ambient_mask
 
     def mask_to_ambient(self, bits: int) -> int:
-        out = 0
-        for i in bits_to_indices(bits):
-            out |= 1 << self.to_ambient[i]
-        return out
+        return indices_to_bits(map(self.to_ambient.__getitem__, bits_to_indices(bits)))
 
     def mask_from_ambient(self, bits: int) -> int:
         """The points of bits inside the flat, in the flat's coordinates."""
-        from_amb = self.from_ambient
-        out = 0
-        for a in bits_to_indices(bits & self.ambient_mask):
-            out |= 1 << from_amb[a]
-        return out
+        inside = bits_to_indices(bits & self.ambient_mask)
+        return indices_to_bits(map(self.from_ambient.__getitem__, inside))
 
 
 def subgeometry(space: ProjSpace, flat: Flat) -> SubGeometry:
@@ -547,7 +547,7 @@ def subgeometry(space: ProjSpace, flat: Flat) -> SubGeometry:
         raise ValueError("subgeometry needs projective dimension >= 1")
     to_amb = span_points(space, flat.basis)
     sub = build_space(flat.dim, space.f)
-    mask = point_set_from_indices(space, to_amb).bits
+    mask = indices_to_bits(to_amb)
     geom = SubGeometry(flat, sub, tuple(to_amb), {a: s for s, a in enumerate(to_amb)}, mask)
     space._subgeoms[key] = geom
     return geom

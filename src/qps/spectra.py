@@ -21,7 +21,7 @@ from .forms import (
     _cardinality,
     _is_square,
 )
-from .pg import PointSet, ProjSpace, SpaceTooLarge, _incidence_meet, bits_to_indices
+from .pg import PointSet, ProjSpace, SpaceTooLarge, _incidence_meet, bits_to_indices, indices_to_bits
 
 
 class NotQuasiPolar(ValueError):
@@ -162,14 +162,9 @@ def classify(s: PointSet, kind: PolarKind) -> Classification:
     spec = spectrum(s)
     quasi = set(spec.histogram) <= set(prof.sizes)
     size = s.size
-    exceptional = None
-    if quasi and kind.family == "elliptic" and kind.m == 3 and size == kind.q + 1:
-        if _collinear(s):
-            exceptional = "line"
-    if quasi and kind.family == "hermitian" and kind.m == 2:
-        r = _is_square(kind.q)
-        if size == r * r + r + 1:
-            exceptional = "baer_subplane"
+    exceptional = _exceptional_shape(kind, size) if quasi else None
+    if exceptional == "line" and not _collinear(s):
+        exceptional = None
     return Classification(
         kind=kind,
         size=size,
@@ -178,6 +173,19 @@ def classify(s: PointSet, kind: PolarKind) -> Classification:
         classical_size=size == prof.cardinality,
         exceptional=exceptional,
     )
+
+
+def _exceptional_shape(kind: PolarKind, size: int) -> str | None:
+    """The exceptional shape of the kind at size points, if it has one: a
+    line for the elliptic kind in PG(3, q) at q + 1 points, a Baer subplane
+    for the Hermitian kind in PG(2, r²) at r² + r + 1 points."""
+    if kind.family == "elliptic" and kind.m == 3 and size == kind.q + 1:
+        return "line"
+    if kind.family == "hermitian" and kind.m == 2:
+        r = _is_square(kind.q)
+        if size == r * r + r + 1:
+            return "baer_subplane"
+    return None
 
 
 def _collinear(s: PointSet) -> bool:
@@ -242,14 +250,7 @@ def cardinality_roots(kind: PolarKind) -> RootsReport:
     other = u * v * H / t2 / S
     if S + other != 1 + t1 * (u + v - 1) / t2:
         raise InvariantViolated(f"{kind}: roots do not sum to the linear coefficient")
-    tag = None
-    if other.denominator == 1:
-        if kind.family == "elliptic" and m == 3 and other == q + 1:
-            tag = "line"
-        elif kind.family == "hermitian" and m == 2:
-            r = _is_square(q)
-            if other == r * r + r + 1:
-                tag = "baer_subplane"
+    tag = _exceptional_shape(kind, int(other)) if other.denominator == 1 else None
     return RootsReport(
         kind=kind,
         classical_root=prof.cardinality,
@@ -368,7 +369,7 @@ def _every_pencil_meets(space: ProjSpace, hyperplanes: list[int]) -> bool:
         # through x share only x, so each needs a given member of its own
         return False
     inc = space.incidence
-    given = sum(1 << h for h in hyperplanes)
+    given = indices_to_bits(hyperplanes)
     # the incidence is symmetric: row p is also the mask of the hyperplanes through p
     counts = [(row & given).bit_count() for row in inc]
     p0 = counts.index(max(counts))

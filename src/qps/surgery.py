@@ -34,8 +34,9 @@ from .pg import (
     flat_from_mask,
     flat_from_points,
     hyperplane_flat,
+    indices_to_bits,
     line_through,
-    normalize_vec,
+    normalize_point,
     null_space,
     rref,
     subgeometry,
@@ -171,11 +172,15 @@ class SurgeryRecord:
 
 
 def _ambient_rows(geom: SubGeometry, flat: Flat) -> list[list[int]]:
-    """Basis of a flat of geom.sub, as coordinate rows of the ambient space."""
-    index = geom.sub.point_index
-    return _basis_coords(
-        flat_from_points(geom.flat.space, [geom.to_ambient[index[row]] for row in flat.basis])
-    )
+    """RREF basis of a flat of geom.sub, as coordinate rows of the ambient space.
+
+    Row i of the flat's RREF basis F is a point of geom.sub, whose ambient
+    point is row i of F·B, B the RREF basis of geom's flat, and F·B is
+    already in RREF: with c_k the pivot of F's row k, the column of B's row
+    c_k's pivot holds F[i][c_k] in row i, 1 for i = k and 0 otherwise.
+    """
+    points, index = geom.flat.space.points, geom.sub.point_index
+    return [list(points[geom.to_ambient[index[row]]]) for row in flat.basis]
 
 
 def _carrier(sub: ProjSpace, v: int, inside: int) -> int:
@@ -636,10 +641,9 @@ def _shift_by_elation(base: PointSet, moved_point: int) -> PointSet:
     phi_vec = space.points[phi]
     c_idx = bits_to_indices(space.incidence[phi])[0]
     c_vec = space.points[c_idx]
-    bits = 0
-    for i in base.indices():
-        x = space.points[i]
+
+    def image(x: tuple[int, ...]) -> int:
         row = f.mul[dot(f, phi_vec, x)]
-        y = tuple(f.add[u][row[c]] for u, c in zip(x, c_vec))
-        bits |= 1 << space.point_index[normalize_vec(f, y)]
-    return PointSet(space, bits)
+        return normalize_point(space, tuple(f.add[u][row[c]] for u, c in zip(x, c_vec)))
+
+    return PointSet(space, indices_to_bits(map(image, base.vectors())))

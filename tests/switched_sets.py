@@ -59,10 +59,12 @@ def q43_switched_sets() -> tuple[int, ...]:
     out = []
     for fam, pi in census.nonsingular_switch_census(s, kind).extra["hyperplanes"].items():
         sub = profile(PolarKind(fam, 3, 3))
-        geom, checks = census._switch_test(sp, s.bits, pi, sizes, sub.cardinality, sub.sizes)
+        pi_space = space_for(3, 3)
+        cands = [t.bits for t in enumerate_quadrics(pi_space, sub.kind)]
+        family = census._Family(cands, pi_space.n_points, sub.sizes)
+        geom, checks = census._switch_test(sp, s.bits, pi, sizes, family)
         base = s.bits & ~sp.incidence[pi]
-        cands = [t.bits for t in enumerate_quadrics(geom.sub, sub.kind)]
-        for t in census._survivors(checks, census._Family(cands, geom.sub.n_points, sub.sizes)):
+        for t in census._survivors(checks, family):
             out.append(base | geom.mask_to_ambient(t))
     # the identity survives at both hyperplanes
     out.remove(s.bits)

@@ -680,9 +680,11 @@ def _recount_survivors(sp, s, pi, sections, sizes):
     return out
 
 
-def _kernel_survivors(sp, s, pi, sections, sizes, card, t_sizes):
-    geom, checks = census._switch_test(sp, s.bits, pi, sizes, card, t_sizes)
-    return set(census._survivors(checks, census._Family(sections, geom.sub.n_points, t_sizes)))
+def _kernel_survivors(sp, s, pi, sections, sizes, t_sizes):
+    # the sections, all of one size, as a family of pi's own PG(m-1, q)
+    family = census._Family(sections, space_for(sp.m - 1, sp.q).n_points, t_sizes)
+    _, checks = census._switch_test(sp, s.bits, pi, sizes, family)
+    return set(census._survivors(checks, family))
 
 
 PLANE_TABLE_SPACES = [
@@ -729,12 +731,14 @@ def test_plane_table_survivors_match_full_recount(fam, m, q):
         for sub_fam in spectra._SECTION_FAMILIES[fam]:
             sub = profile(PolarKind(sub_fam, m - 1, q))
             pi = res.extra["hyperplanes"][sub_fam]
-            geom, checks = census._switch_test(sp, s.bits, pi, sizes, sub.cardinality, sub.sizes)
+            pi_space = space_for(m - 1, q)
+            cands = [c.bits for c in enumerate_quadrics(pi_space, sub.kind)]
+            family = census._Family(cands, pi_space.n_points, sub.sizes)
+            geom, checks = census._switch_test(sp, s.bits, pi, sizes, family)
             assert len(checks) == TABLES_KEPT.get((fam, m, q, sub_fam), len(checks))
             # a hyperplane of pi is a point of its dual, and pi's own table is dropped
             assert len(checks) <= geom.sub.n_points and sub.cardinality in sizes
-            cands = [c.bits for c in enumerate_quadrics(geom.sub, sub.kind)]
-            got = census._survivors(checks, census._Family(cands, geom.sub.n_points, sub.sizes))
+            got = census._survivors(checks, family)
             want = _recount_survivors(sp, s, pi, cands, sizes)
             assert set(got) == want
             ident = geom.mask_from_ambient(s.bits)
@@ -762,8 +766,8 @@ def test_plane_table_survivors_match_full_recount_on_switched_sets():
         for sub_fam in ("elliptic", "hyperbolic"):
             sub = profile(PolarKind(sub_fam, 3, 2))
             pi = rng.choice([h for h, v in enumerate(per) if v == sub.cardinality])
-            geom, checks = census._switch_test(sp, bits, pi, sizes, sub.cardinality, sub.sizes)
             family = census._orbit_family(sub.kind)
+            _, checks = census._switch_test(sp, bits, pi, sizes, family)
             got = census._survivors(checks, family)
             assert set(got) == _recount_survivors(sp, s, pi, family.cands, sizes)
             kept += len(checks)
@@ -786,7 +790,7 @@ def test_plane_table_survivors_every_subset_of_a_solid(size):
     got = set()
     for card in range(16):
         group = [t for t in subsets if t.bit_count() == card]
-        got |= _kernel_survivors(sp, s, pi, group, sizes, card, range(8))
+        got |= _kernel_survivors(sp, s, pi, group, sizes, range(8))
     assert got == _recount_survivors(sp, s, pi, subsets, sizes)
     assert {t.bit_count() for t in got} <= sizes
     if size == 7:
@@ -962,8 +966,8 @@ def test_kept_size_classes_match_a_per_candidate_loop(fam, m, q, monkeypatch):
         for sub in subs:
             pi = res.extra["hyperplanes"][sub.kind.family]
             pis[sub.kind.family].add(pi)
-            _, checks = census._switch_test(sp, s.bits, pi, sizes, sub.cardinality, sub.sizes)
             family = census._orbit_family(sub.kind)
+            _, checks = census._switch_test(sp, s.bits, pi, sizes, family)
             want = _loop_survivors(checks, family.cands)
             assert census._survivors(checks, family) == want
             assert res.breakdown[f"{sub.kind.family}_other_survivor"] == len(want) - 1
@@ -983,7 +987,7 @@ def test_kept_seven_subset_classes_match_a_per_candidate_loop(monkeypatch):
     for bits in rng.sample(q42_switched_sets(), 20):
         per = spectrum(PointSet(sp, bits)).per_hyperplane
         for pi in rng.sample([h for h, v in enumerate(per) if v == 7], 2):
-            _, checks = census._switch_test(sp, bits, pi, sizes, 7, range(8))
+            _, checks = census._switch_test(sp, bits, pi, sizes, family)
             assert census._survivors(checks, family) == _loop_survivors(checks, family.cands)
     assert family._classes
     res = singular_switch_census(projective_image(canonical("parabolic", 4, 2), "kept sevens"))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qps import forms
 from qps.forms import (
     DegenerateForm,
     Form,
@@ -425,3 +426,63 @@ def test_point_class_not_applicable():
     off3 = next(p for p in range(40) if not s3.contains(p))
     with pytest.raises(NotApplicable):
         point_class(form3, off3)
+
+
+def _seeded_forms(family, m, q):
+    """Three forms of the family on PG(m, q) with seeded full-rank matrices."""
+    sp = space_for(m, q)
+    rng = random.Random(f"eval {family} {m} {q}")
+    return [
+        Form(PolarKind(family, m, q), sp, _random_matrix(rng, sp.f, m + 1, family == "hermitian", m + 1))
+        for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "family,m,q",
+    [
+        ("parabolic", 4, 4),
+        ("hyperbolic", 3, 8),
+        ("parabolic", 2, 16),
+        ("hermitian", 3, 4),
+        ("hermitian", 2, 16),
+    ],
+)
+def test_eval_vec_matches_the_bit_planes_over_gf2e(family, m, q):
+    # over GF(2^e) point_set reads the form's value off bit-planes, without
+    # eval_vec: the value's planes, and the zero set, agree at every point
+    for form in _seeded_forms(family, m, q):
+        planes = forms._value_planes(form)
+        zeros = point_set(form).bits
+        for p, x in enumerate(form.space.points):
+            value = form.eval_vec(x)
+            assert value == sum((plane >> p & 1) << j for j, plane in enumerate(planes))
+            assert (value == 0) == bool(zeros >> p & 1)
+
+
+@pytest.mark.parametrize(
+    "family,m,q",
+    [
+        ("parabolic", 4, 3),
+        ("hyperbolic", 3, 5),
+        ("parabolic", 2, 9),
+        ("hermitian", 3, 9),
+        ("parabolic", 2, 25),
+        ("hermitian", 2, 25),
+    ],
+)
+def test_eval_vec_matches_the_written_out_sum(family, m, q):
+    # f(x) = sum over i <= j of A[i][j] x_i x_j, or over all i, j of
+    # conj(x_i) A[i][j] x_j for a Hermitian form, term by term
+    f = space_for(m, q).f
+    for form in _seeded_forms(family, m, q):
+        A = form.matrix
+        for x in form.space.points:
+            want = 0
+            for i in range(m + 1):
+                for j in range(m + 1):
+                    if family == "hermitian":
+                        want = f.add[want][f.mul[f.mul[f.conj[x[i]]][A[i][j]]][x[j]]]
+                    elif i <= j:
+                        want = f.add[want][f.mul[f.mul[x[i]][A[i][j]]][x[j]]]
+            assert form.eval_vec(x) == want

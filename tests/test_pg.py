@@ -24,6 +24,7 @@ from qps.pg import (
     hyperplane_flat,
     hyperplanes_containing,
     incident,
+    indices_to_bits,
     line_through,
     normalize_point,
     normalize_vec,
@@ -552,6 +553,20 @@ def test_bits_to_indices_matches_the_binary_digits(width, density):
     for mask in masks:
         expect = [i for i, d in enumerate(reversed(bin(mask)[2:])) if d == "1"]
         assert bits_to_indices(mask) == expect
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1_000])
+def test_indices_to_bits_inverts_bits_to_indices(width):
+    # seeded masks of each width, 0 and the full one among them, checked
+    # against their binary digits; the indices may come in any order
+    rng = random.Random(f"indices {width}")
+    masks = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(10)]
+    for mask in masks:
+        digits = "".join("1" if mask >> i & 1 else "0" for i in reversed(range(width)))
+        indices = bits_to_indices(mask)
+        assert indices_to_bits(indices) == int(digits or "0", 2) == mask
+        assert indices_to_bits(iter(indices[::-1])) == mask
+        assert bits_to_indices(indices_to_bits(indices)) == indices
 
 
 # ---------------------------------------------------------------------------

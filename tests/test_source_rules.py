@@ -25,6 +25,11 @@
   like a record field (kind, hyperplane, vertex, removed, added, details) is
   assigned or deleted only as ``self.<field>`` in an ``__init__``, and no
   ``details`` dict reached through an attribute is changed.
+- Masks are built from point indices by ``pg.indices_to_bits`` alone: no
+  ``sum`` over a generator or list of ``1 << x``, and no ``for`` loop whose
+  whole body is ``x |= 1 << y`` outside ``indices_to_bits``.  A loop that
+  does more per index, as ``cli.parse_point_set`` does to find a duplicate
+  point, is its own.
 
 Apart from the package, every ``qps`` name that ``perfbench/spans.py``
 rebinds to time a layer exists, so that no rename or deletion breaks a
@@ -34,6 +39,7 @@ traced benchmark run.
 import ast
 import importlib
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -45,6 +51,7 @@ BANNED_MODULES = ("concurrent.futures", "threading")
 ALL_LINES_READERS = {("pg.py", "flats_of_codim"), ("census.py", "classical_dist_census")}
 PRODUCT_SCOPE = ("pg.py", "ProjSpace", "__init__")
 RECORD_BUILDER = ("surgery.py", "_switched")
+MASK_BUILDER = ("pg.py", "indices_to_bits")
 RECORD_FIELDS = frozenset({"kind", "hyperplane", "vertex", "removed", "added", "details"})
 DICT_MUTATORS = frozenset({"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"})
 
@@ -193,6 +200,48 @@ def _record_writes(tree: ast.AST) -> list[str]:
     return out
 
 
+def _is_bit(node) -> bool:
+    """``1 << x``."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.LShift)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 1
+    )
+
+
+def _mask_builds(tree: ast.AST, module: str) -> list[str]:
+    """``sum`` over a generator or list of ``1 << x``, and ``for`` loops whose
+    whole body is ``x |= 1 << y`` outside the top-level function
+    pg.indices_to_bits."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = func
+            if func is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "sum" and child.args:
+                arg = child.args[0]
+                bits = [arg.elt] if isinstance(arg, (ast.GeneratorExp, ast.ListComp)) else []
+                bits += arg.elts if isinstance(arg, (ast.List, ast.Tuple)) else []
+                if any(map(_is_bit, bits)):
+                    out.append(f"line {child.lineno}: a mask summed from 1 << x")
+            elif isinstance(child, (ast.For, ast.AsyncFor)) and (module, func) != MASK_BUILDER:
+                body = child.body[0]
+                if (
+                    len(child.body) == 1
+                    and isinstance(body, ast.AugAssign)
+                    and isinstance(body.op, ast.BitOr)
+                    and _is_bit(body.value)
+                ):
+                    out.append(f"line {child.lineno}: a mask built outside pg.indices_to_bits")
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
+
+
 def _unused_imports(tree: ast.AST) -> list[str]:
     """Names bound by an import that no ``Name`` node of the module reads;
     ``import a.b`` binds ``a``."""
@@ -211,7 +260,7 @@ def _unused_imports(tree: ast.AST) -> list[str]:
 
 def violations(tree: ast.AST, module: str = "") -> list[str]:
     out = _all_lines_refs(tree, module) + _stored_lines(tree) + _product_refs(tree, module)
-    out += _record_calls(tree, module) + _record_writes(tree)
+    out += _record_calls(tree, module) + _record_writes(tree) + _mask_builds(tree, module)
     if module != "__init__.py":
         out += _unused_imports(tree)
     for node in ast.walk(tree):
@@ -269,6 +318,11 @@ def test_source_rules(path):
         "setattr(rec, 'kind', name)\n",
         "class SurgeryRecord:\n    def rename(self, kind):\n        self.kind = kind\n",
         "def __init__(self, rec):\n    rec.added = added\n",
+        "bits = sum(1 << i for i in span)\n",
+        "bits = sum([1 << i for i in span])\n",
+        "bits = sum([1 << a, 1 << b])\n",
+        "for i in span:\n    bits |= 1 << i\n",
+        "def mask_to_ambient(self, bits):\n    for i in bits_to_indices(bits):\n        out |= 1 << self.to_ambient[i]\n",
     ],
 )
 def test_rules_catch(code):
@@ -334,6 +388,12 @@ def test_product_rule_allows_only_the_point_list(module, code, allowed):
         "details = {'mu': mu, **extra}\ndetails.update(more)\ndetails['nucleus'] = n\n",
         "mu, kind = rec.details['mu'], rec.kind\n",
         "setattr(args, 'out', path)\n",
+        "bits = indices_to_bits(span)\n",
+        "images = [1 << p for p in perm]\n",
+        "total = sum(t.bit_count() for t in masks)\n",
+        "for i in span:\n    if ok(i):\n        bits |= 1 << i\n",
+        "for no, i in rows:\n    if bits >> i & 1:\n        raise DuplicatePoint(no)\n    bits |= 1 << i\n",
+        "for i in span:\n    bits ^= 1 << i\n",
     ],
 )
 def test_rules_allow(code):
@@ -359,6 +419,23 @@ _BUILD = "    return r, SurgeryRecord(name, pi, None, removed, added)\n"
     ],
 )
 def test_record_rule_allows_only_the_switch_builder(module, code, allowed):
+    assert (violations(ast.parse(code), module) == []) == allowed
+
+
+_INDICES_TO_BITS = "def indices_to_bits(indices):\n    bits = 0\n    for i in indices:\n        bits |= 1 << i\n    return bits\n"
+
+
+@pytest.mark.parametrize(
+    "module,code,allowed",
+    [
+        ("pg.py", _INDICES_TO_BITS, True),
+        ("census.py", _INDICES_TO_BITS, False),
+        ("pg.py", _INDICES_TO_BITS.replace("indices_to_bits", "point_set_from_indices"), False),
+        ("pg.py", "class SubGeometry:\n" + textwrap.indent(_INDICES_TO_BITS, "    "), False),
+        ("pg.py", "def indices_to_bits(indices):\n    return sum(1 << i for i in indices)\n", False),
+    ],
+)
+def test_mask_rule_allows_only_indices_to_bits(module, code, allowed):
     assert (violations(ast.parse(code), module) == []) == allowed
 
 

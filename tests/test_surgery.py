@@ -1105,3 +1105,16 @@ def test_replay_and_quasi_polar(op, data):
     result, rec = getattr(surgery, op)(s, *args)
     assert result.bits == (s.bits & ~rec.removed.bits) | rec.added.bits
     assert classify(result, verify_kind).quasi_polar
+
+
+@pytest.mark.parametrize("m,q", [(3, 2), (4, 2), (3, 3), (4, 3), (3, 4), (2, 5), (3, 5), (5, 2)])
+def test_ambient_rows_are_the_rref_of_the_flat_in_the_ambient_space(m, q):
+    # every hyperplane flat of every hyperplane's subgeometry: the rows read
+    # off the flat's basis points are the rref of all its ambient points
+    sp = space_for(m, q)
+    for pi in range(sp.n_points):
+        geom = subgeometry(sp, hyperplane_flat(sp, pi))
+        for h in range(geom.sub.n_points):
+            flat = hyperplane_flat(geom.sub, h)
+            want = flat_from_mask(sp, geom.mask_to_ambient(flat.mask()))
+            assert surgery._ambient_rows(geom, flat) == [list(row) for row in want.basis]
