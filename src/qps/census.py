@@ -43,6 +43,7 @@ import bisect
 import functools
 import itertools
 import math
+from collections import namedtuple
 
 from .forms import (
     Form,
@@ -96,26 +97,12 @@ ORBIT_MAX_M = 8  # above it every kind has over ORBIT_CAP sets, whatever q
 _CAPPED = "classical sets exceed the enumeration cap"
 
 
-class CensusResult:
+class CensusResult(
+    namedtuple("CensusResult", "name m q total_candidates breakdown witnesses extra")
+):
     """Candidate count, breakdown by outcome, witnesses and extras of one census."""
 
-    def __init__(
-        self,
-        name: str,
-        m: int,
-        q: int,
-        total_candidates: int,
-        breakdown: dict[str, int],
-        witnesses: dict[str, list[list[int]]],
-        extra: dict | None = None,
-    ):
-        self.name = name
-        self.m = m
-        self.q = q
-        self.total_candidates = total_candidates
-        self.breakdown = breakdown
-        self.witnesses = witnesses
-        self.extra = {} if extra is None else extra
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -666,12 +653,12 @@ def nonsingular_switch_census(
         target = profile(sub_kind).cardinality
         family = _orbit_family(sub_kind)
         cands = family.cands
-        pi = _classical_section(space, s.bits, per, target, cands)
-        if pi is None:
+        found = _classical_section(space, s.bits, per, target, cands)
+        if found is None:
             raise ValueError(f"no section of size {target} is a classical {fam} set")
+        # ident is s's section in pi's coordinates
+        pi, ident = found
         geom, checks = _switch_test(space, s.bits, pi, sizes, family)
-        # in pi's coordinates, kept in cands' order, which is also ambient order
-        ident = geom.mask_from_ambient(s.bits)
         survivors = _survivors(checks, family)
         if ident not in survivors:
             raise InvariantViolated("the identity section did not survive")
@@ -699,14 +686,15 @@ def nonsingular_switch_census(
 
 def _classical_section(
     space: ProjSpace, s_bits: int, per, size: int, cands: tuple[int, ...]
-) -> int | None:
-    """First hyperplane h with per[h] == size whose section of s_bits, in h's
-    own coordinates, is one of the sorted masks cands; None if there is none."""
+) -> tuple[int, int] | None:
+    """First hyperplane h with per[h] == size whose section t of s_bits, in
+    h's own coordinates, is one of the sorted masks cands, as (h, t); None if
+    there is none."""
     for h, v in enumerate(per):
         if v == size:
             t = subgeometry(space, hyperplane_flat(space, h)).mask_from_ambient(s_bits)
             if _in_sorted(cands, t):
-                return h
+                return h, t
     return None
 
 
@@ -764,6 +752,7 @@ def quadrics_census(kind: PolarKind) -> CensusResult:
         total_candidates=len(sets),
         breakdown={kind.family: len(sets)},
         witnesses={kind.family: [bits_to_indices(t) for t in sets[:10]]},
+        extra={},
     )
 
 
@@ -796,6 +785,7 @@ def classical_dist_census(kind: PolarKind) -> CensusResult:
         total_candidates=total,
         breakdown=dict(sorted(agg.items())),
         witnesses={},
+        extra={},
     )
 
 

@@ -73,6 +73,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     raise NotPrimePower(f"{q} is not a prime power")
 
 
+# a class, not a named tuple: as pg._steps's cache key it hashes by identity, not its q×q tables
 class FieldTable:
     """Lookup tables for one field; treat as immutable."""
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from collections.abc import Iterator
 from operator import or_, xor
 
@@ -509,25 +510,11 @@ def point_set_from_indices(space: ProjSpace, indices) -> PointSet:
     return PointSet(space, indices_to_bits(indices))
 
 
-class SubGeometry:
+class SubGeometry(namedtuple("SubGeometry", "flat sub to_ambient from_ambient ambient_mask")):
     """A flat viewed as its own PG(k, q), with index maps to the ambient and
     the flat's ambient mask."""
 
-    __slots__ = ("flat", "sub", "to_ambient", "from_ambient", "ambient_mask")
-
-    def __init__(
-        self,
-        flat: Flat,
-        sub: ProjSpace,
-        to_ambient: tuple[int, ...],
-        from_ambient: dict[int, int],
-        ambient_mask: int,
-    ):
-        self.flat = flat
-        self.sub = sub
-        self.to_ambient = to_ambient
-        self.from_ambient = from_ambient
-        self.ambient_mask = ambient_mask
+    __slots__ = ()
 
     def mask_to_ambient(self, bits: int) -> int:
         return indices_to_bits(map(self.to_ambient.__getitem__, bits_to_indices(bits)))

@@ -10,7 +10,7 @@ three-size parabolic kind does not force cardinality.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 
 from .forms import (
@@ -21,7 +21,15 @@ from .forms import (
     _cardinality,
     _is_square,
 )
-from .pg import PointSet, ProjSpace, SpaceTooLarge, _incidence_meet, bits_to_indices, indices_to_bits
+from .pg import (
+    PointSet,
+    ProjSpace,
+    SpaceTooLarge,
+    _incidence_meet,
+    bits_to_indices,
+    indices_to_bits,
+    rref,
+)
 
 
 class NotQuasiPolar(ValueError):
@@ -36,24 +44,13 @@ class InvariantViolated(RuntimeError):
     """An internal consistency check failed: a bug, not a bad input."""
 
 
-class SpectrumProfile:
-    """Admissible section sizes of a kind and their counts for the classical set."""
-
-    def __init__(
-        self,
-        kind: PolarKind,
-        sizes: tuple[int, ...],
-        singular_size: int,
-        expected_counts: dict[int, int],
-        cardinality: int,
-        cardinality_forced: bool,
-    ):
-        self.kind = kind
-        self.sizes = sizes
-        self.singular_size = singular_size
-        self.expected_counts = expected_counts
-        self.cardinality = cardinality
-        self.cardinality_forced = cardinality_forced
+SpectrumProfile = namedtuple(
+    "SpectrumProfile",
+    "kind sizes singular_size expected_counts cardinality cardinality_forced",
+)
+SpectrumProfile.__doc__ = (
+    "Admissible section sizes of a kind and their counts for the classical set."
+)
 
 
 _PROFILES: dict[PolarKind, SpectrumProfile] = {}
@@ -113,14 +110,8 @@ def profile(kind: PolarKind) -> SpectrumProfile:
     return prof
 
 
-class Spectrum:
-    """Section size per hyperplane, and how many hyperplanes have each size."""
-
-    __slots__ = ("histogram", "per_hyperplane")
-
-    def __init__(self, histogram: dict[int, int], per_hyperplane: tuple[int, ...]):
-        self.histogram = histogram
-        self.per_hyperplane = per_hyperplane
+Spectrum = namedtuple("Spectrum", "histogram per_hyperplane")
+Spectrum.__doc__ = "Section size per hyperplane, and how many hyperplanes have each size."
 
 
 def spectrum(s: PointSet) -> Spectrum:
@@ -130,24 +121,10 @@ def spectrum(s: PointSet) -> Spectrum:
     return Spectrum(histogram=dict(sorted(Counter(per).items())), per_hyperplane=tuple(per))
 
 
-class Classification:
-    """The spectrum verdict of one set for one kind."""
-
-    def __init__(
-        self,
-        kind: PolarKind,
-        size: int,
-        histogram: dict[int, int],
-        quasi_polar: bool,
-        classical_size: bool,
-        exceptional: str | None,
-    ):
-        self.kind = kind
-        self.size = size
-        self.histogram = histogram
-        self.quasi_polar = quasi_polar
-        self.classical_size = classical_size
-        self.exceptional = exceptional
+Classification = namedtuple(
+    "Classification", "kind size histogram quasi_polar classical_size exceptional"
+)
+Classification.__doc__ = "The spectrum verdict of one set for one kind."
 
 
 def _profile_for(s: PointSet, kind: PolarKind) -> SpectrumProfile:
@@ -189,8 +166,6 @@ def _exceptional_shape(kind: PolarKind, size: int) -> str | None:
 
 
 def _collinear(s: PointSet) -> bool:
-    from .pg import rref
-
     vecs = s.vectors()
     return len(vecs) >= 2 and len(rref(s.space.f, vecs)) == 2
 
@@ -208,22 +183,10 @@ def singular_hyperplanes(s: PointSet, kind: PolarKind) -> list[int]:
 ROOTS_MAX_BITS = 1024
 
 
-class RootsReport:
-    """The classical cardinality and the other root, a ``Fraction``, of its quadratic."""
-
-    def __init__(
-        self,
-        kind: PolarKind,
-        classical_root: int,
-        other_root,
-        other_integral: bool,
-        tag: str | None,
-    ):
-        self.kind = kind
-        self.classical_root = classical_root
-        self.other_root = other_root
-        self.other_integral = other_integral
-        self.tag = tag
+RootsReport = namedtuple("RootsReport", "kind classical_root other_root other_integral tag")
+RootsReport.__doc__ = (
+    "The classical cardinality and the other root, a ``Fraction``, of its quadratic."
+)
 
 
 def cardinality_roots(kind: PolarKind) -> RootsReport:
@@ -308,37 +271,17 @@ def section_type(kind: PolarKind, size: int) -> str | None:
     return "nonsingular"
 
 
-class ConditionReport:
+class ConditionReport(
+    namedtuple(
+        "ConditionReport",
+        "size a b b_prime c c_prime d d_prime singular_count expected_singular"
+        " nucleus_candidate c_candidates",
+    )
+):
     """The flags a-d' of ``nucleus_conditions``, with counts, the nucleus
     candidate and the mask of the points that satisfy c."""
 
-    def __init__(
-        self,
-        size: int,
-        a: bool,
-        b: bool,
-        b_prime: bool,
-        c: bool,
-        c_prime: bool,
-        d: bool,
-        d_prime: bool,
-        singular_count: int,
-        expected_singular: int,
-        nucleus_candidate: int | None,
-        c_candidates: int,
-    ):
-        self.size = size
-        self.a = a
-        self.b = b
-        self.b_prime = b_prime
-        self.c = c
-        self.c_prime = c_prime
-        self.d = d
-        self.d_prime = d_prime
-        self.singular_count = singular_count
-        self.expected_singular = expected_singular
-        self.nucleus_candidate = nucleus_candidate
-        self.c_candidates = c_candidates
+    __slots__ = ()
 
     def flags(self) -> dict[str, bool]:
         return {

@@ -18,6 +18,8 @@ shifted-nucleus pivot share one core, and the nucleus surgeries one frame.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .forms import (
     IncompatibleKind,
     PolarKind,
@@ -135,24 +137,10 @@ def _basis_coords(flat: Flat) -> list[list[int]]:
     return [list(row) for row in flat.basis]
 
 
-class SurgeryRecord:
+class SurgeryRecord(namedtuple("SurgeryRecord", "kind hyperplane vertex removed added details")):
     """What one surgery committed to: its hyperplane, vertex, pieces and details."""
 
-    def __init__(
-        self,
-        kind: str,
-        hyperplane: int | None,
-        vertex: int | None,
-        removed: PointSet,
-        added: PointSet,
-        details: dict | None = None,
-    ):
-        self.kind = kind
-        self.hyperplane = hyperplane
-        self.vertex = vertex
-        self.removed = removed
-        self.added = added
-        self.details = {} if details is None else details
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """JSON form: points as coordinate rows, flats as coordinate lists.
@@ -225,6 +213,7 @@ def _switched(
         raise InvariantViolated(f"{name} switches points off its hyperplane")
     result = PointSet(space, (s.bits & ~removed_bits) | added_bits)
     removed, added = PointSet(space, removed_bits), PointSet(space, added_bits)
+    details = {} if details is None else details
     return result, SurgeryRecord(name, pi, vertex, removed, added, details)
 
 

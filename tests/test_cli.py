@@ -752,10 +752,11 @@ def test_invariant_violation_survives_optimize_flag():
 
 def test_cli_import_loads_no_heavy_modules():
     # every command pays for what `import qps.cli` loads: dataclasses pulls in
-    # inspect, ast and dis, and fractions pulls in decimal.  -S keeps .pth
-    # files, and what they import, out of the child
+    # inspect, ast and dis, fractions pulls in decimal, and typing.NamedTuple
+    # would pull in typing.  -S keeps .pth files, and what they import, out
+    # of the child
     src = Path(__file__).resolve().parents[1] / "src"
-    heavy = ("dataclasses", "decimal", "fractions", "inspect")
+    heavy = ("dataclasses", "decimal", "fractions", "inspect", "typing")
     code = f"import qps.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
