@@ -16,8 +16,11 @@ coordinates of pi as its own PG(m-1, q).  Every other hyperplane H meets pi
 in a hyperplane tau of pi (a plane when pi is a solid), so H meets the result
 in |base ∩ H| + |T ∩ tau| points, base being s off pi.  Hyperplane h is dual
 point h, so the hyperplanes other than pi through tau are the other points
-of one dual line through pi: grouped by tau, they give the values of
-|T ∩ tau| that all of them admit.  Tables are built only where a candidate
+of one dual line through pi, tau's pencil: all of them together admit a few
+values of |T ∩ tau|.  What depends on pi alone is kept in one frame per
+(space, pi), built by the first census there: pi's subgeometry, its pencils,
+each tau in pi's coordinates once a table has needed it and, over GF(2), the
+line partners of the points off pi.  Tables are built only where a candidate
 can fail: each candidate has one size and meets every tau in one of a few
 sizes (a classical set's of the section kind, or 0..7 for the 7-subsets of
 the singular switch), so a hyperplane admitting all of those is skipped, and
@@ -29,12 +32,14 @@ a bit-sliced counter from the columns of tau's points (one int per point,
 with a bit per candidate), so a table is one OR of the allowed classes and
 one AND with the candidates left.  The classes depend only on the family and
 tau, so a family keeps those of a tau it is asked for a second time, and a
-cold census, which meets each tau once, keeps none.  The line-nucleus test of
-the nucleus-pivot census and the Q(4,2)
-shape families of the singular-switch census are built in the same
-coordinates; only survivors are mapped to ambient point indices.
-The nucleus-pivot test looks off pi only, as a nucleus inside pi needs
-|T| = theta_2 = 7; the Q(4,2) frame's nucleus is read from section sizes.
+cold census, which meets each tau once, keeps none.  The nucleus-pivot test
+looks off pi only, as a nucleus inside pi needs |T| = theta_2 = 7: over
+GF(2) a line through a point n off pi holds one point y of pi and one more
+point x off it, x's line partner y, so n is a nucleus of base ∪ T exactly
+when T is all of pi but the partners of base.  The singular switch builds
+its Q(4,2) shape families in pi's coordinates from the cone vertex and the
+line nucleus, read from section sizes; only survivors are mapped to ambient
+point indices.
 """
 
 from __future__ import annotations
@@ -244,6 +249,55 @@ def _classical_profile(s: PointSet, kind: PolarKind) -> tuple[SpectrumProfile, t
     return prof, spec.per_hyperplane
 
 
+# (space, pi) -> pi's frame, built by the first census that switches at pi
+_FRAMES: dict[tuple[ProjSpace, int], _Frame] = {}
+
+
+class _Frame:
+    """What the switch censuses read at hyperplane pi, whatever the set:
+    pi's subgeometry geom and its pencils, (tau, ((h, row), ...)) for each
+    hyperplane tau of pi in the order of its first h, with the q hyperplanes
+    h != pi through tau and their incidence rows.  A tau's image in pi's
+    coordinates and a point's line partners are kept once asked for."""
+
+    __slots__ = ("space", "geom", "pencils", "_images", "_partners")
+
+    def __init__(self, space: ProjSpace, pi: int):
+        self.space = space
+        self.geom = subgeometry(space, hyperplane_flat(space, pi))
+        pencils: dict[int, list[tuple[int, int]]] = {}
+        for h, mask in enumerate(space.incidence):
+            if h != pi:
+                pencils.setdefault(mask & self.geom.ambient_mask, []).append((h, mask))
+        self.pencils = tuple((tau, tuple(pencil)) for tau, pencil in pencils.items())
+        self._images: dict[int, int] = {}
+        self._partners: dict[int, dict[int, int]] = {}
+
+    def image(self, tau: int) -> int:
+        if tau not in self._images:
+            self._images[tau] = self.geom.mask_from_ambient(tau)
+        return self._images[tau]
+
+    def partners(self, n: int) -> dict[int, int]:
+        """Over GF(2), for a point n off pi: each other point x off pi ->
+        the bit, in pi's coordinates, of the point of pi on line nx (n + x)."""
+        if n not in self._partners:
+            hmask, row = self.geom.ambient_mask, {}
+            for line in self.space.lines_through(n):
+                off = line & ~hmask & ~(1 << n)
+                if off.bit_count() != 1:
+                    raise InvariantViolated(f"a line through {n} has {off.bit_count()} more points off pi")
+                row[off.bit_length() - 1] = 1 << self.geom.from_ambient[(line & hmask).bit_length() - 1]
+            self._partners[n] = row
+        return self._partners[n]
+
+
+def _frame(space: ProjSpace, pi: int) -> _Frame:
+    if (space, pi) not in _FRAMES:
+        _FRAMES[space, pi] = _Frame(space, pi)
+    return _FRAMES[space, pi]
+
+
 def _switch_test(space: ProjSpace, s_bits: int, pi: int, sizes, family: _Family):
     """Subgeometry of hyperplane pi, and the tables (mask, allowed values of
     |T ∩ mask|) that a section T of pi, in its coordinates, must pass for
@@ -254,34 +308,33 @@ def _switch_test(space: ProjSpace, s_bits: int, pi: int, sizes, family: _Family)
 
     base is s_bits off pi; pi itself meets the result in |T| = card points,
     so its table is built only when card is not in sizes, and then rejects
-    every candidate.  Every other hyperplane H meets pi in a hyperplane tau of
-    pi.  Hyperplane h is dual point h, so the H through one tau are the other
-    q points of one dual line through pi: grouped by tau, they admit the
-    values of |T ∩ tau| in t_sizes and in the intersection, over the line, of
-    {k - |base ∩ H| : k in sizes}.  An H that admits all of t_sizes is
-    skipped, and a tau whose H were all skipped gets no table.  Each tau that
-    has one is mapped into pi's coordinates once.
+    every candidate.  Every other hyperplane H is in the pencil, in pi's
+    frame, of the hyperplane tau of pi it cuts, and admits {k - |base ∩ H| :
+    k in sizes}; tau's table allows the values of t_sizes that all its H
+    admit.  An H that admits all of t_sizes is skipped, and a tau whose H
+    were all skipped gets no table.  Ties keep the order of each table's
+    first H not skipped.
     """
-    geom = subgeometry(space, hyperplane_flat(space, pi))
-    inc = space.incidence
-    hmask = inc[pi]
-    base = s_bits & ~hmask
+    frame = _frame(space, pi)
+    base = s_bits & ~frame.geom.ambient_mask
     card, t_sizes = family.cands[0].bit_count(), frozenset(family.sizes)
-    allowed: dict[int, frozenset[int]] = {} if card in sizes else {hmask: frozenset()}
+    checks = [] if card in sizes else [(-1, frame.geom.sub.all_mask, frozenset())]
     by_count: dict[int, frozenset[int] | None] = {}  # |base ∩ H| -> values, None to skip
-    for h, mask in enumerate(inc):
-        if h != pi:
+    for tau, pencil in frame.pencils:
+        first, ok = None, t_sizes
+        for h, mask in pencil:
             a = (base & mask).bit_count()
             if a not in by_count:
-                ok = frozenset(k - a for k in sizes) & t_sizes
-                by_count[a] = None if ok == t_sizes else ok
-            ok = by_count[a]
-            if ok is not None:
-                tau = mask & hmask
-                allowed[tau] = allowed[tau] & ok if tau in allowed else ok
-    checks = [(geom.mask_from_ambient(tau), ok) for tau, ok in allowed.items()]
+                allowed = frozenset(k - a for k in sizes) & t_sizes
+                by_count[a] = None if allowed == t_sizes else allowed
+            if by_count[a] is not None:
+                ok &= by_count[a]
+                first = h if first is None else first
+        if first is not None:
+            checks.append((first, frame.image(tau), ok))
     # the most restrictive tables first, so that most candidates drop early
-    return geom, sorted(checks, key=lambda c: len(c[1]))
+    checks.sort(key=lambda c: (len(c[2]), c[0]))
+    return frame.geom, [c[1:] for c in checks]
 
 
 def _columns(cands, n: int) -> list[int]:
@@ -388,31 +441,27 @@ def _survivors(checks, fam: _Family) -> list[int]:
 
 
 def _nucleus_test(space: ProjSpace, geom: SubGeometry, s_bits: int, pi: int) -> set[int]:
-    """The sections T of hyperplane pi, in the coordinates of its
-    subgeometry geom, with |T| != theta_{m-2}, for which base ∪ T has a line
-    nucleus.  base is s_bits off pi.
+    """The sections T of hyperplane pi of PG(m, 2), in the coordinates of
+    its subgeometry geom, with |T| != theta_{m-2}, for which base ∪ T has a
+    line nucleus.  base is s_bits off pi.
 
     A nucleus N inside pi would see each line through it inside pi meet T
-    once, which needs |T| = theta_{m-2}; so N lies off pi.  N sees each
-    point of pi on one line, so it is a nucleus exactly when no line through
-    it holds two base points and T is required[N], the points whose lines
-    to N miss base.
+    once, which needs |T| = theta_{m-2}; so N lies off pi.  A line through
+    N holds one point y of pi and one more point off pi, N's line partner
+    of y, so it holds at most one base point, and N is a nucleus exactly
+    when T is all of pi but the points y whose partner is in base.  The base
+    points lie on distinct lines through N, so their points y are distinct
+    and their bits sum to their OR.  Another q raises ``InvariantViolated``
+    from pi's frame.
     """
-    hmask = space.incidence[pi]
-    base = s_bits & ~hmask
-    from_amb = geom.from_ambient
-    required = set()
-    for n in bits_to_indices(space.all_mask & ~hmask & ~base):
-        t = 0
-        for line in space.lines_through(n):
-            k = (line & base).bit_count()
-            if k > 1:
-                break
-            if k == 0:
-                t |= 1 << from_amb[(line & hmask).bit_length() - 1]
-        else:
-            required.add(t)
-    return required
+    frame = _frame(space, pi)
+    base = s_bits & ~geom.ambient_mask
+    xs = bits_to_indices(base)
+    whole = geom.sub.all_mask
+    return {
+        whole ^ sum(map(frame.partners(n).__getitem__, xs))
+        for n in bits_to_indices(space.all_mask & ~geom.ambient_mask & ~base)
+    }
 
 
 def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:

@@ -2,11 +2,13 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -1104,6 +1106,114 @@ def test_subgeometry_nucleus_test_matches_find_line_nucleus():
             assert not nuclei & hmask, (size, t)
             nuclei_off_pi += bool(nuclei)
     assert nuclei_off_pi > 0
+
+
+@functools.cache
+def _line_points(n, y):
+    """The points of line ny of PG(4, 2), from pg.line_through."""
+    return line_through(space_for(4, 2), n, y).bits
+
+
+def test_nucleus_test_matches_lines_through_each_point():
+    # required is {T_n : n off pi and off base}, with y of pi in T_n exactly
+    # when line ny holds no base point, at every hyperplane of the canonical
+    # Q(4,2), two images and 20 switched sets; read from line_through, not
+    # from lines_through or pi's frame
+    sp = space_for(4, 2)
+    s = canonical("parabolic", 4, 2)
+    sets = [s.bits] + [projective_image(s, f"partners {i}").bits for i in range(2)]
+    sets += random.Random(29).sample(q42_switched_sets(), 20)
+    for bits in sets:
+        per = spectrum(PointSet(sp, bits)).per_hyperplane
+        assert set(per) <= {5, 7, 9}
+        for pi in range(sp.n_points):
+            hmask = sp.incidence[pi]
+            base = bits & ~hmask
+            geom = subgeometry(sp, hyperplane_flat(sp, pi))
+            want = set()
+            for n in bits_to_indices(sp.all_mask & ~hmask & ~base):
+                ys = [y for y in bits_to_indices(hmask) if not _line_points(n, y) & base]
+                want.add(pg.indices_to_bits(geom.from_ambient[y] for y in ys))
+            assert census._nucleus_test(sp, geom, bits, pi) == want, (bits, pi)
+
+
+@pytest.mark.parametrize("m,q", [(4, 2), (3, 3), (3, 4), (4, 3), (5, 2)])
+def test_frame_tau_images_match_the_dual_vector_in_pi(m, q):
+    # for h != pi, tau = h ∩ pi in pi's coordinates is the hyperplane of pi's
+    # own space with dual vector (h·b_0, ..., h·b_k), b_i pi's RREF basis;
+    # the pencils split the hyperplanes other than pi, q to each tau
+    sp = space_for(m, q)
+    for pi in (0, random.Random(f"frame {m} {q}").randrange(1, sp.n_points)):
+        frame = census._frame(sp, pi)
+        geom = frame.geom
+        assert geom == subgeometry(sp, hyperplane_flat(sp, pi))
+        seen = []
+        for tau, pencil in frame.pencils:
+            assert len(pencil) == q
+            for h, mask in pencil:
+                assert mask == sp.incidence[h] and tau == mask & sp.incidence[pi]
+                dual = tuple(pg.dot(sp.f, sp.points[h], b) for b in geom.flat.basis)
+                row = geom.sub.point_index[pg.normalize_vec(sp.f, dual)]
+                assert frame.image(tau) == geom.sub.incidence[row]
+                seen.append(h)
+        assert sorted(seen) == [h for h in range(sp.n_points) if h != pi]
+        assert len(frame.pencils) == geom.sub.n_points
+
+
+def test_frames_are_built_on_first_use_and_kept(monkeypatch, tmp_path):
+    # a cold census maps the tau of each table it builds but pi's own, once;
+    # the same census again maps none
+    monkeypatch.setattr(census, "_FRAMES", {})
+    inside, mapped = [], []
+    switch_test = census._switch_test
+    mask_from_ambient = pg.SubGeometry.mask_from_ambient
+
+    def traced_switch_test(space, s_bits, pi, sizes, family):
+        inside.append(pi)
+        try:
+            return switch_test(space, s_bits, pi, sizes, family)
+        finally:
+            inside.pop()
+
+    def counted(geom, bits):
+        if inside:
+            mapped.append(bits)
+        return mask_from_ambient(geom, bits)
+
+    monkeypatch.setattr(census, "_switch_test", traced_switch_test)
+    monkeypatch.setattr(pg.SubGeometry, "mask_from_ambient", counted)
+    kind = PolarKind("parabolic", 4, 3)
+    s = projective_image(canonical("parabolic", 4, 3), "frames kept")
+    res = nonsingular_switch_census(s, kind)
+    assert len(census._FRAMES) == 2
+    assert len(mapped) == len(set(mapped)) > 0
+    cold = list(mapped)
+    mapped.clear()
+    assert nonsingular_switch_census(s, kind) == res
+    assert mapped == []
+    sizes = set(profile(kind).sizes)
+    tables = 0
+    for fam, pi in res.extra["hyperplanes"].items():
+        family = census._orbit_family(PolarKind(fam, 3, 3))
+        tables += len(switch_test(s.space, s.bits, pi, sizes, family)[1])
+    assert tables == len(cold)
+    # over GF(3) a line through a point off pi has two more points off it
+    geom = census._frame(s.space, 0).geom
+    with pytest.raises(InvariantViolated, match="more points off pi"):
+        census._nucleus_test(s.space, geom, s.bits, 0)
+    # import and the commands that switch nothing build no frame
+    out = tmp_path / "q.qps"
+    code = (
+        "import sys\nimport qps.cli\nfrom qps import census\n"
+        f"argv = ['construct', 'canonical', '--kind', 'parabolic', '--m', '4', '--q', '2', '--out', {str(out)!r}]\n"
+        f"runs = [argv, ['spectrum', '--in', {str(out)!r}], ['verify', 'conditions', '--in', {str(out)!r}]]\n"
+        "print(len(census._FRAMES), [qps.cli.run(a) for a in runs], len(census._FRAMES), file=sys.stderr)\n"
+    )
+    src = str(Path(census.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert proc.stderr == "0 [0, 0, 0] 0\n"
 
 
 def test_switch_censuses_raise_no_invariant_on_switched_quadrics():
