@@ -6,9 +6,11 @@ set: a breadth-first search over bitmasks under a fixed generating set, each
 generator applied through per-byte point tables.  The closed-form orbit size
 bounds the search before it starts and checks it when it ends.  The orbit
 depends only on the kind, so the census keeps one entry per kind: the orbit
-as a sorted tuple of bitmasks, which the censuses read directly, and, once a
+as a sorted tuple of bitmasks, which the censuses read directly; once a
 switch census has used it, the orbit as a candidate family with its columns
-and size classes.
+and size classes; and once ``enumerate_quadrics`` has listed it, the orbit
+as point sets, which take no assignment, so that later calls on the same
+space (``.space is space``) hand out those objects again.
 
 The switch censuses replace the section of s in one hyperplane pi by a
 candidate T and ask whether s stays quasi-polar.  They work in the
@@ -121,16 +123,27 @@ class CensusResult(
 
 
 def _orbit_size(kind: PolarKind) -> int:
-    """Number of classical sets of the kind: |GL(d, q)| / |similitudes of the form|,
-    refused with ``SpaceTooLarge`` above ``ORBIT_CAP``.
+    """Number of classical sets of the kind, refused with ``SpaceTooLarge``
+    above ``ORBIT_CAP``: above ``ORBIT_MAX_M`` at once, and otherwise by the
+    closed-form count, which is worked out once per kind and compared with
+    the cap on every call."""
+    if kind.m > ORBIT_MAX_M:
+        raise SpaceTooLarge(f"PG({kind.m},{kind.q}): over {ORBIT_CAP} {_CAPPED}")
+    total = _classical_count(kind)
+    if total > ORBIT_CAP:
+        raise SpaceTooLarge(f"PG({kind.m},{kind.q}): {total} {_CAPPED}")
+    return total
+
+
+@functools.cache
+def _classical_count(kind: PolarKind) -> int:
+    """|GL(d, q)| / |similitudes of the form|.
 
     The similitudes are the linear maps that fix the point set.  The
     elliptic set of PG(1, q) is empty, so its orbit is the one set.
     """
     q, d = kind.q, kind.m + 1
     n = d // 2
-    if kind.m > ORBIT_MAX_M:
-        raise SpaceTooLarge(f"PG({kind.m},{q}): over {ORBIT_CAP} {_CAPPED}")
     if kind.family == "elliptic" and d == 2:
         return 1
     if kind.family == "hermitian":
@@ -143,10 +156,7 @@ def _orbit_size(kind: PolarKind) -> int:
         eps = 1 if kind.family == "hyperbolic" else -1
         stab = 2 * q ** (n * (n - 1)) * (q**n - eps) * (q - 1)
         stab *= math.prod(q ** (2 * i) - 1 for i in range(1, n))
-    total = math.prod(q**d - q**i for i in range(d)) // stab
-    if total > ORBIT_CAP:
-        raise SpaceTooLarge(f"PG({kind.m},{q}): {total} {_CAPPED}")
-    return total
+    return math.prod(q**d - q**i for i in range(d)) // stab
 
 
 def _section_kinds(kind: PolarKind) -> list[PolarKind]:
@@ -189,8 +199,9 @@ def _byte_tables(space: ProjSpace, g: list[list[int]]) -> list[list[int]]:
     return tables
 
 
-# kind -> (orbit, the orbit as a candidate family or None), filled by one search per kind
-_ORBITS: dict[PolarKind, tuple[tuple[int, ...], _Family | None]] = {}
+# kind -> (orbit, the orbit as a candidate family or None, the orbit as
+# point sets of one space or None), filled by one search per kind
+_ORBITS: dict[PolarKind, tuple[tuple[int, ...], _Family | None, tuple[PointSet, ...] | None]] = {}
 
 
 def _orbit(kind: PolarKind) -> tuple[int, ...]:
@@ -223,7 +234,7 @@ def _orbit(kind: PolarKind) -> tuple[int, ...]:
         frontier = new
     if len(seen) != total:
         raise InvariantViolated(f"orbit search found {len(seen)} of {total} sets")
-    _ORBITS[kind] = (tuple(sorted(seen)), None)
+    _ORBITS[kind] = (tuple(sorted(seen)), None, None)
     return _ORBITS[kind][0]
 
 
@@ -232,11 +243,19 @@ def enumerate_quadrics(space: ProjSpace, kind: PolarKind) -> list[PointSet]:
 
     The sets of one kind form a single PGL(m+1, q) orbit, found by a
     breadth-first search from the canonical set.  Each call returns a new
-    list; the search runs once per kind.
+    list; the search runs once per kind.  The kind's entry keeps the point
+    sets of the space last asked for, and a later call on that same space
+    (``.space is space``) returns those objects, which take no assignment;
+    another space of the same (m, q) gets new sets, which are kept instead.
     """
     if (space.m, space.q) != (kind.m, kind.q):
         raise IncompatibleKind("kind does not match the space")
-    return [PointSet(space, b) for b in _orbit(kind)]
+    orbit = _orbit(kind)
+    _, family, kept = _ORBITS[kind]
+    if kept is None or kept[0].space is not space:
+        kept = tuple(PointSet(space, b) for b in orbit)
+        _ORBITS[kind] = (orbit, family, kept)
+    return list(kept)
 
 
 def _classical_profile(s: PointSet, kind: PolarKind) -> tuple[SpectrumProfile, tuple[int, ...]]:
@@ -359,7 +378,7 @@ class _Family:
     meets each tau once, as in one cold census, keeps none.
     """
 
-    __slots__ = ("cands", "cols", "sizes", "_classes", "_seen")
+    __slots__ = ("cands", "cols", "sizes", "_classes", "_seen", "_members")
 
     def __init__(self, cands, n: int, sizes):
         self.cands = cands
@@ -367,6 +386,13 @@ class _Family:
         self.sizes = tuple(sizes)
         self._classes: dict[int, dict[int, int]] = {}
         self._seen: set[int] = set()
+        self._members: frozenset[int] | None = None
+
+    def members(self) -> frozenset[int]:
+        """The candidates as a set, built the first time it is asked for."""
+        if self._members is None:
+            self._members = frozenset(self.cands)
+        return self._members
 
     def classes(self, tau: int) -> dict[int, int]:
         """Size -> candidates with |T ∩ tau| = size.  A bit-sliced adder sums
@@ -412,10 +438,10 @@ def _orbit_family(kind: PolarKind) -> _Family:
     """The orbit of the kind as a candidate family, built once per kind; a
     candidate meets each hyperplane of its space in one of the kind's sizes."""
     orbit = _orbit(kind)
-    family = _ORBITS[kind][1]
+    _, family, kept = _ORBITS[kind]
     if family is None:
         family = _Family(orbit, space_for(kind.m, kind.q).n_points, profile(kind).sizes)
-        _ORBITS[kind] = (orbit, family)
+        _ORBITS[kind] = (orbit, family, kept)
     return family
 
 
@@ -496,7 +522,7 @@ def nucleus_pivot_census(s: PointSet, threads: int = 1) -> CensusResult:
                 raise ValueError(f"census needs the quadric: {msg}")
             # the candidates have 5 or 9 points, never theta_2 = 7
             required = _nucleus_test(space, geom, s.bits, h)
-            per_hyp.append((len(cands) - sum(_in_sorted(cands, t) for t in required), len(cands)))
+            per_hyp.append((len(cands) - len(required & family.members()), len(cands)))
             if h == hyps[0]:
                 no_nucleus = itertools.islice((t for t in cands if t not in required), 10)
                 base_bits = s.bits & ~space.incidence[h]

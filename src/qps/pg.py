@@ -463,14 +463,22 @@ def indices_to_bits(indices) -> int:
 class PointSet:
     """A set of points of one space, stored as an int bitmask.
 
-    Two point sets are equal when they have the same space and bits.
+    Two point sets are equal when they have the same space and bits.  A
+    point set takes no assignment, so callers can share one, as the census
+    shares a kind's classical sets.
     """
 
     __slots__ = ("space", "bits")
 
     def __init__(self, space: ProjSpace, bits: int):
-        self.space = space
-        self.bits = bits
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PointSet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PointSet is immutable: cannot delete {name!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):

@@ -345,11 +345,18 @@ def test_failed_search_stores_nothing(monkeypatch, empty_conic_table):
     kind = PolarKind("parabolic", 2, 4)
     gens = census._pgl_generators
     monkeypatch.setattr(census, "_pgl_generators", lambda d, f: gens(d, f)[1:])
+    built = []
+    monkeypatch.setattr(census, "PointSet", lambda *args: built.append(args) or PointSet(*args))
     with pytest.raises(InvariantViolated, match="orbit"):
         enumerate_quadrics(sp, kind)
+    # no entry, so no orbit and no point sets are kept, and none were built
     assert kind not in census._ORBITS
+    assert built == []
     monkeypatch.setattr(census, "_pgl_generators", gens)
-    assert [s.bits for s in enumerate_quadrics(sp, kind)] == _form_scan(sp, kind)
+    sets = enumerate_quadrics(sp, kind)
+    assert [s.bits for s in sets] == _form_scan(sp, kind)
+    assert len(built) == len(sets)
+    assert census._ORBITS[kind][2] == tuple(sets)
 
 
 def test_enumerate_returns_a_new_list_each_call():
@@ -361,6 +368,44 @@ def test_enumerate_returns_a_new_list_each_call():
     assert second is not first
     assert [s.bits for s in second] == _form_scan(sp, kind)
     assert enumerate_quadrics(sp, kind) == second
+
+
+def test_warm_enumerate_returns_the_kept_point_sets(monkeypatch, empty_conic_table):
+    sp = space_for(2, 4)
+    kind = PolarKind("parabolic", 2, 4)
+    first = enumerate_quadrics(sp, kind)
+
+    def built(*args):
+        raise AssertionError("a warm call built a point set")
+
+    monkeypatch.setattr(census, "PointSet", built)
+    second = enumerate_quadrics(sp, kind)
+    assert second is not first and second == first
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    assert [s.bits for s in second] == _form_scan(sp, kind)
+    # a cleared entry is searched again and keeps no set of the old one
+    monkeypatch.setattr(census, "PointSet", PointSet)
+    monkeypatch.delitem(census._ORBITS, kind)
+    fresh = enumerate_quadrics(sp, kind)
+    assert fresh == first
+    assert not any(a is b for a, b in zip(first, fresh, strict=True))
+
+
+def test_enumerate_hands_out_sets_of_the_space_asked_for(monkeypatch):
+    kind = PolarKind("hyperbolic", 3, 2)
+    old = space_for(3, 2)
+    kept = enumerate_quadrics(old, kind)
+    monkeypatch.setattr(pg, "_SPACES", {})
+    new = space_for(3, 2)
+    assert new is not old
+    sets = enumerate_quadrics(new, kind)
+    assert all(s.space is new for s in sets)
+    assert [s.bits for s in sets] == [s.bits for s in kept]
+    # equal point sets share a space, so the old space's sets are not equal
+    assert not set(sets) & set(kept)
+    again = enumerate_quadrics(new, kind)
+    assert all(a is b for a, b in zip(sets, again, strict=True))
+    assert all(s.space is old for s in enumerate_quadrics(old, kind))
 
 
 def test_warm_orbit_table_keeps_the_checks(monkeypatch):
@@ -895,7 +940,7 @@ def test_survivors_match_a_per_candidate_loop(m, q):
 def test_orbit_columns_follow_the_orbit_tuple(monkeypatch):
     kind = PolarKind("elliptic", 3, 2)
     cands = census._orbit(kind)
-    monkeypatch.setitem(census._ORBITS, kind, (cands, None))
+    monkeypatch.setitem(census._ORBITS, kind, (cands, None, None))
     built = []
     columns = census._columns
 
@@ -911,10 +956,10 @@ def test_orbit_columns_follow_the_orbit_tuple(monkeypatch):
     # about n * N / 8 bytes: one N-bit int per point
     assert sum(c.bit_length() for c in family.cols) <= 15 * len(cands)
     assert census._orbit_family(kind) is family and built == [cands]
-    assert census._ORBITS[kind] == (cands, family)
+    assert census._ORBITS[kind] == (cands, family, None)
     # another orbit tuple held for the kind gets its own family and columns
     half = cands[::2]
-    monkeypatch.setitem(census._ORBITS, kind, (half, None))
+    monkeypatch.setitem(census._ORBITS, kind, (half, None, None))
     got = census._orbit_family(kind)
     assert got.cands is half and got.cols == _columns_by_loop(half, 15)
     assert built == [cands, half]
@@ -925,7 +970,7 @@ def test_orbit_columns_follow_the_orbit_tuple(monkeypatch):
     assert built == [cands, half, fresh.cands]
     assert census._ORBITS[kind][0] is fresh.cands
     # a census switches in the sets of the tuple that the entry holds
-    monkeypatch.setitem(census._ORBITS, kind, (half, None))
+    monkeypatch.setitem(census._ORBITS, kind, (half, None, None))
     res = nonsingular_switch_census(canonical("parabolic", 4, 2), PolarKind("parabolic", 4, 2))
     assert res.extra["candidates"]["elliptic"] == len(half)
     assert res.breakdown["elliptic_other_survivor"] == len(half) - 1
@@ -935,7 +980,26 @@ def test_orbit_columns_follow_the_orbit_tuple(monkeypatch):
 def _fresh_family(monkeypatch, kind):
     """The census entry of the kind with no family yet, so that a test sees
     size classes kept from none; the entry comes back after the test."""
-    monkeypatch.setitem(census._ORBITS, kind, (census._orbit(kind), None))
+    monkeypatch.setitem(census._ORBITS, kind, (census._orbit(kind), None, None))
+
+
+def test_only_nucleus_pivot_builds_member_sets(monkeypatch):
+    # the Q(3,2) families' member sets are built by the first nucleus-pivot
+    # census and kept; a switch census of another kind builds none
+    q32 = [PolarKind(fam, 3, 2) for fam in ("hyperbolic", "elliptic")]
+    q33 = [PolarKind(fam, 3, 3) for fam in ("hyperbolic", "elliptic")]
+    for kind in q32 + q33:
+        _fresh_family(monkeypatch, kind)
+    nonsingular_switch_census(canonical("parabolic", 4, 3), PolarKind("parabolic", 4, 3))
+    assert [census._ORBITS[k][1]._members for k in q33] == [None, None]
+    res = nucleus_pivot_census(projective_image(canonical("parabolic", 4, 2), "members"))
+    for kind in q32:
+        family = census._orbit_family(kind)
+        assert family.members() == frozenset(family.cands)
+        assert family.members() is family.members()
+        n = len(family.cands)
+        assert res.breakdown[f"{kind.family}_no_nucleus"] + res.breakdown[f"{kind.family}_with_nucleus"] == n
+    assert [census._ORBITS[k][1]._members for k in q33] == [None, None]
 
 
 # the switch censuses whose section families keep tables, with the section

@@ -537,6 +537,38 @@ def test_point_set_algebra():
     assert point_set_from_indices(sp, [2]) <= a
 
 
+def test_point_set_takes_no_assignment():
+    sp = space_for(2, 2)
+    a = point_set_from_indices(sp, [0, 1, 2])
+    for name, value in (("bits", 0), ("space", space_for(2, 3)), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.bits |= 8
+    assert a.space is sp and a.bits == 0b111
+    assert not hasattr(a, "extra")
+
+
+def test_point_set_algebra_returns_new_sets():
+    sp = space_for(2, 2)
+    a = point_set_from_indices(sp, [0, 1, 2])
+    b = point_set_from_indices(sp, [2, 3])
+    empty = PointSet(sp, 0)
+    for got, bits in (
+        (a.union(b), 0b1111),
+        (a.intersect(b), 0b100),
+        (a.minus(b), 0b11),
+        (a.union(empty), a.bits),
+        (a.minus(empty), a.bits),
+        (a.intersect(a), a.bits),
+    ):
+        assert got is not a and got is not b
+        assert got == PointSet(sp, bits) and hash(got) == hash(PointSet(sp, bits))
+    assert (a.bits, b.bits) == (0b111, 0b1100)
+
+
 def test_bits_to_indices():
     assert bits_to_indices(0) == []
     assert bits_to_indices(0b101001) == [0, 3, 5]

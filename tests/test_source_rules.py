@@ -30,6 +30,10 @@
   whole body is ``x |= 1 << y`` outside ``indices_to_bits``.  A loop that
   does more per index, as ``cli.parse_point_set`` does to find a duplicate
   point, is its own.
+- ``object.__setattr__`` only in ``pg.PointSet``, whose ``__init__`` sets
+  its two slots past its own ``__setattr__``, which refuses every
+  assignment: no other code can change a point set, and a kind's
+  classical sets can be shared.
 
 Apart from the package, every ``qps`` name that ``perfbench/spans.py``
 rebinds to time a layer exists, so that no rename or deletion breaks a
@@ -52,6 +56,7 @@ ALL_LINES_READERS = {("pg.py", "flats_of_codim"), ("census.py", "classical_dist_
 PRODUCT_SCOPE = ("pg.py", "ProjSpace", "__init__")
 RECORD_BUILDER = ("surgery.py", "_switched")
 MASK_BUILDER = ("pg.py", "indices_to_bits")
+SETATTR_OWNER = ("pg.py", "PointSet")
 RECORD_FIELDS = frozenset({"kind", "hyperplane", "vertex", "removed", "added", "details"})
 DICT_MUTATORS = frozenset({"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"})
 
@@ -242,6 +247,30 @@ def _mask_builds(tree: ast.AST, module: str) -> list[str]:
     return out
 
 
+def _object_setattrs(tree: ast.AST, module: str) -> list[str]:
+    """References to ``object.__setattr__`` outside the top-level class
+    pg.PointSet."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if scope is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "__setattr__"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "object"
+                and (module, scope) != SETATTR_OWNER
+            ):
+                out.append(f"line {child.lineno}: object.__setattr__ outside pg.PointSet")
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
+
+
 def _unused_imports(tree: ast.AST) -> list[str]:
     """Names bound by an import that no ``Name`` node of the module reads;
     ``import a.b`` binds ``a``."""
@@ -261,6 +290,7 @@ def _unused_imports(tree: ast.AST) -> list[str]:
 def violations(tree: ast.AST, module: str = "") -> list[str]:
     out = _all_lines_refs(tree, module) + _stored_lines(tree) + _product_refs(tree, module)
     out += _record_calls(tree, module) + _record_writes(tree) + _mask_builds(tree, module)
+    out += _object_setattrs(tree, module)
     if module != "__init__.py":
         out += _unused_imports(tree)
     for node in ast.walk(tree):
@@ -323,6 +353,9 @@ def test_source_rules(path):
         "bits = sum([1 << a, 1 << b])\n",
         "for i in span:\n    bits |= 1 << i\n",
         "def mask_to_ambient(self, bits):\n    for i in bits_to_indices(bits):\n        out |= 1 << self.to_ambient[i]\n",
+        "object.__setattr__(s, 'bits', 0)\n",
+        "set_slot = object.__setattr__\n",
+        "class PointSet:\n    def __init__(self, space, bits):\n        object.__setattr__(self, 'bits', bits)\n",
     ],
 )
 def test_rules_catch(code):
@@ -394,6 +427,8 @@ def test_product_rule_allows_only_the_point_list(module, code, allowed):
         "for i in span:\n    if ok(i):\n        bits |= 1 << i\n",
         "for no, i in rows:\n    if bits >> i & 1:\n        raise DuplicatePoint(no)\n    bits |= 1 << i\n",
         "for i in span:\n    bits ^= 1 << i\n",
+        "class Frame:\n    def __setattr__(self, name, value):\n        raise AttributeError(name)\n",
+        "self = object.__new__(cls)\n",
     ],
 )
 def test_rules_allow(code):
@@ -436,6 +471,26 @@ _INDICES_TO_BITS = "def indices_to_bits(indices):\n    bits = 0\n    for i in in
     ],
 )
 def test_mask_rule_allows_only_indices_to_bits(module, code, allowed):
+    assert (violations(ast.parse(code), module) == []) == allowed
+
+
+_POINT_SET_INIT = (
+    "class PointSet:\n    def __init__(self, space, bits):\n"
+    "        object.__setattr__(self, 'space', space)\n        object.__setattr__(self, 'bits', bits)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "module,code,allowed",
+    [
+        ("pg.py", _POINT_SET_INIT, True),
+        ("census.py", _POINT_SET_INIT, False),
+        ("pg.py", _POINT_SET_INIT.replace("PointSet", "Flat"), False),
+        ("pg.py", "class ProjSpace:\n    class PointSet:\n        def f(self):\n            object.__setattr__(self, 'bits', 0)\n", False),
+        ("pg.py", "def union(a, b):\n    object.__setattr__(a, 'bits', a.bits | b.bits)\n", False),
+    ],
+)
+def test_setattr_rule_allows_only_point_set(module, code, allowed):
     assert (violations(ast.parse(code), module) == []) == allowed
 
 
